@@ -270,9 +270,10 @@ def cmd_fekete(cfg: ExperimentConfig, out: Path, args) -> int:
         _support_svg(geom, [("dots", res.points, "blue")],
                      out / f"fekete_n{n}.svg")
     write_json(out / f"fekete_n{n}.json", report)
+    status = "" if res.converged else " not converged"
     print(f"fekete: n={n} energy={res.energy:.6f} "
-          f"grad={res.grad_norm:.2e}")
-    return EXIT_OK
+          f"grad={res.grad_norm:.2e}{status}")
+    return EXIT_OK if res.converged else EXIT_INVARIANT
 
 
 def cmd_compare(cfg: ExperimentConfig, out: Path, args) -> int:

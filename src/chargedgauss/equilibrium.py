@@ -89,10 +89,24 @@ class ExteriorMap:
             return 0.0 + 0.0j, 0.0 + 0.0j
         return q / self.rho, c / q
 
-    def contains(self, z: complex) -> bool:
-        """z lies in the support iff both preimages are in the unit disk."""
-        z1, z2 = self.zeta_roots(complex(z))
-        return abs(z1) < 1.0 and abs(z2) < 1.0
+    def contains(self, z):
+        """z lies in the support iff both preimages are in the unit disk.
+
+        Vectorised over z, with the root selection of zeta_roots; a
+        scalar z gives a bool.  zeta_roots itself stays scalar: the
+        trajectory integrator calls it once per step, where numpy's
+        per-call overhead would cost ten times the arithmetic.
+        """
+        z = np.asarray(z, dtype=complex)
+        b = self.u - z - self.A * self.rho
+        c = self.A * (z - self.u) + self.v
+        disc = np.sqrt(b * b - 4.0 * self.rho * c)
+        q = -0.5 * np.where(np.abs(b + disc) > np.abs(b - disc),
+                            b + disc, b - disc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = (np.abs(q / self.rho) < 1.0) & (np.abs(c / q) < 1.0)
+        inside |= q == 0   # both preimages are 0
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 def outer_radius(p: PerturbedPotential) -> float:
@@ -333,6 +347,16 @@ class EquilibriumReport:
                 and self.min_margin_off >= -self.tol_off)
 
 
+def _min_distance(z: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """min_k |z_i - pts_k|, in row blocks of at most 1024 x len(pts)."""
+    chunk = 1024
+    out = np.empty(z.shape, dtype=float)
+    for i in range(0, z.size, chunk):
+        out[i:i + chunk] = np.min(np.abs(z[i:i + chunk, None] - pts[None, :]),
+                                  axis=1)
+    return out
+
+
 def verify_equilibrium(geom, p: PerturbedPotential,
                        grid_spec: dict | None = None) -> EquilibriumReport:
     """Check U^sigma + V = F on the support and >= F off it on a cartesian
@@ -356,17 +380,13 @@ def verify_equilibrium(geom, p: PerturbedPotential,
         extent = R + spec["margin"]
         F = robin_constant(geom, p)
 
-        def on_support(z):
+        def on_off_support(z):
             ok = np.abs(z) <= R - spec["collar"]
-            for c, r in geom.cavities:
-                ok &= np.abs(z - c) >= r + spec["collar"]
-            return ok
-
-        def off_support(z):
             out = np.abs(z) >= R + spec["collar"]
             for c, r in geom.cavities:
+                ok &= np.abs(z - c) >= r + spec["collar"]
                 out |= np.abs(z - c) <= r - spec["collar"]
-            return out
+            return ok, out
     else:
         th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         bpts = geom.boundary(th)
@@ -374,16 +394,10 @@ def verify_equilibrium(geom, p: PerturbedPotential,
         centroid = complex(np.mean(bpts))
         F = float(effective_potential(geom, p, centroid)[0])
 
-        def dist_to_boundary(z):
-            return np.min(np.abs(z[:, None] - bpts[None, :]), axis=1)
-
-        def on_support(z):
-            inside = np.array([geom.contains(w) for w in z])
-            return inside & (dist_to_boundary(z) > spec["collar"])
-
-        def off_support(z):
-            inside = np.array([geom.contains(w) for w in z])
-            return (~inside) & (dist_to_boundary(z) > spec["collar"])
+        def on_off_support(z):
+            inside = geom.contains(z)
+            clear = _min_distance(z, bpts) > spec["collar"]
+            return inside & clear, ~inside & clear
 
     n = spec["n"]
     xs = np.linspace(-extent, extent, n)
@@ -393,8 +407,7 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     for a, _ in p.nu.charges:
         Z = Z[np.abs(Z - a) > 1e-9]
 
-    m_on = on_support(Z)
-    m_off = off_support(Z)
+    m_on, m_off = on_off_support(Z)
     dev_on = 0.0
     if m_on.any():
         dev_on = float(np.max(np.abs(effective_potential(geom, p, Z[m_on]) - F)))

@@ -4,8 +4,12 @@ zeros, counting measures and the one-point function.
 Orthogonalization runs as Arnoldi on the quadrature nodes (orthogonalize
 z*q_k against all previous orthonormal q_j) rather than Cholesky of the
 moment matrix, which would square an already exponential condition
-number.  All accumulations are in 80-bit extended precision; zero finding
-is simultaneous Aberth iteration refined in arbitrary precision.
+number.  Each step is block classical Gram-Schmidt over the stored basis,
+with a second pass only when the first cancelled most of the vector.  All
+accumulations are in 80-bit extended precision: the Cauchy-tail decay of
+P_n (criterion 06) is not resolved in complex double.  Zero finding is
+simultaneous Aberth iteration, started from the eigenvalues of the
+Hessenberg matrix and refined in arbitrary precision.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from .measures import POS_INF, PerturbedPotential
 from .planarquad import CLD, LD, QuadGrid
 
 GRAM_TOL = 1e-8
+# a second Gram-Schmidt pass runs when ||v|| falls below this share of
+# its value before the pass
+_KAHAN_PARLETT = 1.0 / math.sqrt(2.0)
 
 
 class LossOfOrthogonality(Exception):
@@ -69,65 +76,74 @@ class OrthoPolySet:
         }
 
 
+def _norm(v: np.ndarray):
+    # np.sum adds pairwise; the running sum of np.vdot loses about two
+    # digits of the norm over 10^4-10^5 nodes
+    return np.sqrt(np.sum(v.real ** 2 + v.imag ** 2))
+
+
 def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
                      n_max: int) -> OrthoPolySet:
     """Arnoldi orthogonalization of 1, z, z^2, ... on the grid nodes.
 
-    One full reorthogonalization pass per step keeps the loss of
-    orthogonality at the level of roundoff; coefficient vectors are
-    carried alongside the node vectors so the monic polynomials come out
-    exactly (leading coefficient set to 1 by division).
+    Each step is one block classical Gram-Schmidt pass of v = z*q_k
+    against the rows q_j of the basis Q, in clongdouble:
+    h_j = <v, q_j>, v -= sum_j h_j q_j.  A second pass runs only when the
+    first cancelled more than a factor 1/sqrt(2) of ||v|| (the
+    Kahan-Parlett test; two passes suffice, see Giraud, Langou &
+    Rozloznik 2005).  The coefficient rows of the q_k in the monomial
+    basis are carried through the same updates, so the monic polynomials
+    come out exactly (leading coefficient set to 1 by division).
     """
     if grid.angular_order < 2 * n_max + 2:
         raise ValueError(
             f"angular order {grid.angular_order} cannot resolve degree "
             f"{2 * n_max} moments; need at least {2 * n_max + 2}")
 
-    sq = np.sqrt(grid.measure_weights).astype(CLD)
-    z_nodes = grid.nodes
-
-    def ip(f, g):
-        return np.sum(f * np.conj(g))
-
-    q_vecs, q_coeffs = [], []
+    # Q[k]: q_k at the nodes times sqrt(weight); C[k, :k+1]: ascending
+    # monomial coefficients of q_k
+    Q = np.empty((n_max + 1, grid.nodes.size), dtype=CLD)
+    C = np.zeros((n_max + 1, n_max + 1), dtype=CLD)
     H = np.zeros((n_max + 2, n_max + 1), dtype=CLD)
-    v = sq.copy()
-    nrm = np.sqrt(np.real(ip(v, v)))
-    q_vecs.append(v / nrm)
-    q_coeffs.append(np.array([1.0 / nrm], dtype=CLD))
+    v = np.sqrt(grid.measure_weights).astype(CLD)
+    nrm = _norm(v)
+    Q[0] = v / nrm
+    C[0, 0] = 1.0 / nrm
     for k in range(n_max):
-        v = z_nodes * q_vecs[k]
-        c = np.zeros(k + 2, dtype=CLD)
-        c[1:k + 2] = q_coeffs[k]
+        Qk = Q[:k + 1]
+        v = grid.nodes * Q[k]
+        c = np.roll(C[k], 1)
+        nrm = _norm(v)
         for _pass in range(2):
-            for j in range(k + 1):
-                hj = ip(v, q_vecs[j])
-                v = v - hj * q_vecs[j]
-                c[:len(q_coeffs[j])] -= hj * q_coeffs[j]
-                H[j, k] += hj
-        nrm = np.sqrt(np.real(ip(v, v)))
+            # conjugating v, not Q, spares a conjugated copy of the basis;
+            # einsum streams the rows of Q where np.dot(h, Qk) would walk
+            # its columns
+            h = np.conj(np.dot(Qk, np.conj(v)))
+            v -= np.einsum("j,jm->m", h, Qk)
+            c -= np.dot(h, C[:k + 1])
+            H[:k + 1, k] += h
+            before, nrm = nrm, _norm(v)
+            if nrm >= before * _KAHAN_PARLETT:
+                break
         if not nrm > 0:
             raise LossOfOrthogonality(
                 f"vanishing norm at degree {k + 1}; grid cannot resolve it")
         H[k + 1, k] = nrm
-        q_vecs.append(v / nrm)
-        q_coeffs.append(c / nrm)
+        Q[k + 1] = v / nrm
+        C[k + 1] = c / nrm
 
-    monic, hs = [], np.empty(n_max + 1, dtype=LD)
-    for k in range(n_max + 1):
-        lc = q_coeffs[k][-1]
-        monic.append(q_coeffs[k] / lc)
-        hs[k] = LD(1.0) / np.abs(lc) ** 2
+    lead = np.diagonal(C)
+    monic = tuple(C[k, :k + 1] / lead[k] for k in range(n_max + 1))
+    hs = LD(1.0) / np.abs(lead) ** 2
 
-    # Gram residual of the orthonormal node vectors
-    Q = np.array(q_vecs)
-    G = Q @ np.conj(Q.T)
-    np.fill_diagonal(G, 0.0)
-    gram = float(np.max(np.abs(G)))
+    # Gram residual of the orthonormal node vectors: max |<q_i, q_j>|, i < j
+    gram = 0.0
+    for j in range(1, n_max + 1):
+        gram = max(gram, float(np.max(np.abs(np.dot(Q[:j], np.conj(Q[j]))))))
     if gram > GRAM_TOL:
         raise LossOfOrthogonality(
             f"Gram residual {gram:.2e} exceeds {GRAM_TOL:.0e} at n_max={n_max}")
-    return OrthoPolySet(n_max=n_max, monic_coeffs=tuple(monic), norms=hs,
+    return OrthoPolySet(n_max=n_max, monic_coeffs=monic, norms=hs,
                         hessenberg=H, gram_residual=gram, potential=p)
 
 
@@ -155,11 +171,11 @@ class ZeroSet:
         return np.full(self.n, 1.0 / self.n)
 
 
-def _aberth_longdouble(coeffs: np.ndarray, radius: float,
+def _aberth_longdouble(coeffs: np.ndarray, start: np.ndarray,
                        tol: float = 5e-14, itmax: int = 300):
     c = np.asarray(coeffs, dtype=CLD)
     n = len(c) - 1
-    x = (radius * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n + 0.3j)).astype(CLD)
+    x = np.asarray(start, dtype=CLD)
     dc = c[1:] * np.arange(1, n + 1)
 
     def horner(cc, zz):
@@ -209,13 +225,16 @@ def _refine_mpmath(coeffs: np.ndarray, roots: np.ndarray, iters: int = 3,
     return out, float(np.max(res / den))
 
 
-def compute_zeros(ops: OrthoPolySet, n: int, init_radius: float | None = None,
+def compute_zeros(ops: OrthoPolySet, n: int,
                   residual_tol: float = 1e-10) -> ZeroSet:
     """All roots of P_n by Aberth-Ehrlich simultaneous iteration.
 
-    Extended-precision sweeps from a circle of the support's outer radius,
-    then arbitrary-precision polishing; the certified quantity is the
-    product-form residual |P_n(z_j)| / prod_{k != j} |z_j - z_k|.
+    P_n is the Arnoldi polynomial det(zI - H_n), so the iteration starts
+    from the eigenvalues of the leading n x n block of the Hessenberg
+    matrix.  Extended-precision sweeps on the stored clongdouble
+    coefficients are followed by arbitrary-precision polishing of the
+    same coefficients; the certified quantity is the product-form
+    residual |P_n(z_j)| / prod_{k != j} |z_j - z_k|.
     """
     if not 1 <= n <= ops.n_max:
         raise ValueError(f"degree {n} outside 1..{ops.n_max}")
@@ -224,11 +243,9 @@ def compute_zeros(ops: OrthoPolySet, n: int, init_radius: float | None = None,
     if low < 1e-13:
         # monomial fast path: P_n = z^n, root 0 with multiplicity n
         return ZeroSet(n=n, zeros=np.zeros(n, dtype=complex), max_residual=0.0)
-    if init_radius is None:
-        p = ops.potential
-        init_radius = math.sqrt((1.0 + p.nu.total_mass) / (2.0 * p.alpha))
-    roots = _aberth_longdouble(coeffs, init_radius)
-    roots, resid = _refine_mpmath(np.asarray(coeffs, dtype=complex), roots)
+    start = np.linalg.eigvals(np.asarray(ops.hessenberg[:n, :n], dtype=complex))
+    roots = _aberth_longdouble(coeffs, start)
+    roots, resid = _refine_mpmath(coeffs, roots)
     if resid > residual_tol:
         raise NonConvergence(
             f"zero residual {resid:.2e} above {residual_tol:.0e} at n={n}")

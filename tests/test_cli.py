@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from chargedgauss.cli import (EXIT_OK, EXIT_UNSUPPORTED, ExperimentConfig,
-                              load_config, main)
+from chargedgauss import fekete
+from chargedgauss.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_UNSUPPORTED,
+                              ExperimentConfig, load_config, main)
 
 
 def test_load_config_defaults():
@@ -76,3 +78,21 @@ def test_verify_quick(tmp_path):
     assert rc == EXIT_OK
     rep = json.loads((tmp_path / "verify.json").read_text())
     assert rep["passed"]
+
+
+@pytest.mark.parametrize("converged, code", [(True, EXIT_OK),
+                                             (False, EXIT_INVARIANT)])
+def test_fekete_exit_code_follows_convergence(tmp_path, monkeypatch, capsys,
+                                              converged, code):
+    def fake_minimize(n, p, seed=0, n_starts=1):
+        pts = 0.5 * np.exp(2j * np.pi * np.arange(n) / n)
+        return fekete.FeketeConfig(n=n, points=pts, energy=1.0,
+                                   grad_norm=1e-3, converged=converged,
+                                   seed=seed)
+
+    monkeypatch.setattr(fekete, "minimize", fake_minimize)
+    rc = main(["--out", str(tmp_path), "--degree", "10", "--quick", "fekete"])
+    assert rc == code
+    assert ("not converged" in capsys.readouterr().out) is not converged
+    rep = json.loads((tmp_path / "fekete_n10.json").read_text())
+    assert rep["converged"] is converged

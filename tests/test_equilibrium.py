@@ -63,6 +63,28 @@ def test_exterior_map_worked_example(exterior_map):
         2 * np.pi * np.arange(64) / 64))))
 
 
+def test_exterior_map_contains_matches_scalar_roots(exterior_map):
+    em = exterior_map
+    xs = np.linspace(-3.0, 3.0, 41)
+    grid = (xs[None, :] + 1j * xs[:, None]).ravel()
+    # images of circles just inside and outside the unit circle hug the
+    # support boundary from both sides
+    zeta = np.exp(2j * np.pi * np.arange(90) / 90)
+    near = np.concatenate([em.map(zeta * (1.0 + d))
+                           for d in (-1e-3, -1e-9, 1e-9, 1e-3)])
+    z = np.concatenate([grid, near])
+    got = em.contains(z)
+
+    def scalar_contains(w):
+        z1, z2 = em.zeta_roots(complex(w))
+        return abs(z1) < 1.0 and abs(z2) < 1.0
+
+    assert got.dtype == bool and got.shape == z.shape
+    assert np.array_equal(got, [scalar_contains(w) for w in z])
+    assert got.any() and not got.all()
+    assert isinstance(em.contains(0.3 + 0.1j), bool)
+
+
 def test_exterior_map_intersecting_regime():
     # cavity circle crosses the outer circle: unique cubic root
     em = solve_exterior_map(0.5, 0.5, 1.5)

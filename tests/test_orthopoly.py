@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,7 +11,9 @@ from chargedgauss.orthopoly import (build_orthopolys, compute_zeros,
                                     one_point_function, radial_norm_oracle,
                                     reconstruct_coeffs, zero_potential,
                                     zero_potential_grid)
-from chargedgauss.planarquad import build_grid, inner_product
+from chargedgauss.planarquad import CLD, build_grid, inner_product
+
+DEFAULT_CHARGE = PointChargeMeasure(((0.3 + 0.0j, 0.5),))
 
 
 def test_radial_norms_match_oracle(radial_potential, radial_grid):
@@ -37,6 +40,41 @@ def test_monic_leading_coefficient(cavity_ops):
 
 def test_gram_residual_small(cavity_ops):
     assert cavity_ops.gram_residual < 1e-8
+
+
+def _mgs2_hessenberg(grid, n_max):
+    """Arnoldi by modified Gram-Schmidt with a full second pass, one
+    inner product and one axpy at a time, in clongdouble."""
+    def ip(f, g):
+        return np.sum(f * np.conj(g))
+
+    sq = np.sqrt(grid.measure_weights).astype(CLD)
+    q = [sq / np.sqrt(np.real(ip(sq, sq)))]
+    H = np.zeros((n_max + 2, n_max + 1), dtype=CLD)
+    for k in range(n_max):
+        v = grid.nodes * q[k]
+        for _pass in range(2):
+            for j in range(k + 1):
+                hj = ip(v, q[j])
+                v = v - hj * q[j]
+                H[j, k] += hj
+        H[k + 1, k] = np.sqrt(np.real(ip(v, v)))
+        q.append(v / H[k + 1, k])
+    return H
+
+
+def test_hessenberg_matches_mgs2_reference(cavity_grid, cavity_ops):
+    ref = _mgs2_hessenberg(cavity_grid, 12)
+    assert cavity_ops.hessenberg.dtype == CLD
+    assert np.max(np.abs(cavity_ops.hessenberg - ref)) < 1e-17
+
+
+def test_gram_residual_extended_precision():
+    # criterion 05's configuration; complex double arithmetic would
+    # leave about 1.5e-16
+    p = PerturbedPotential(alpha=0.5, nu=DEFAULT_CHARGE, N=80.0, gamma=2.0)
+    grid = build_grid(p, orders=(24, 256), max_degree=80)
+    assert build_orthopolys(p, grid, 40).gram_residual < 5e-17
 
 
 def test_norm_positivity(cavity_ops):
@@ -71,6 +109,44 @@ def test_zero_residual_and_product_form(cavity_ops):
     rec = reconstruct_coeffs(zs)
     ref = np.asarray(cavity_ops.monic_coeffs[8], dtype=complex)
     assert np.max(np.abs(rec - ref)) / np.max(np.abs(ref)) < 1e-8
+
+
+def _hessenberg_eigenvalues(H, n, dps=30):
+    """Eigenvalues of H[:n, :n] to dps digits, by Newton's method on
+    p_n(z), proportional to det(zI - H_n), with p_n and p_n' from the
+    orthonormal recurrence p_{k+1} = (z p_k - sum_j H[j,k] p_j) / H[k+1,k]."""
+    start = np.linalg.eigvals(np.asarray(H[:n, :n], dtype=complex))
+    out = []
+    with mp.workdps(dps + 10):
+        h = [[mp.mpc(str(H[j, k].real), str(H[j, k].imag))
+              for k in range(n)] for j in range(n + 1)]
+        for z in map(mp.mpc, start):
+            for _ in range(50):
+                p, dp = [mp.mpc(1)], [mp.mpc(0)]
+                for k in range(n):
+                    s = mp.fsum(h[j][k] * p[j] for j in range(k + 1))
+                    ds = mp.fsum(h[j][k] * dp[j] for j in range(k + 1))
+                    p.append((z * p[k] - s) / h[k + 1][k])
+                    dp.append((p[k] + z * dp[k] - ds) / h[k + 1][k])
+                step = p[n] / dp[n]
+                z -= step
+                if abs(step) <= mp.mpf(10) ** -dps * max(1, abs(z)):
+                    break
+            out.append(complex(z))
+    return np.array(out)
+
+
+def test_zeros_match_hessenberg_eigenvalues():
+    # the zeros are polished against the stored clongdouble coefficients,
+    # not a double-rounded copy of them
+    n = 30
+    p = PerturbedPotential(alpha=0.5, nu=DEFAULT_CHARGE, N=2.0 * n, gamma=2.0)
+    grid = build_grid(p, orders=(24, 256), max_degree=2 * n)
+    ops = build_orthopolys(p, grid, n)
+    zeros = compute_zeros(ops, n).zeros
+    ref = _hessenberg_eigenvalues(ops.hessenberg, n)
+    d = np.abs(zeros[:, None] - ref[None, :])
+    assert max(d.min(axis=0).max(), d.min(axis=1).max()) < 1e-13
 
 
 def test_zero_conjugation_symmetry(cavity_ops):
