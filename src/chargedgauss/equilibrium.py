@@ -34,11 +34,15 @@ class DiskWithCavities:
         return math.pi * (self.outer_radius**2
                           - sum(r**2 for _, r in self.cavities))
 
-    def contains(self, z: complex) -> bool:
-        z = complex(z)
-        if abs(z) > self.outer_radius:
-            return False
-        return all(abs(z - c) >= r for c, r in self.cavities)
+    def contains(self, z):
+        """z lies in the closed disk and outside every open cavity.
+
+        Vectorised over z; a scalar z gives a bool."""
+        z = np.asarray(z, dtype=complex)
+        inside = np.abs(z) <= self.outer_radius
+        for c, r in self.cavities:
+            inside = inside & (np.abs(z - c) >= r)
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,27 @@ class ExteriorMap:
     def area(self) -> float:
         return math.pi * (self.rho**2 - abs(self.v) ** 2
                           / (1.0 - abs(self.A) ** 2) ** 2)
+
+    def is_univalent(self) -> bool:
+        """f is univalent on |zeta| >= 1, boundary circle included.
+
+        f(z1) - f(z2) = (z1 - z2) [rho - v / ((z1 - A)(z2 - A))], so f
+        identifies two distinct points exactly when
+        (z1 - A)(z2 - A) = v/rho, and f' vanishes where (zeta - A)^2 =
+        v/rho, at the critical points A +- sqrt(v/rho).  A critical point
+        on or outside the unit circle breaks univalence (a fold inside the
+        domain, a cusp on the circle).  Conversely, if two distinct points
+        of |zeta| >= 1 have (z1 - A)(z2 - A) = v/rho, the Grace-Walsh-Szego
+        coincidence theorem (for the symmetric multi-affine w1 w2, of
+        full degree 2, and the circular region {w : |w + A| >= 1} that
+        holds w1 = z1 - A and w2 = z2 - A) gives a w in that region with
+        w^2 = v/rho: a critical point A + w with |A + w| >= 1.  So f is
+        univalent iff both critical points lie in the open unit disk.
+        This also rejects maps that trace the boundary clockwise, which a
+        crossing test on the sampled boundary cannot see.
+        """
+        s = cmath.sqrt(complex(self.v) / self.rho)
+        return abs(self.A + s) < 1.0 and abs(self.A - s) < 1.0
 
     def zeta_roots(self, z: complex):
         """Both solutions of rho*zeta^2 + (u-z-A*rho)*zeta + A(z-u) + v = 0,
@@ -178,38 +203,18 @@ def _map_from_root(alpha: float, t: float, phi: float, x: float) -> ExteriorMap:
     return ExteriorMap(rho=rho, u=u, v=v, A=A)
 
 
-def _admissible(em: ExteriorMap, a: complex, alpha: float,
-                n_check: int = 4096) -> bool:
-    """Physical-solution filter: univalent boundary with the correct
-    enclosed area, and the charge outside the support.
-
-    The enclosed area is taken from the sampled polygon (not the exact
-    map formula, which every root of the system satisfies); the O(1/n^2)
-    polygon error must stay well below the O(1) area defect of a
-    non-univalent root, hence the fairly dense sampling.
-    """
-    th = 2.0 * np.pi * np.arange(n_check) / n_check
-    w = em.boundary(th)
-    if np.min(np.abs(em.map_derivative(np.exp(1j * th)))) <= 0:
-        return False
-    x, y = w.real, w.imag
-    shoelace = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-    if abs(shoelace - math.pi / (2.0 * alpha)) > 1e-3 * math.pi / (2.0 * alpha):
-        return False
-    winding = np.sum(np.angle(np.roll(w - a, -1) / (w - a))) / (2.0 * np.pi)
-    return abs(winding) < 0.25
-
-
 def solve_exterior_map(alpha: float, beta: float, a: complex) -> ExteriorMap:
     """Solve the four-equation system for the exterior map parameters.
 
     The phases of A and v are fixed by the phase of a; the modulus
-    reduces to the cubic in x = K^2.  When the cavity and outer-disk
-    boundary circles intersect the cubic changes sign on (0, 1) and the
-    root is unique (bisection bracket plus Newton polish).  When the
-    cavity disk lies entirely outside B(0, R) the cubic has two roots in
-    (0, 1); only one yields a univalent map with the charge in the
-    exterior, and that one is selected.
+    reduces to the cubic in x = K^2.  Its real roots in (0, 1), polished
+    by Newton steps, are tried in increasing order, and the first one
+    whose map is univalent (both critical points inside the unit disk,
+    see ExteriorMap.is_univalent) with the charge outside the support is
+    returned.  When the cavity and outer-disk boundary circles intersect
+    the cubic changes sign on (0, 1) and has one root there; when the
+    cavity disk lies entirely outside B(0, R) it has two, and only one
+    passes.
     """
     a = complex(a)
     t, phi = abs(a), cmath.phase(a)
@@ -221,33 +226,17 @@ def solve_exterior_map(alpha: float, beta: float, a: complex) -> ExteriorMap:
         raise NoRootError("cavity is contained in B(0,R); no exterior map")
 
     g, dg, coeffs = _cubic(alpha, beta, t)
-    candidates = []
-    if g(1.0) < 0.0:
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-14:
-            mid = 0.5 * (lo + hi)
-            if g(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-        x -= g(x) / dg(x)
-        candidates.append(x)
-    else:
-        roots = np.polynomial.Polynomial(coeffs).roots()
-        for rr in roots:
-            if abs(rr.imag) < 1e-9 and 1e-12 < rr.real < 1.0 - 1e-12:
-                x = rr.real
-                for _ in range(3):
-                    x -= g(x) / dg(x)
-                candidates.append(x)
-
-    for x in candidates:
+    for rr in np.polynomial.Polynomial(coeffs).roots():
+        if abs(rr.imag) >= 1e-9 or not 1e-12 < rr.real < 1.0 - 1e-12:
+            continue
+        x = rr.real
+        for _ in range(3):
+            x -= g(x) / dg(x)
         try:
             em = _map_from_root(alpha, t, phi, x)
         except ValueError:
             continue
-        if _admissible(em, a, alpha):
+        if em.is_univalent() and not em.contains(a):
             return em
     raise NoRootError(
         f"no admissible root of the map cubic for alpha={alpha}, "
@@ -378,26 +367,10 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     if closed_form:
         R = geom.outer_radius
         extent = R + spec["margin"]
-        F = robin_constant(geom, p)
-
-        def on_off_support(z):
-            ok = np.abs(z) <= R - spec["collar"]
-            out = np.abs(z) >= R + spec["collar"]
-            for c, r in geom.cavities:
-                ok &= np.abs(z - c) >= r + spec["collar"]
-                out |= np.abs(z - c) <= r - spec["collar"]
-            return ok, out
     else:
         th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         bpts = geom.boundary(th)
         extent = float(np.max(np.abs(bpts))) + spec["margin"]
-        centroid = complex(np.mean(bpts))
-        F = float(effective_potential(geom, p, centroid)[0])
-
-        def on_off_support(z):
-            inside = geom.contains(z)
-            clear = _min_distance(z, bpts) > spec["collar"]
-            return inside & clear, ~inside & clear
 
     n = spec["n"]
     xs = np.linspace(-extent, extent, n)
@@ -407,7 +380,24 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     for a, _ in p.nu.charges:
         Z = Z[np.abs(Z - a) > 1e-9]
 
-    m_on, m_off = on_off_support(Z)
+    if closed_form:
+        F = robin_constant(geom, p)
+        m_on = np.abs(Z) <= R - spec["collar"]
+        m_off = np.abs(Z) >= R + spec["collar"]
+        for c, r in geom.cavities:
+            m_on &= np.abs(Z - c) >= r + spec["collar"]
+            m_off |= np.abs(Z - c) <= r - spec["collar"]
+    else:
+        inside = geom.contains(Z)
+        dist = _min_distance(Z, bpts)
+        m_on = inside & (dist > spec["collar"])
+        m_off = ~inside & (dist > spec["collar"])
+        # F is read where the contour quadrature is most accurate, at the
+        # support point farthest from the boundary; the mean of the
+        # boundary samples (= u) can lie off a support with a deep bite
+        z_ref = Z[m_on][np.argmax(dist[m_on])]
+        F = float(effective_potential(geom, p, z_ref)[0])
+
     dev_on = 0.0
     if m_on.any():
         dev_on = float(np.max(np.abs(effective_potential(geom, p, Z[m_on]) - F)))

@@ -174,7 +174,7 @@ def discrepancy(cfg: FeketeConfig, geom: DiskWithCavities,
     """Fraction of points inside the support, and the worst deviation of
     annulus counts from the uniform equilibrium prediction."""
     z = cfg.points
-    inside = np.array([geom.contains(w) for w in z])
+    inside = geom.contains(z)
     R = geom.outer_radius
     edges = R * np.sqrt(np.linspace(0.0, 1.0, n_annuli + 1))
     worst = 0.0

@@ -24,7 +24,8 @@ from .orthopoly import ZeroSet, zero_potential_grid
 
 
 class SelfIntersection(Exception):
-    """Sampled boundary curve crosses itself; map not univalent."""
+    """Map not univalent on |zeta| >= 1: its boundary curve crosses
+    itself, has a cusp, or runs clockwise."""
 
 
 class DegenerateMap(Exception):
@@ -50,36 +51,12 @@ class BoundaryCurve:
         return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
 
 
-def _segments_intersect(p, q):
-    """Any proper crossing among closed-polyline segments (vectorized)."""
-    a, b = p, np.roll(p, -1)
-    n = len(a)
-
-    def cross(o, u, v):
-        return (u.real - o.real) * (v.imag - o.imag) \
-            - (u.imag - o.imag) * (v.real - o.real)
-
-    A, B = a[:, None], b[:, None]
-    C, D = a[None, :], b[None, :]
-    d1 = cross(A, B, C)
-    d2 = cross(A, B, D)
-    d3 = cross(C, D, A)
-    d4 = cross(C, D, B)
-    hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-    i, j = np.indices(hit.shape)
-    adjacent = (np.abs(i - j) <= 1) | (np.abs(i - j) >= n - 1)
-    return bool(np.any(hit & ~adjacent))
-
-
 def boundary_curve(geom: ExteriorMap, n_samples: int = 720) -> BoundaryCurve:
+    if not geom.is_univalent():
+        raise SelfIntersection("a critical point of the map lies on or "
+                               "outside the unit circle")
     th = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    zeta = np.exp(1j * th)
-    if np.min(np.abs(geom.map_derivative(zeta))) <= 0:
-        raise SelfIntersection("f' vanishes on the unit circle")
-    pts = geom.map(zeta)
-    if _segments_intersect(pts, pts):
-        raise SelfIntersection("sampled boundary polyline crosses itself")
-    return BoundaryCurve(geom=geom, theta=th, points=pts)
+    return BoundaryCurve(geom=geom, theta=th, points=geom.boundary(th))
 
 
 def schwarz_value(geom: ExteriorMap, zeta):

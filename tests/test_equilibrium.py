@@ -145,6 +145,49 @@ def test_verify_equilibrium_exterior(exterior_map):
     assert rep.passed
 
 
+@pytest.mark.parametrize("alpha, beta, a", [
+    # criterion 02 draws whose boundary-sample mean u lies in the bite,
+    # outside the support
+    (1.5349565601577209, 0.6497336667932423,
+     -0.12961022181931692 - 0.30445041927152344j),
+    (1.6154630189964023, 0.859711408113607,
+     0.014279677711985605 - 0.31069652642999995j),
+])
+def test_verify_equilibrium_exterior_deep_bite(alpha, beta, a):
+    p = PerturbedPotential(alpha=alpha, nu=PointChargeMeasure(((a, beta),)))
+    geom = classify_support(p)
+    assert not geom.contains(geom.u)
+    rep = verify_equilibrium(geom, p, {"n": 60})
+    assert rep.passed
+
+
+def test_disk_with_cavities_contains_vectorised(cavity_potential):
+    geom = classify_support(cavity_potential)
+    (c, r), = geom.cavities
+    R = geom.outer_radius
+    # 40 points: no grid point falls on a boundary circle to rounding
+    xs = np.linspace(-2.0, 2.0, 40)
+    grid = (xs[None, :] + 1j * xs[:, None]).ravel()
+    rim = np.exp(2j * np.pi * np.arange(16) / 16)
+    near = np.concatenate([np.concatenate([R * rim * f, c + r * rim * f])
+                           for f in (1.0 - 1e-9, 1.0 + 1e-9)])
+    z = np.concatenate([grid, near])
+    got = geom.contains(z)
+
+    def scalar_contains(w):
+        w = complex(w)
+        return abs(w) <= R and abs(w - c) >= r
+
+    assert got.dtype == bool and got.shape == z.shape
+    assert np.array_equal(got, [scalar_contains(w) for w in z])
+    assert got.any() and not got.all()
+    assert isinstance(geom.contains(-1.0), bool)
+    # both boundary circles belong to the support
+    exact = DiskWithCavities(outer_radius=2.0, cavities=((0.5 + 0j, 0.5),))
+    assert exact.contains(np.array([0.0, 1.0, 0.5 + 0.5j, 2.0, -2.0j])).all()
+    assert not exact.contains(np.array([0.5, 0.75, 2.0 + 1e-15])).any()
+
+
 def test_exterior_potential_far_field(exterior_map):
     # far away the support looks like a point mass of its total measure;
     # the leftover dipole term decays like area*|centroid|/|z|

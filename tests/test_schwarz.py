@@ -8,8 +8,9 @@ from chargedgauss.equilibrium import ExteriorMap, outer_radius
 from chargedgauss.measures import PerturbedPotential, PointChargeMeasure
 from chargedgauss.orthopoly import ZeroSet
 from chargedgauss.schwarz import (CavityDeltaS, DegenerateMap, ExteriorDeltaS,
-                                  SignFlip, boundary_curve, branch_points,
-                                  cavity_jump_field, connecting_trajectories,
+                                  SelfIntersection, SignFlip, boundary_curve,
+                                  branch_points, cavity_jump_field,
+                                  connecting_trajectories,
                                   critical_trajectories,
                                   effective_zero_density,
                                   equilibrium_measure_potential,
@@ -30,6 +31,69 @@ def test_boundary_identity(exterior_map):
 def test_boundary_area(exterior_map):
     bc = boundary_curve(exterior_map, 8192)
     assert abs(bc.enclosed_area() - math.pi) < 1e-6
+
+
+def _segments_intersect(p):
+    """Any proper crossing among closed-polyline segments (vectorized)."""
+    a, b = p, np.roll(p, -1)
+    n = len(a)
+
+    def cross(o, u, v):
+        return (u.real - o.real) * (v.imag - o.imag) \
+            - (u.imag - o.imag) * (v.real - o.real)
+
+    A, B = a[:, None], b[:, None]
+    C, D = a[None, :], b[None, :]
+    d1 = cross(A, B, C)
+    d2 = cross(A, B, D)
+    d3 = cross(C, D, A)
+    d4 = cross(C, D, B)
+    hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+    i, j = np.indices(hit.shape)
+    adjacent = (np.abs(i - j) <= 1) | (np.abs(i - j) >= n - 1)
+    return bool(np.any(hit & ~adjacent))
+
+
+def _signed_area(w):
+    return 0.5 * np.sum(w.real * np.roll(w.imag, -1)
+                        - np.roll(w.real, -1) * w.imag)
+
+
+def test_is_univalent_matches_sampled_boundary():
+    # reference: the sampled boundary is a simple polyline traced
+    # counterclockwise.  A critical point just outside the unit circle
+    # folds the boundary into a loop smaller than the sample spacing, so
+    # maps within 0.01 of the threshold are beyond the reference and
+    # skipped (about 2 % of the draws).
+    rng = np.random.default_rng(3)
+    zeta = np.exp(2j * np.pi * np.arange(128) / 128)
+    checked = accepted = 0
+    for _ in range(1000):
+        rho = rng.uniform(0.5, 2.0)
+        em = ExteriorMap(
+            rho=rho, u=complex(*rng.normal(size=2)),
+            v=rho * rng.uniform(0.0, 1.0) ** 2 * np.exp(2j * np.pi * rng.uniform()),
+            A=rng.uniform(0.05, 0.95) * np.exp(2j * np.pi * rng.uniform()))
+        s = np.sqrt(complex(em.v / em.rho))
+        if abs(max(abs(em.A + s), abs(em.A - s)) - 1.0) < 0.01:
+            continue
+        w = em.map(zeta)
+        simple_ccw = not _segments_intersect(w) and _signed_area(w) > 0
+        assert em.is_univalent() == simple_ccw
+        checked += 1
+        accepted += simple_ccw
+    assert checked > 950 and 0.3 < accepted / checked < 0.7
+
+
+def test_boundary_curve_rejects_reversed_orientation():
+    # critical points 0.6 +- 0.837i lie outside the unit circle: the
+    # sampled boundary has no crossing but runs clockwise
+    em = ExteriorMap(rho=1.0, u=0.0, v=-0.7, A=0.6)
+    w = em.boundary(2 * np.pi * np.arange(720) / 720)
+    assert not _segments_intersect(w)
+    assert _signed_area(w) < 0
+    with pytest.raises(SelfIntersection):
+        boundary_curve(em)
 
 
 def test_circle_schwarz_function():
