@@ -1,7 +1,7 @@
 """Support geometry of the equilibrium measure for a perturbed Gaussian
 potential: disk-with-cavities classification, the rational exterior
-conformal map in the non-contained case, and numerical verification of
-the equilibrium conditions.
+conformal map in the non-contained case, and verification of the
+equilibrium conditions with the exact log potential of either support.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .measures import DiskMeasure, PerturbedPotential
 
@@ -114,23 +115,23 @@ class ExteriorMap:
             return 0.0 + 0.0j, 0.0 + 0.0j
         return q / self.rho, c / q
 
-    def contains(self, z):
-        """z lies in the support iff both preimages are in the unit disk.
-
-        Vectorised over z, with the root selection of zeta_roots; a
-        scalar z gives a bool.  zeta_roots itself stays scalar: the
-        trajectory integrator calls it once per step, where numpy's
-        per-call overhead would cost ten times the arithmetic.
-        """
-        z = np.asarray(z, dtype=complex)
+    def _preimages(self, z: np.ndarray):
+        """zeta_roots over an array z.  zeta_roots stays scalar: per step of
+        the trajectory integrator, numpy's call overhead would dominate."""
         b = self.u - z - self.A * self.rho
         c = self.A * (z - self.u) + self.v
         disc = np.sqrt(b * b - 4.0 * self.rho * c)
         q = -0.5 * np.where(np.abs(b + disc) > np.abs(b - disc),
                             b + disc, b - disc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inside = (np.abs(q / self.rho) < 1.0) & (np.abs(c / q) < 1.0)
-        inside |= q == 0   # both preimages are 0
+        zero = q == 0   # both preimages are 0
+        return q / self.rho, np.where(zero, 0.0, c / np.where(zero, 1.0, q))
+
+    def contains(self, z):
+        """z lies in the support iff both preimages are in the unit disk.
+
+        Vectorised over z; a scalar z gives a bool."""
+        z1, z2 = self._preimages(np.asarray(z, dtype=complex))
+        inside = (np.abs(z1) < 1.0) & (np.abs(z2) < 1.0)
         return bool(inside) if inside.ndim == 0 else inside
 
 
@@ -270,43 +271,54 @@ def robin_constant(geom, p: PerturbedPotential) -> float:
     return p.alpha * R**2 * (math.log(1.0 / R**2) + 1.0)
 
 
-def region_log_potential(boundary_pts: np.ndarray, boundary_elems: np.ndarray,
-                         z: np.ndarray) -> np.ndarray:
-    """U^S(z) = -int_S log|z-w| dm(w) for the region S enclosed by the
-    sampled boundary, reduced exactly to a contour integral by Stokes:
+def _exterior_map_potential(geom: ExteriorMap, z: np.ndarray) -> np.ndarray:
+    """U^S(z) = -int_S log|z-w| dm(w) for the support S of the map f,
+    exact by residues for z inside and outside S.
 
-        int_S log|z-w| dm(w) = (1/2i) oint F(w) dw,
-        F(w) = (conj(w) - conj(z)) (log|z-w|^2 - 1) / 2.
+    By Stokes, I = int_S log|z-w|^2 dm(w) = (1/2i) oint h (log|z - f|^2 - 1)
+    dzeta over |zeta| = 1, with h = (g - conj(z)) f' and g(zeta) = rho/zeta
+    + conj(u) + conj(v) zeta/(1 - conj(A) zeta) = conj(f) on the circle;
+    (1/2i) oint h = |S|.  As z - f = -rho (zeta - z1)(zeta - z2)/(zeta - A),
+    z1, z2 the preimages of z, I = (log rho^2 - 1)|S| + T(z1) + T(z2) - T(A)
+    with T(c) = (1/2i) oint h log|zeta - c|^2.  Reflect c into the disk
+    (d = c, or 1/conj(c) if |c| >= 1; b = conj(d), K = log max(1, |c|^2)):
+    log|zeta - c|^2 = K + log(1 - b zeta) + log(1 - d/zeta) on the circle.
+    Residues of the first log times h inside (only A's double pole,
+    h2 = -v (g(A) - conj(z)), h1 = -v g'(A)) and of the second outside (at
+    1/conj(A), where h has residue r = -conj(v) f'(1/conj(A))/conj(A)^2,
+    and at infinity, where h -> hinf = rho (conj(u - v/A) - conj(z))) give
 
-    Valid both for z inside and outside S (the w = z singularity of F is
-    removable).  boundary_elems are the complex line elements w'(theta) *
-    dtheta, positively oriented.
+        T(c) = K|S| + pi [h1 log(1 - bA) - h2 b/(1 - bA)]
+                    - pi [r log(1 - d conj(A)) + d hinf].
+
+    No case is singular (z1, z2 != A), and the map equations are not used.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty(z.shape, dtype=float)
-    chunk = 256
-    for i in range(0, z.size, chunk):
-        zz = z[i:i + chunk, None]
-        d = zz - boundary_pts[None, :]
-        F = (np.conj(boundary_pts)[None, :] - np.conj(zz)) \
-            * (np.log(np.abs(d) ** 2) - 1.0) / 2.0
-        out[i:i + chunk] = -np.real(np.sum(F * boundary_elems[None, :],
-                                           axis=1) / 2j)
-    return out
+    rho, u, v, A = geom.rho, complex(geom.u), complex(geom.v), complex(geom.A)
+    ub, vb, Ab = u.conjugate(), v.conjugate(), A.conjugate()
+    area, zc = geom.area(), np.conj(z)
+    h2 = -v * (rho / A + ub + vb * A / (1.0 - Ab * A) - zc)
+    h1 = -v * (vb / (1.0 - Ab * A) ** 2 - rho / A**2)
+    r = -vb * complex(geom.map_derivative(1.0 / Ab)) / Ab**2
+    hinf = rho * (ub - vb / Ab - zc)
 
+    def T(c):
+        outer = np.abs(c) >= 1.0
+        d = np.where(outer, 1.0 / np.conj(np.where(outer, c, 1.0)), c)
+        b = np.conj(d)
+        K = 2.0 * np.log(np.maximum(np.abs(c), 1.0))
+        return (K * area
+                + np.pi * (h1 * np.log(1.0 - b * A) - h2 * b / (1.0 - b * A))
+                - np.pi * (r * np.log(1.0 - d * Ab) + d * hinf))
 
-def _exterior_map_potential(geom: ExteriorMap, z: np.ndarray,
-                            n_theta: int = 4096) -> np.ndarray:
-    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    pts = geom.boundary(th)
-    elems = geom.boundary_element(th) * (2.0 * np.pi / n_theta)
-    return region_log_potential(pts, elems, z)
+    z1, z2 = geom._preimages(z)
+    I = (math.log(rho**2) - 1.0) * area + T(z1) + T(z2) - T(A)
+    return -0.5 * I.real
 
 
 def effective_potential(geom, p: PerturbedPotential, z) -> np.ndarray:
     """U^sigma(z) + V(z) for sigma uniform with density 2*alpha/pi on the
-    support; closed-form disk potentials in the cavity case, contour-
-    reduced area quadrature in the exterior-map case."""
+    support; closed-form disk potentials in the cavity case, the exact
+    residue formula of _exterior_map_potential in the exterior-map case."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     dens = 2.0 * p.alpha / math.pi
     if isinstance(geom, DiskWithCavities):
@@ -336,35 +348,23 @@ class EquilibriumReport:
                 and self.min_margin_off >= -self.tol_off)
 
 
-def _min_distance(z: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """min_k |z_i - pts_k|, in row blocks of at most 1024 x len(pts)."""
-    chunk = 1024
-    out = np.empty(z.shape, dtype=float)
-    for i in range(0, z.size, chunk):
-        out[i:i + chunk] = np.min(np.abs(z[i:i + chunk, None] - pts[None, :]),
-                                  axis=1)
-    return out
-
-
 def verify_equilibrium(geom, p: PerturbedPotential,
                        grid_spec: dict | None = None) -> EquilibriumReport:
     """Check U^sigma + V = F on the support and >= F off it on a cartesian
     grid covering the support plus a margin annulus.
 
-    Points within a thin collar of the boundary are skipped: the contour
-    quadrature degrades there while the analytic statement concerns the
-    open regions.
+    U^sigma is exact for both geometries.  Points within a thin collar of
+    the boundary (to 720 boundary samples for an exterior map) are skipped:
+    the analytic statement concerns the open regions.
     """
     spec = {"n": 200, "margin": 0.6, "collar": 0.02,
-            "tol_on": None, "tol_off": 1e-8}
+            "tol_on": 1e-8, "tol_off": 1e-8}
     if grid_spec:
         spec.update(grid_spec)
 
-    closed_form = isinstance(geom, DiskWithCavities)
-    tol_on = spec["tol_on"] if spec["tol_on"] is not None else \
-        (1e-8 if closed_form else 1e-4)
+    disk = isinstance(geom, DiskWithCavities)
 
-    if closed_form:
+    if disk:
         R = geom.outer_radius
         extent = R + spec["margin"]
     else:
@@ -380,7 +380,7 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     for a, _ in p.nu.charges:
         Z = Z[np.abs(Z - a) > 1e-9]
 
-    if closed_form:
+    if disk:
         F = robin_constant(geom, p)
         m_on = np.abs(Z) <= R - spec["collar"]
         m_off = np.abs(Z) >= R + spec["collar"]
@@ -389,12 +389,12 @@ def verify_equilibrium(geom, p: PerturbedPotential,
             m_off |= np.abs(Z - c) <= r - spec["collar"]
     else:
         inside = geom.contains(Z)
-        dist = _min_distance(Z, bpts)
+        dist = cKDTree(np.column_stack([bpts.real, bpts.imag])).query(
+            np.column_stack([Z.real, Z.imag]))[0]
         m_on = inside & (dist > spec["collar"])
         m_off = ~inside & (dist > spec["collar"])
-        # F is read where the contour quadrature is most accurate, at the
-        # support point farthest from the boundary; the mean of the
-        # boundary samples (= u) can lie off a support with a deep bite
+        # F at the support point farthest from the boundary: the boundary
+        # samples' mean (= u) can lie off a support with a deep bite
         z_ref = Z[m_on][np.argmax(dist[m_on])]
         F = float(effective_potential(geom, p, z_ref)[0])
 
@@ -407,7 +407,7 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     return EquilibriumReport(robin_constant=F, max_dev_on=dev_on,
                              min_margin_off=margin_off,
                              n_on=int(m_on.sum()), n_off=int(m_off.sum()),
-                             tol_on=tol_on, tol_off=spec["tol_off"])
+                             tol_on=spec["tol_on"], tol_off=spec["tol_off"])
 
 
 def radius_bound_check(p: PerturbedPotential, zeros: np.ndarray,

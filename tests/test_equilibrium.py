@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import chargedgauss as cg
 from chargedgauss.equilibrium import (DiskWithCavities, ExteriorMap,
                                       NoRootError, UnsupportedGeometry,
+                                      _exterior_map_potential,
                                       classify_support, effective_potential,
                                       outer_radius, radius_bound_check,
                                       robin_constant, solve_exterior_map,
@@ -159,6 +160,100 @@ def test_verify_equilibrium_exterior_deep_bite(alpha, beta, a):
     assert not geom.contains(geom.u)
     rep = verify_equilibrium(geom, p, {"n": 60})
     assert rep.passed
+
+
+@pytest.mark.parametrize("alpha, beta, a", [
+    # criterion 02 draws with |A| = 0.94 and 0.81, whose boundaries a
+    # 4,096-sample contour quadrature under-resolves (off-support margins
+    # -1.6e-7 and -6.4e-7 against tol_off 1e-8)
+    (1.8706939488798846, 0.33616145829463673,
+     0.05476695717498928 + 0.3355933320065999j),
+    (0.31049932914672085, 0.947582296674085,
+     0.799244809730694 - 0.10584828700894237j),
+])
+def test_verify_equilibrium_exterior_drawn(alpha, beta, a):
+    p = PerturbedPotential(alpha=alpha, nu=PointChargeMeasure(((a, beta),)),
+                           N=2.0, gamma=2.0)
+    rep = verify_equilibrium(classify_support(p), p, {"n": 200})
+    assert rep.tol_on == 1e-8
+    assert rep.passed
+
+
+def test_verify_equilibrium_criterion_03_masks(exterior_map):
+    # the on/off-support masks (preimage test plus a collar measured to
+    # 720 boundary samples) at criterion 03's grid
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)),
+                           N=2.0, gamma=2.0)
+    rep = verify_equilibrium(exterior_map, p, {"n": 200, "tol_on": 1e-4})
+    assert (rep.n_on, rep.n_off) == (9690, 29498)
+    assert rep.max_dev_on < 1e-14
+
+
+def region_log_potential(boundary_pts, boundary_elems, z):
+    """Reference: U^S(z) = -int_S log|z-w| dm(w) for the region S enclosed
+    by the sampled boundary, reduced to a contour integral by Stokes,
+
+        int_S log|z-w| dm(w) = (1/2i) oint F(w) dw,
+        F(w) = (conj(w) - conj(z)) (log|z-w|^2 - 1) / 2,
+
+    and summed by the trapezoid rule.  boundary_elems are the complex
+    line elements w'(theta) * dtheta, positively oriented."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty(z.shape, dtype=float)
+    chunk = 256
+    for i in range(0, z.size, chunk):
+        zz = z[i:i + chunk, None]
+        d = zz - boundary_pts[None, :]
+        F = (np.conj(boundary_pts)[None, :] - np.conj(zz)) \
+            * (np.log(np.abs(d) ** 2) - 1.0) / 2.0
+        out[i:i + chunk] = -np.real(np.sum(F * boundary_elems[None, :],
+                                           axis=1) / 2j)
+    return out
+
+
+def _criterion_02_maps(rng, k):
+    for _ in range(k):
+        alpha = rng.uniform(0.3, 2.0)
+        beta = rng.uniform(0.1, 1.0)
+        R = math.sqrt((1.0 + beta) / (2.0 * alpha))
+        r = math.sqrt(beta / (2.0 * alpha))
+        t = (R - r) + rng.uniform(0.05, 0.95) * (2.0 * r)
+        yield solve_exterior_map(alpha, beta,
+                                 t * np.exp(2j * np.pi * rng.uniform()))
+
+
+def _general_maps(rng, k):
+    while k:
+        rho = rng.uniform(0.5, 2.0)
+        em = ExteriorMap(
+            rho=rho, u=complex(*rng.normal(size=2)),
+            v=rho * rng.uniform(0.0, 1.0) ** 2 * np.exp(2j * np.pi * rng.uniform()),
+            A=rng.uniform(0.05, 0.95) * np.exp(2j * np.pi * rng.uniform()))
+        if em.is_univalent():
+            k -= 1
+            yield em
+
+
+def test_exterior_potential_matches_contour_quadrature():
+    rng = np.random.default_rng(11)
+    n = 65536
+    th = 2 * np.pi * np.arange(n) / n
+    coarse = th[::64]
+    n_in = n_out = 0
+    for em in [*_criterion_02_maps(rng, 50), *_general_maps(rng, 50)]:
+        bpts = em.boundary(coarse)
+        c = complex(np.mean(bpts))
+        ext = float(np.max(np.abs(bpts - c))) + 0.5
+        z = c + ext * (rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200))
+        z = z[np.min(np.abs(z[:, None] - bpts[None, :]), axis=1) > 0.05]
+        inside = em.contains(z)
+        z = np.concatenate([z[inside][:4], z[~inside][:4]])
+        n_in += int(inside.sum() > 0)
+        n_out += int((~inside).sum() > 0)
+        ref = region_log_potential(em.boundary(th),
+                                   em.boundary_element(th) * (2 * np.pi / n), z)
+        assert np.max(np.abs(_exterior_map_potential(em, z) - ref)) < 1e-12
+    assert n_in == n_out == 100
 
 
 def test_disk_with_cavities_contains_vectorised(cavity_potential):
