@@ -7,17 +7,19 @@ moment matrix, which would square an already exponential condition
 number.  Each step is block classical Gram-Schmidt over the stored basis,
 with a second pass only when the first cancelled most of the vector.  All
 accumulations are in 80-bit extended precision: the Cauchy-tail decay of
-P_n (criterion 06) is not resolved in complex double.  Zero finding is
-simultaneous Aberth iteration, started from the eigenvalues of the
-Hessenberg matrix and refined in arbitrary precision.
+P_n (criterion 06) is not resolved in complex double.  Polynomials are
+evaluated and root-found through the Hessenberg matrix H alone: values by
+the recurrence p_{k+1} = (z p_k - sum_{j<=k} H[j,k] p_j) / H[k+1,k], the
+zeros of P_n = det(zI - H_n) by Aberth iteration on that recurrence,
+started from the eigenvalues of H_n.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from .measures import POS_INF, PerturbedPotential
@@ -27,6 +29,10 @@ GRAM_TOL = 1e-8
 # a second Gram-Schmidt pass runs when ||v|| falls below this share of
 # its value before the pass
 _KAHAN_PARLETT = 1.0 / math.sqrt(2.0)
+_ABERTH_ULPS = 8
+_ABERTH_ITMAX = 100
+# H_n counts as a shift matrix below this share of its subdiagonal
+_RADIAL_TOL = 1e-13
 
 
 class LossOfOrthogonality(Exception):
@@ -41,9 +47,10 @@ class NonConvergence(Exception):
 class OrthoPolySet:
     """Monic orthogonal polynomials P_0..P_{n_max} with squared norms h_k.
 
+    hessenberg holds the recurrence coefficients of the orthonormal
+    Arnoldi basis, through which the polynomials are evaluated;
     monic_coeffs[k] holds ascending coefficients of P_k (clongdouble,
-    leading entry exactly 1); hessenberg holds the recurrence
-    coefficients of the orthonormal Arnoldi basis.
+    leading entry exactly 1) for export and product-form checks.
     """
 
     n_max: int
@@ -54,14 +61,13 @@ class OrthoPolySet:
     potential: PerturbedPotential = field(repr=False)
 
     def evaluate(self, k: int, z):
-        """P_k(z) by Horner in clongdouble."""
+        """P_k(z) in clongdouble, from the Hessenberg recurrence:
+        P_k = p_k * prod_{j<k} H[j+1,j] with p_0 = 1."""
         if not 0 <= k <= self.n_max:
             raise ValueError(f"degree {k} outside 0..{self.n_max}")
-        z = np.asarray(z, dtype=CLD)
-        acc = np.zeros_like(z)
-        for c in self.monic_coeffs[k][::-1]:
-            acc = acc * z + c
-        return acc
+        H = self.hessenberg
+        p = _recurrence(H, k, np.asarray(z, dtype=CLD))
+        return p[k] * np.prod(np.diagonal(H, -1)[:k].real)
 
     def orthonormal(self, k: int, z):
         """p_k(z) = P_k(z)/sqrt(h_k)."""
@@ -80,6 +86,25 @@ def _norm(v: np.ndarray):
     # np.sum adds pairwise; the running sum of np.vdot loses about two
     # digits of the norm over 10^4-10^5 nodes
     return np.sqrt(np.sum(v.real ** 2 + v.imag ** 2))
+
+
+def _recurrence(H: np.ndarray, k: int, z: np.ndarray, source=None):
+    """Rows r_0..r_k at the points z of the Arnoldi recurrence
+    r_{j+1} = (z r_j + s_j - sum_{i<=j} H[i,j] r_i) / H[j+1,j].
+
+    Without a source, r_0 = 1 and r_j = p_j, the orthonormal polynomial
+    scaled to p_0 = 1 (so P_j = p_j * prod_{i<j} H[i+1,i]); with the
+    rows p as source, r_0 = 0 and r_j = p_j'.
+    """
+    shape, z = z.shape, z.ravel()
+    r = np.empty((k + 1, z.size), dtype=CLD)
+    r[0] = 1.0 if source is None else 0.0
+    for j in range(k):
+        s = z * r[j] - np.dot(H[:j + 1, j], r[:j + 1])
+        if source is not None:
+            s += source[j].ravel()
+        r[j + 1] = s / H[j + 1, j].real
+    return r.reshape((k + 1,) + shape)
 
 
 def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
@@ -109,37 +134,45 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     nrm = _norm(v)
     Q[0] = v / nrm
     C[0, 0] = 1.0 / nrm
-    for k in range(n_max):
-        Qk = Q[:k + 1]
-        v = grid.nodes * Q[k]
-        c = np.roll(C[k], 1)
-        nrm = _norm(v)
-        for _pass in range(2):
-            # conjugating v, not Q, spares a conjugated copy of the basis;
-            # einsum streams the rows of Q where np.dot(h, Qk) would walk
-            # its columns
-            h = np.conj(np.dot(Qk, np.conj(v)))
-            v -= np.einsum("j,jm->m", h, Qk)
-            c -= np.dot(h, C[:k + 1])
-            H[:k + 1, k] += h
-            before, nrm = nrm, _norm(v)
-            if nrm >= before * _KAHAN_PARLETT:
-                break
-        if not nrm > 0:
-            raise LossOfOrthogonality(
-                f"vanishing norm at degree {k + 1}; grid cannot resolve it")
-        H[k + 1, k] = nrm
-        Q[k + 1] = v / nrm
-        C[k + 1] = c / nrm
+
+    def gram_row(j):
+        # max |<q_i, q_j>| over i < j; rows of Q are final once written
+        return float(np.max(np.abs(np.dot(Q[:j], np.conj(Q[j])))))
+
+    # the Gram certificate costs as much as the iteration; numpy releases
+    # the GIL in the clongdouble dot, so its rows run beside it
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        rows = []
+        for k in range(n_max):
+            Qk = Q[:k + 1]
+            v = grid.nodes * Q[k]
+            c = np.roll(C[k], 1)
+            nrm = _norm(v)
+            for _pass in range(2):
+                # conjugating v, not Q, spares a conjugated copy of the
+                # basis; einsum streams the rows of Q where np.dot(h, Qk)
+                # would walk its columns
+                h = np.conj(np.dot(Qk, np.conj(v)))
+                v -= np.einsum("j,jm->m", h, Qk)
+                c -= np.dot(h, C[:k + 1])
+                H[:k + 1, k] += h
+                before, nrm = nrm, _norm(v)
+                if nrm >= before * _KAHAN_PARLETT:
+                    break
+            if not nrm > 0:
+                raise LossOfOrthogonality(
+                    f"vanishing norm at degree {k + 1}; grid cannot resolve it")
+            H[k + 1, k] = nrm
+            Q[k + 1] = v / nrm
+            C[k + 1] = c / nrm
+            rows.append(pool.submit(gram_row, k + 1))
+        # Gram residual of the orthonormal node vectors: max |<q_i, q_j>|, i < j
+        gram = max((row.result() for row in rows), default=0.0)
 
     lead = np.diagonal(C)
     monic = tuple(C[k, :k + 1] / lead[k] for k in range(n_max + 1))
     hs = LD(1.0) / np.abs(lead) ** 2
 
-    # Gram residual of the orthonormal node vectors: max |<q_i, q_j>|, i < j
-    gram = 0.0
-    for j in range(1, n_max + 1):
-        gram = max(gram, float(np.max(np.abs(np.dot(Q[:j], np.conj(Q[j]))))))
     if gram > GRAM_TOL:
         raise LossOfOrthogonality(
             f"Gram residual {gram:.2e} exceeds {GRAM_TOL:.0e} at n_max={n_max}")
@@ -171,85 +204,48 @@ class ZeroSet:
         return np.full(self.n, 1.0 / self.n)
 
 
-def _aberth_longdouble(coeffs: np.ndarray, start: np.ndarray,
-                       tol: float = 5e-14, itmax: int = 300):
-    c = np.asarray(coeffs, dtype=CLD)
-    n = len(c) - 1
-    x = np.asarray(start, dtype=CLD)
-    dc = c[1:] * np.arange(1, n + 1)
-
-    def horner(cc, zz):
-        acc = np.zeros_like(zz)
-        for a in cc[::-1]:
-            acc = acc * zz + a
-        return acc
-
-    for it in range(itmax):
-        newt = horner(c, x) / horner(dc, x)
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        S = np.sum(1.0 / diff, axis=1) - 1.0
-        corr = newt / (1.0 - newt * S)
-        x = x - corr
-        if np.max(np.abs(corr)) < tol:
-            break
-    return np.asarray(x, dtype=complex)
-
-
-def _refine_mpmath(coeffs: np.ndarray, roots: np.ndarray, iters: int = 3,
-                   dps: int = 45):
-    """A few Aberth sweeps in arbitrary precision, plus exact residuals."""
-    n = len(roots)
-    with mp.workdps(dps):
-        cs = [mp.mpc(str(np.real(c)), str(np.imag(c))) for c in coeffs]
-        dcs = [cs[k] * k for k in range(1, len(cs))]
-
-        def pv(cc, x):
-            acc = mp.mpc(0)
-            for c in reversed(cc):
-                acc = acc * x + c
-            return acc
-
-        xs = [mp.mpc(r) for r in roots]
-        for _ in range(iters):
-            corr = []
-            for i, x in enumerate(xs):
-                newt = pv(cs, x) / pv(dcs, x)
-                S = mp.fsum([1 / (x - xs[j]) for j in range(n) if j != i])
-                corr.append(newt / (1 - newt * S))
-            xs = [x - c for x, c in zip(xs, corr)]
-        out = np.array([complex(x) for x in xs])
-        res = np.array([abs(complex(pv(cs, x))) for x in xs])
-    den = np.array([np.prod(np.abs(r - np.delete(out, i)))
-                    for i, r in enumerate(out)])
-    return out, float(np.max(res / den))
-
-
 def compute_zeros(ops: OrthoPolySet, n: int,
                   residual_tol: float = 1e-10) -> ZeroSet:
-    """All roots of P_n by Aberth-Ehrlich simultaneous iteration.
-
-    P_n is the Arnoldi polynomial det(zI - H_n), so the iteration starts
-    from the eigenvalues of the leading n x n block of the Hessenberg
-    matrix.  Extended-precision sweeps on the stored clongdouble
-    coefficients are followed by arbitrary-precision polishing of the
-    same coefficients; the certified quantity is the product-form
-    residual |P_n(z_j)| / prod_{k != j} |z_j - z_k|.
+    """All roots of P_n = det(zI - H_n) by Aberth-Ehrlich simultaneous
+    iteration in clongdouble (Bini 1996), started from the eigenvalues of
+    H_n, with p_n and p_n' from the Hessenberg recurrence over all n
+    iterates.  The certified quantity is the product-form residual
+    |P_n(z_j)| / prod_{k != j} |z_j - z_k| of the returned zeros, through
+    the same recurrence.  When H_n is a shift matrix (a rotation-invariant
+    weight), P_n = z^n and the zeros are exactly 0.
     """
     if not 1 <= n <= ops.n_max:
         raise ValueError(f"degree {n} outside 1..{ops.n_max}")
-    coeffs = ops.monic_coeffs[n]
-    low = np.max(np.abs(coeffs[:-1])) if n >= 1 else 0.0
-    if low < 1e-13:
-        # monomial fast path: P_n = z^n, root 0 with multiplicity n
+    H = ops.hessenberg
+    sub = np.abs(np.diagonal(H, -1)[:n])
+    if np.max(np.abs(np.triu(H[:n, :n]))) < _RADIAL_TOL * np.max(sub):
         return ZeroSet(n=n, zeros=np.zeros(n, dtype=complex), max_residual=0.0)
-    start = np.linalg.eigvals(np.asarray(ops.hessenberg[:n, :n], dtype=complex))
-    roots = _aberth_longdouble(coeffs, start)
-    roots, resid = _refine_mpmath(coeffs, roots)
-    if resid > residual_tol:
+    x = np.linalg.eigvals(np.asarray(H[:n, :n], dtype=complex)).astype(CLD)
+    tol = _ABERTH_ULPS * np.finfo(LD).eps
+    prev = np.inf
+    for _ in range(_ABERTH_ITMAX):
+        p = _recurrence(H, n, x)
+        newt = p[n] / _recurrence(H, n, x, source=p)[n]
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, 1.0)
+        corr = newt / (1.0 - newt * (np.sum(1.0 / diff, axis=1) - 1.0))
+        x = x - corr
+        step = np.max(np.abs(corr))
+        # no zero moved by more than a few units of roundoff relative to
+        # max(1, |z|), or the step stalled on the recurrence's roundoff
+        # floor, which rises with n (about 2e-17 at n=80)
+        if step <= tol * max(1.0, np.max(np.abs(x))) or step > prev / 2:
+            break
+        prev = step
+    zeros = np.asarray(x, dtype=complex)
+    diff = np.abs(zeros.astype(CLD)[:, None] - zeros[None, :])
+    np.fill_diagonal(diff, 1.0)
+    resid = float(np.max(np.abs(ops.evaluate(n, zeros))
+                         / np.prod(diff, axis=1)))
+    if not resid <= residual_tol:
         raise NonConvergence(
             f"zero residual {resid:.2e} above {residual_tol:.0e} at n={n}")
-    return ZeroSet(n=n, zeros=roots, max_residual=resid)
+    return ZeroSet(n=n, zeros=zeros, max_residual=resid)
 
 
 def reconstruct_coeffs(zs: ZeroSet) -> np.ndarray:
@@ -265,10 +261,10 @@ def one_point_function(ops: OrthoPolySet, n: int, z):
     if not 1 <= n <= ops.n_max + 1:
         raise ValueError(f"need 1 <= n <= {ops.n_max + 1}")
     z = np.asarray(z, dtype=complex)
-    acc = np.zeros(z.shape, dtype=float)
-    for k in range(n):
-        acc += np.abs(ops.orthonormal(k, z).astype(complex)) ** 2
-    return acc / n * ops.potential.weight_grid(z)
+    # one recurrence sweep gives all p_k, k < n; |p_k|^2 / h_0 = |q_k|^2
+    p = _recurrence(ops.hessenberg, n - 1, z.astype(CLD))
+    acc = np.sum(p.real ** 2 + p.imag ** 2, axis=0) / ops.norms[0]
+    return acc.astype(float) / n * ops.potential.weight_grid(z)
 
 
 def zero_potential(zs: ZeroSet, z: complex):

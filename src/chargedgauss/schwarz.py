@@ -61,10 +61,12 @@ def boundary_curve(geom: ExteriorMap, n_samples: int = 720) -> BoundaryCurve:
 
 def schwarz_value(geom: ExteriorMap, zeta):
     """S at the sheet parameter zeta: rho/zeta + conj(u)
-    + conj(v)*zeta/(1 - conj(A)*zeta); equals conj(f(zeta)) on |zeta|=1."""
-    zeta = np.asarray(zeta, dtype=complex)
-    return (geom.rho / zeta + np.conj(geom.u)
-            + np.conj(geom.v) * zeta / (1.0 - np.conj(geom.A) * zeta))
+    + conj(v)*zeta/(1 - conj(A)*zeta); equals conj(f(zeta)) on |zeta|=1.
+
+    zeta is an array or a Python complex; a scalar stays in plain Python
+    arithmetic, like zeta_roots, for the integrator's per-step calls."""
+    u, v, A = (complex(c).conjugate() for c in (geom.u, geom.v, geom.A))
+    return float(geom.rho) / zeta + u + v * zeta / (1.0 - A * zeta)
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,8 @@ def schwarz_branches(geom: ExteriorMap, z: complex,
     elif abs(z1) < abs(z2):
         z1, z2 = z2, z1
     return SchwarzBranches(z=complex(z), zeta_plus=z1, zeta_minus=z2,
-                           s_plus=complex(schwarz_value(geom, z1)),
-                           s_minus=complex(schwarz_value(geom, z2)))
+                           s_plus=schwarz_value(geom, complex(z1)),
+                           s_minus=schwarz_value(geom, complex(z2)))
 
 
 def branch_points(geom: ExteriorMap) -> list:
@@ -291,6 +293,8 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
 
     if not starts:
         raise ValueError("no vanishing points of dS to launch from")
+    # numpy scalars would carry numpy arithmetic through every RK4 step
+    starts = [complex(z) for z in starts]
 
     trajs = []
     for z0 in starts:

@@ -145,11 +145,11 @@ def test_criterion_03_numerical_equilibrium_exterior():
                            N=2.0, gamma=2.0)
     geom = solve_exterior_map(alpha, beta, a + 0j)
     t0 = time.perf_counter()
-    rep = verify_equilibrium(geom, p, {"n": 200, "tol_on": 1e-4})
+    rep = verify_equilibrium(geom, p, {"n": 200, "tol_on": 1e-8})
     dt = time.perf_counter() - t0
     ok = rep.passed and dt < 120.0
     _report(3, "numerical equilibrium, non-contained charge", ok,
-            f"on-support dev {rep.max_dev_on:.2e} (< 1e-4), "
+            f"on-support dev {rep.max_dev_on:.2e} (< 1e-8), "
             f"off-support margin {rep.min_margin_off:.2e} (>= -1e-8), "
             f"{rep.n_on}/{rep.n_off} on/off points, runtime {dt:.1f}s (< 2min)")
 

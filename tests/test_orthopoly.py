@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -91,6 +94,31 @@ def test_orthogonality_between_monic_polys(cavity_grid, cavity_ops):
             assert abs(ip) / scale < 1e-10
 
 
+def _horner(coeffs, z):
+    """Monic polynomial from its ascending coefficients, by Horner in
+    clongdouble."""
+    z = np.asarray(z, dtype=CLD)
+    acc = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def test_recurrence_matches_horner(cavity_potential, cavity_grid, cavity_ops):
+    z = cavity_grid.nodes
+    rho = np.zeros(z.shape)
+    for k in range(cavity_ops.n_max + 1):
+        ref = _horner(cavity_ops.monic_coeffs[k], z)
+        got = cavity_ops.evaluate(k, z)
+        assert got.dtype == CLD
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if k < 5:
+            rho += np.abs(ref.astype(complex)) ** 2 / float(cavity_ops.norms[k])
+    rho *= cavity_potential.weight_grid(z.astype(complex)) / 5
+    got = one_point_function(cavity_ops, 5, z.astype(complex))
+    assert np.max(np.abs(got - rho)) <= 1e-12 * np.max(rho)
+
+
 def test_angular_order_precondition(radial_potential, radial_grid):
     with pytest.raises(ValueError):
         build_orthopolys(radial_potential, radial_grid, 100)
@@ -147,6 +175,36 @@ def test_zeros_match_hessenberg_eigenvalues():
     ref = _hessenberg_eigenvalues(ops.hessenberg, n)
     d = np.abs(zeros[:, None] - ref[None, :])
     assert max(d.min(axis=0).max(), d.min(axis=1).max()) < 1e-13
+
+
+def test_zeros_match_hessenberg_eigenvalues_n50():
+    n = 50
+    p = PerturbedPotential(alpha=0.5, nu=DEFAULT_CHARGE, N=2.0 * n, gamma=2.0)
+    grid = build_grid(p, orders=(24, 256), max_degree=2 * n)
+    ops = build_orthopolys(p, grid, n)
+    zeros = compute_zeros(ops, n).zeros
+    ref = _hessenberg_eigenvalues(ops.hessenberg, n)
+    d = np.abs(zeros[:, None] - ref[None, :])
+    assert max(d.min(axis=0).max(), d.min(axis=1).max()) < 1e-12
+
+
+def test_zeros_without_mpmath():
+    code = (
+        "import sys\n"
+        "import chargedgauss as cg\n"
+        "from chargedgauss.orthopoly import build_orthopolys, compute_zeros\n"
+        "from chargedgauss.planarquad import build_grid\n"
+        "p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure("
+        "((0.3, 0.5),)), N=16.0, gamma=2.0)\n"
+        "ops = build_orthopolys(p, build_grid(p, orders=(24, 64), "
+        "max_degree=16), 8)\n"
+        "assert compute_zeros(ops, 8).max_residual < 1e-10\n"
+        "sys.exit('mpmath' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
 
 
 def test_zero_conjugation_symmetry(cavity_ops):
