@@ -187,7 +187,8 @@ def _build_polys(cfg: ExperimentConfig, n: int, quad=None):
     p = cfg.potential(n=n)
     nr, nt, eps = quad or cfg.quad
     nt = max(nt, 2 * n + 2)
-    grid = planarquad.build_grid(p, eps_tail=eps, orders=(nr, nt))
+    grid = planarquad.build_grid(p, eps_tail=eps, orders=(nr, nt),
+                                 max_degree=2 * n)
     return p, grid, orthopoly.build_orthopolys(p, grid, n)
 
 

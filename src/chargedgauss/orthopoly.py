@@ -7,11 +7,22 @@ moment matrix, which would square an already exponential condition
 number.  Each step is block classical Gram-Schmidt over the stored basis,
 with a second pass only when the first cancelled most of the vector.  All
 accumulations are in 80-bit extended precision: the Cauchy-tail decay of
-P_n (criterion 06) is not resolved in complex double.  Polynomials are
-evaluated and root-found through the Hessenberg matrix H alone: values by
-the recurrence p_{k+1} = (z p_k - sum_{j<=k} H[j,k] p_j) / H[k+1,k], the
-zeros of P_n = det(zI - H_n) by Aberth iteration on that recurrence,
-started from the eigenvalues of H_n.
+P_n (criterion 06) is not resolved in complex double.
+
+On a grid with a mirror axis phi (all charges on one line through 0, see
+`planarquad`) the orthonormal polynomials have real coefficients in the
+rotated frame x = z e^{-i phi}.  There the same loop runs on the upper
+half of the grid only: nodes on the axis rays count once, every other
+node also stands for its mirror image, and inner products, norms and Gram
+rows are the real parts of the half sums, so H is real; H and the
+coefficients are rotated back at the end.  This halves the
+extended-precision work and the stored basis.
+
+Polynomials are evaluated and root-found through the Hessenberg matrix H
+alone: values by the recurrence
+p_{k+1} = (z p_k - sum_{j<=k} H[j,k] p_j) / H[k+1,k], the zeros of
+P_n = det(zI - H_n) by Aberth iteration on that recurrence, started from
+the eigenvalues of H_n.
 """
 
 from __future__ import annotations
@@ -119,41 +130,55 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     Rozloznik 2005).  The coefficient rows of the q_k in the monomial
     basis are carried through the same updates, so the monic polynomials
     come out exactly (leading coefficient set to 1 by division).
+
+    On a grid with a mirror axis phi the same loop runs on
+    `grid.mirror_half()` with real h_j (the real dot product of q_j and v
+    viewed as interleaved reals), and the result is rotated back:
+    H[j,k] e^{i(k+1-j) phi}, C[k,m] e^{i(k-m) phi}.
     """
     if grid.angular_order < 2 * n_max + 2:
         raise ValueError(
             f"angular order {grid.angular_order} cannot resolve degree "
             f"{2 * n_max} moments; need at least {2 * n_max + 2}")
 
+    # a mirror-symmetric weight has orthonormal polynomials with real
+    # coefficients in the frame of its axis: run on the half grid there,
+    # with inner products the real parts of the half sums
+    fold = grid.axis is not None
+    x, w = grid.mirror_half() if fold else (grid.nodes, grid.measure_weights)
     # Q[k]: q_k at the nodes times sqrt(weight); C[k, :k+1]: ascending
-    # monomial coefficients of q_k
-    Q = np.empty((n_max + 1, grid.nodes.size), dtype=CLD)
-    C = np.zeros((n_max + 1, n_max + 1), dtype=CLD)
-    H = np.zeros((n_max + 2, n_max + 1), dtype=CLD)
-    v = np.sqrt(grid.measure_weights).astype(CLD)
+    # monomial coefficients of q_k.  B is Q as the inner product sees it:
+    # viewed as reals when folded, where Re<f, g> is the real dot product
+    # of the interleaved real and imaginary parts
+    Q = np.empty((n_max + 1, x.size), dtype=CLD)
+    B = Q.view(LD) if fold else Q
+    C = np.zeros((n_max + 1, n_max + 1), dtype=B.dtype)
+    H = np.zeros((n_max + 2, n_max + 1), dtype=B.dtype)
+    v = np.sqrt(w).astype(CLD)
     nrm = _norm(v)
     Q[0] = v / nrm
     C[0, 0] = 1.0 / nrm
+    u = v.view(LD) if fold else v   # v as the inner product sees it
 
     def gram_row(j):
         # max |<q_i, q_j>| over i < j; rows of Q are final once written
-        return float(np.max(np.abs(np.dot(Q[:j], np.conj(Q[j])))))
+        return float(np.max(np.abs(np.dot(B[:j], np.conj(B[j])))))
 
     # the Gram certificate costs as much as the iteration; numpy releases
-    # the GIL in the clongdouble dot, so its rows run beside it
+    # the GIL in the extended-precision dot, so its rows run beside it
     with ThreadPoolExecutor(max_workers=1) as pool:
         rows = []
         for k in range(n_max):
-            Qk = Q[:k + 1]
-            v = grid.nodes * Q[k]
+            Bk = B[:k + 1]
+            np.multiply(x, Q[k], out=v)
             c = np.roll(C[k], 1)
             nrm = _norm(v)
             for _pass in range(2):
                 # conjugating v, not Q, spares a conjugated copy of the
-                # basis; einsum streams the rows of Q where np.dot(h, Qk)
+                # basis; einsum streams the rows of Q where np.dot(h, Bk)
                 # would walk its columns
-                h = np.conj(np.dot(Qk, np.conj(v)))
-                v -= np.einsum("j,jm->m", h, Qk)
+                h = np.conj(np.dot(Bk, np.conj(u)))
+                u -= np.einsum("j,jm->m", h, Bk)
                 c -= np.dot(h, C[:k + 1])
                 H[:k + 1, k] += h
                 before, nrm = nrm, _norm(v)
@@ -168,6 +193,15 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
             rows.append(pool.submit(gram_row, k + 1))
         # Gram residual of the orthonormal node vectors: max |<q_i, q_j>|, i < j
         gram = max((row.result() for row in rows), default=0.0)
+
+    if fold:
+        # back from the axis frame: q_k(z) = e^{ik phi} q~_k(z e^{-i phi})
+        # gives H[j, k] e^{i(k+1-j) phi} and C[k, m] e^{i(k-m) phi}
+        e = np.arange(n_max + 2)
+        turn = np.exp(CLD(1j) * LD(grid.axis) * e)
+        col = e[:n_max + 1]
+        H = H * turn[np.maximum(col + 1 - e[:, None], 0)]
+        C = C * turn[np.maximum(col[:, None] - col, 0)]
 
     lead = np.diagonal(C)
     monic = tuple(C[k, :k + 1] / lead[k] for k in range(n_max + 1))

@@ -6,10 +6,23 @@ boundaries at each charge modulus and cavity radius, where the integrand
 has kinks or high-order zeros) and periodic trapezoid angularly.  Node
 sums run in 80-bit extended precision because moment matrices are
 exponentially ill-conditioned in the degree.
+
+When every charge lies on one line through 0 (the paper's single charge,
+or any collinear configuration), the weight is symmetric under reflection
+across that line.  The angular nodes then start on the line, at angle
+phi + 2*pi*j/T, so node T-j is the mirror image of node j; the weight is
+evaluated on 0 <= j <= T/2 only and copied to the mirrored nodes, which
+therefore carry exactly equal weights.  phi is kept as `QuadGrid.axis`
+(None for charges not collinear with 0), and `QuadGrid.mirror_half`
+gives the half grid on which `orthopoly` folds its inner products.  A
+charge counts as on the line when it lies within a few ulps of its
+modulus from it; mirroring then changes the weight by less than the error
+of its double-precision evaluation.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +33,11 @@ from .measures import PerturbedPotential, weight_upper_bound
 
 LD = np.longdouble
 CLD = np.clongdouble
+# pi to extended precision: with the double pi, node T-j sits 2.4e-16 rad
+# off the mirror image of node j
+_PI = np.arccos(LD(-1.0))
+# a charge is on the mirror axis within this many ulps of its modulus
+_AXIS_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -34,33 +52,75 @@ class QuadGrid:
     angular_order: int
     eps_tail: float
     potential: PerturbedPotential = field(repr=False)
+    axis: float | None = None  # angle of the mirror line; None: no mirror
 
     @property
     def measure_weights(self) -> np.ndarray:
         """Combined weights w_i * exp(-N*V(z_i)) for d(lambda) integrals."""
         return self.areas * self.weight_values
 
+    def mirror_half(self):
+        """Nodes 0 <= j <= T/2 of every ring rotated by -axis into the
+        closed upper half plane, and their measure weights, with each
+        off-axis node also carrying the weight of its mirror image.
+
+        For polynomials f, g with real coefficients in that frame the
+        full-grid inner product <f, g> is Re sum_i w_i f(x_i) conj(g(x_i))
+        over these nodes: a mirrored pair contributes 2 Re of either term.
+        """
+        if self.axis is None:
+            raise ValueError("grid has no mirror axis")
+        T = self.angular_order
+        x = self.nodes.reshape(-1, T)[:, :T // 2 + 1] \
+            * np.exp(CLD(-1j) * LD(self.axis))
+        w = self.measure_weights.reshape(-1, T)[:, :T // 2 + 1].copy()
+        w[:, 1:(T + 1) // 2] *= 2
+        return x.ravel(), w.ravel()
+
     def save(self, path):
+        # extended precision: nodes rounded to double are mirror images
+        # only to 1e-16, which the folded inner product would not see
         np.savez(path,
-                 version=np.int64(1),
-                 nodes=self.nodes.astype(complex),
-                 areas=self.areas.astype(float),
-                 weight_values=self.weight_values.astype(float),
+                 version=np.int64(2),
+                 nodes=self.nodes,
+                 areas=self.areas,
+                 weight_values=self.weight_values,
                  meta=np.array([self.r_trunc, self.radial_order,
-                                self.angular_order, self.eps_tail]))
+                                self.angular_order, self.eps_tail]),
+                 axis=np.float64(np.nan if self.axis is None else self.axis))
 
 
 def load_grid(path, p: PerturbedPotential) -> QuadGrid:
+    """Grid saved by `QuadGrid.save`; version-1 files have no axis."""
     d = np.load(path)
-    if int(d["version"]) != 1:
-        raise ValueError(f"unknown grid cache version {int(d['version'])}")
+    version = int(d["version"])
+    if version not in (1, 2):
+        raise ValueError(f"unknown grid cache version {version}")
     meta = d["meta"]
+    axis = float(d["axis"]) if version == 2 else math.nan
     return QuadGrid(nodes=d["nodes"].astype(CLD),
                     areas=d["areas"].astype(LD),
                     weight_values=d["weight_values"].astype(LD),
                     r_trunc=float(meta[0]), radial_order=int(meta[1]),
                     angular_order=int(meta[2]), eps_tail=float(meta[3]),
-                    potential=p)
+                    potential=p, axis=None if math.isnan(axis) else axis)
+
+
+def mirror_axis(p: PerturbedPotential) -> float | None:
+    """Angle in [-pi/2, pi/2] of a line through 0 that carries every
+    charge, or None.  The line through the charge of largest modulus is
+    tried; the others must lie within _AXIS_ULPS ulps of their modulus
+    from it.  Without a charge off the origin the weight is radial and
+    the real axis is returned."""
+    locs = [a for a in p.nu.locations if a != 0]
+    if not locs:
+        return 0.0
+    phi = math.remainder(cmath.phase(max(locs, key=abs)), math.pi)
+    turn = cmath.exp(-1j * phi)
+    tol = _AXIS_ULPS * np.finfo(float).eps
+    if all(abs((a * turn).imag) <= tol * abs(a) for a in locs):
+        return phi
+    return None
 
 
 def truncation_radius(p: PerturbedPotential, eps_tail: float,
@@ -132,17 +192,25 @@ def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
     r = np.concatenate(r_list)
     wr = np.concatenate(wr_list)
 
-    th = LD(2.0) * LD(np.pi) * np.arange(n_t, dtype=LD) / LD(n_t)
+    axis = mirror_axis(p)
+    th = LD(2.0) * _PI * np.arange(n_t, dtype=LD) / LD(n_t)
+    if axis is not None:
+        th += LD(axis)
     e = np.exp(1j * th.astype(CLD))
-    nodes = (r.astype(CLD)[:, None] * e[None, :]).ravel()
-    dth = LD(2.0) * LD(np.pi) / LD(n_t)
+    nodes = r.astype(CLD)[:, None] * e[None, :]
+    dth = LD(2.0) * _PI / LD(n_t)
     areas = (wr[:, None] * r[:, None] * dth * np.ones(n_t, dtype=LD)[None, :]).ravel()
 
-    logw = p.log_weight_grid(nodes.astype(complex)).astype(LD)
-    wv = np.where(np.isneginf(logw), LD(0.0), np.exp(logw))
-    return QuadGrid(nodes=nodes, areas=areas, weight_values=wv,
+    # column j takes the weight of column min(j, T-j), its mirror image
+    cols = np.arange(n_t)
+    if axis is not None:
+        cols = np.minimum(cols, n_t - cols)
+    logw = p.log_weight_grid(
+        nodes[:, :cols.max() + 1].astype(complex))[:, cols].astype(LD)
+    wv = np.where(np.isneginf(logw), LD(0.0), np.exp(logw)).ravel()
+    return QuadGrid(nodes=nodes.ravel(), areas=areas, weight_values=wv,
                     r_trunc=float(rt), radial_order=n_r, angular_order=n_t,
-                    eps_tail=eps_tail, potential=p)
+                    eps_tail=eps_tail, potential=p, axis=axis)
 
 
 def _values(grid: QuadGrid, f):

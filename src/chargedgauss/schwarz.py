@@ -239,8 +239,10 @@ def _trace(ds_field, z0: complex, origin: complex, sign: float, step: float,
             if any(abs(z - bp) < 0.5 * step for bp in stop_points):
                 end = "branch"
                 break
+            # the loop ends at its last RK4 point: a chord back to z0
+            # would pass the saddle, where the field turns on the scale
+            # of the distance to it
             if abs(z - z0) < 1.5 * step:
-                pts.append(z0)
                 end = "closed"
                 break
     points = np.array(pts)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from chargedgauss import fekete
+from chargedgauss.orthopoly import build_orthopolys
+from chargedgauss.planarquad import build_grid
 from chargedgauss.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_UNSUPPORTED,
                               ExperimentConfig, load_config, main)
 
@@ -71,6 +73,17 @@ def test_zeros_deterministic(tmp_path):
                    "--quad", "24,64,1e-12", "zeros"])
         assert rc == EXIT_OK
     assert (a / "zeros_n6.csv").read_bytes() == (b / "zeros_n6.csv").read_bytes()
+
+
+def test_orthopoly_grid_resolves_degree(tmp_path):
+    # cut for degree 0 the grid ends at r = 1.3; degree 60 needs 2.03
+    rc = main(["--out", str(tmp_path), "--degree", "30", "orthopoly"])
+    assert rc == EXIT_OK
+    got = json.loads((tmp_path / "orthopolys.json").read_text())["norms"]
+    p = ExperimentConfig().potential(n=30)
+    grid = build_grid(p, eps_tail=1e-12, orders=(24, 384), max_degree=60)
+    ref = np.asarray(build_orthopolys(p, grid, 30).norms, dtype=float)
+    assert np.max(np.abs(np.asarray(got) / ref - 1.0)) < 1e-10
 
 
 def test_verify_quick(tmp_path):

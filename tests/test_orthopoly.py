@@ -14,7 +14,8 @@ from chargedgauss.orthopoly import (build_orthopolys, compute_zeros,
                                     one_point_function, radial_norm_oracle,
                                     reconstruct_coeffs, zero_potential,
                                     zero_potential_grid)
-from chargedgauss.planarquad import CLD, build_grid, inner_product
+from chargedgauss.planarquad import (CLD, LD, build_grid, inner_product,
+                                     load_grid)
 
 DEFAULT_CHARGE = PointChargeMeasure(((0.3 + 0.0j, 0.5),))
 
@@ -70,6 +71,66 @@ def test_hessenberg_matches_mgs2_reference(cavity_grid, cavity_ops):
     ref = _mgs2_hessenberg(cavity_grid, 12)
     assert cavity_ops.hessenberg.dtype == CLD
     assert np.max(np.abs(cavity_ops.hessenberg - ref)) < 1e-17
+
+
+def _mirror_case(charges, n=12):
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(charges), N=4.0,
+                           gamma=2.0)
+    grid = build_grid(p, orders=(24, 128), max_degree=2 * n)
+    return p, grid, build_orthopolys(p, grid, n)
+
+
+def test_mirror_grid_off_axis_charge():
+    phi = 0.7
+    _, grid, ops = _mirror_case(((0.3 * np.exp(1j * phi), 0.5),))
+    assert abs(grid.axis - phi) < 1e-15
+    T = grid.angular_order
+    mirror = (-np.arange(T)) % T
+    z = grid.nodes.reshape(-1, T)
+    image = np.exp(CLD(2j) * LD(grid.axis)) * np.conj(z)[:, mirror]
+    tol = 10 * np.finfo(LD).eps * np.max(np.abs(z))
+    assert np.max(np.abs(image - z)) < tol
+    for w in (grid.weight_values, grid.areas):
+        w = w.reshape(-1, T)
+        assert np.array_equal(w, w[:, mirror])
+    assert ops.gram_residual < 5e-17
+    ref = _mgs2_hessenberg(grid, 12)
+    assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
+
+
+def test_mirror_grid_charges_on_both_sides():
+    line = np.exp(0.7j)
+    _, grid, ops = _mirror_case(((0.3 * line, 0.5), (-0.5 * line, 0.3)))
+    assert grid.axis is not None
+    assert abs(np.exp(1j * grid.axis) ** 2 - line ** 2) < 1e-15
+    ref = _mgs2_hessenberg(grid, 12)
+    assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
+
+
+def test_non_collinear_charges_use_full_grid():
+    _, grid, ops = _mirror_case(((0.3, 0.5), (0.4j, 0.3), (-0.2 - 0.3j, 0.2)))
+    assert grid.axis is None
+    ref = _mgs2_hessenberg(grid, 12)
+    assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
+
+
+def test_grid_save_load_keeps_axis(tmp_path):
+    p, grid, ops = _mirror_case(((0.3 * np.exp(0.7j), 0.5),))
+    path = tmp_path / "grid.npz"
+    grid.save(path)
+    loaded = load_grid(path, p)
+    assert loaded.axis == grid.axis
+    assert np.array_equal(loaded.nodes, grid.nodes)
+    H = build_orthopolys(p, loaded, 12).hessenberg
+    assert np.max(np.abs(H - _mgs2_hessenberg(loaded, 12))) < 1e-17
+    # a version-1 file (double precision, no axis) loads without an axis
+    old = tmp_path / "grid_v1.npz"
+    np.savez(old, version=np.int64(1), nodes=grid.nodes.astype(complex),
+             areas=grid.areas.astype(float),
+             weight_values=grid.weight_values.astype(float),
+             meta=np.array([grid.r_trunc, grid.radial_order,
+                            grid.angular_order, grid.eps_tail]))
+    assert load_grid(old, p).axis is None
 
 
 def test_gram_residual_extended_precision():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chargedgauss as cg
+from chargedgauss import schwarz
 from chargedgauss.equilibrium import ExteriorMap, outer_radius
 from chargedgauss.measures import PerturbedPotential, PointChargeMeasure
 from chargedgauss.orthopoly import ZeroSet
@@ -167,6 +168,25 @@ def test_cavity_attractor_loops(cavity_potential):
     assert len(trajs) >= 1
     assert all(t.end_tag == "closed" for t in trajs)
     assert all(t.max_residual < 1e-3 for t in trajs)
+
+
+def test_cavity_attractor_traced_once_per_launch(monkeypatch):
+    # a closing chord back to the start point would pass the saddle and
+    # force every launch to be retraced at halved steps
+    steps = []
+    trace = schwarz._trace
+
+    def counted(*args, **kwargs):
+        steps.append(args[4])
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(schwarz, "_trace", counted)
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.3, 0.5),)),
+                           N=2.0, gamma=2.0)
+    _, trajs = zero_attractor_candidates(p)
+    assert steps == [2e-3] * 4
+    assert all(t.end_tag == "closed" for t in trajs)
+    assert max(t.max_residual for t in trajs) < 2e-4
 
 
 def test_effective_zero_density(cavity_potential):
