@@ -23,6 +23,7 @@ def run(cfg, counts, seed, out: Path) -> int:
         write_csv(out / f"fekete_n{n}.csv", ["re", "im"],
                   [(z.real, z.imag) for z in res.points])
         report = {"n": n, "energy": res.energy, "grad_norm": res.grad_norm,
+                  "min_eigenvalue": res.min_eigenvalue,
                   "converged": res.converged, "seed": res.seed}
         geom = classify_support(p)
         if isinstance(geom, DiskWithCavities):

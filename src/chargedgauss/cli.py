@@ -265,6 +265,7 @@ def cmd_fekete(cfg: ExperimentConfig, out: Path, args) -> int:
               [(z.real, z.imag) for z in res.points])
     geom = equilibrium.classify_support(p)
     report = {"n": n, "energy": res.energy, "grad_norm": res.grad_norm,
+              "min_eigenvalue": res.min_eigenvalue,
               "converged": res.converged}
     if isinstance(geom, DiskWithCavities):
         report["discrepancy"] = fekete.discrepancy(res, geom)
@@ -272,8 +273,8 @@ def cmd_fekete(cfg: ExperimentConfig, out: Path, args) -> int:
                      out / f"fekete_n{n}.svg")
     write_json(out / f"fekete_n{n}.json", report)
     status = "" if res.converged else " not converged"
-    print(f"fekete: n={n} energy={res.energy:.6f} "
-          f"grad={res.grad_norm:.2e}{status}")
+    print(f"fekete: n={n} energy={res.energy:.6f} grad={res.grad_norm:.2e} "
+          f"min_eigenvalue={res.min_eigenvalue:.3g}{status}")
     return EXIT_OK if res.converged else EXIT_INVARIANT
 
 

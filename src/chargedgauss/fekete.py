@@ -1,28 +1,32 @@
 """Weighted Fekete points: minimize the discrete Coulomb energy
 
-    E = (1/2) sum_{i != j} log 1/|z_i - z_j| + sum_i Q(z_i),
+    E = (1/2) sum_{i != j} log 1/|z_i - z_j| + n sum_i Q(z_i),
 
-with Q = (gamma/2) V, by multi-start gradient descent with backtracking,
-and compare the resulting counting measure with the equilibrium measure.
+with Q = (gamma/2) V, by L-BFGS (Liu & Nocedal 1989) and a Newton polish
+on the analytic Hessian (Nocedal & Wright, Numerical Optimization, ch. 3
+and 7), and compare the counting measure with the equilibrium measure.
+L-BFGS stalls where double precision no longer resolves decreases of E
+(grad about 5e-6 at n = 200, where E is about 2e4); Newton works on the
+gradient alone and takes it to roundoff in two steps.  A positive
+definite Hessian there certifies a strict local minimum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
+from scipy.linalg import eigh
+from scipy.spatial.distance import pdist
 
 from .equilibrium import DiskWithCavities, classify_support, outer_radius
-from .measures import POS_INF, PerturbedPotential
+from .measures import POS_INF, PerturbedPotential, is_pos_inf
 
-
-class CoincidentPoints(Exception):
-    """Two configuration points coincide; energy is the +infinity marker."""
-
-
-class IterationCap(Exception):
-    """Descent hit the iteration cap before the gradient tolerance."""
+# Newton steps after L-BFGS; two reach roundoff at n = 200
+_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,7 @@ class FeketeConfig:
     grad_norm: float
     converged: bool
     seed: int
+    min_eigenvalue: float = math.nan  # of the Hessian, see _min_eigenvalue
 
 
 def energy(points: np.ndarray, p: PerturbedPotential):
@@ -45,20 +50,11 @@ def energy(points: np.ndarray, p: PerturbedPotential):
     equilibrium measure.
     """
     z = np.asarray(points, dtype=complex)
-    n = len(z)
-    d = np.abs(z[:, None] - z[None, :])
-    iu = np.triu_indices(n, 1)
-    if n > 1 and np.min(d[iu]) == 0.0:
+    d = pdist(np.column_stack([z.real, z.imag]))
+    v = p.value_grid(z)
+    if np.any(d == 0.0) or np.any(np.isposinf(v)):
         return POS_INF
-    pair = -np.sum(np.log(d[iu])) if n > 1 else 0.0
-    qsum = 0.0
-    g = p.gamma / 2.0
-    for zi in z:
-        v = p.value(zi)
-        if v is POS_INF:
-            return POS_INF
-        qsum += g * float(v)
-    return pair + n * qsum
+    return float(-np.sum(np.log(d)) + len(z) * (p.gamma / 2.0) * np.sum(v))
 
 
 def gradient(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
@@ -77,52 +73,87 @@ def gradient(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
     return g + len(z) * (p.gamma / 2.0) * dq
 
 
-def _descend(z0: np.ndarray, p: PerturbedPotential, grad_tol: float,
-             max_iter: int, strict: bool) -> tuple:
-    z = z0.copy()
-    e = energy(z, p)
-    eta = 0.1
-    for it in range(max_iter):
-        g = gradient(z, p)
-        gnorm = float(np.max(np.abs(g)))
+def hessian(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
+    """Real 2n x 2n Hessian of E in the coordinates points.view(float) =
+    (Re z_1, Im z_1, Re z_2, ...).
+
+    The log terms are harmonic, so d^2E/dz_i d(conj z_j) = c delta_ij with
+    c = n (gamma/2) alpha; B = d^2E/d(conj z) d(conj z) is complex symmetric,
+    B_ij = -(1/2)/(conj z_i - conj z_j)^2 off the diagonal and
+    B_ii = -sum_{j != i} B_ij + n (gamma/4) sum_k beta_k/(conj z_i - conj a_k)^2.
+    Then d^2E = 2c |dz|^2 + 2 Re(dz^H B conj(dz)).
+    """
+    z = np.asarray(points, dtype=complex)
+    n, zc = len(z), np.conj(z)
+    diff = zc[:, None] - zc[None, :]
+    np.fill_diagonal(diff, 1.0)
+    B = -0.5 / diff ** 2
+    np.fill_diagonal(B, 0.0)
+    dq = sum(b / (zc - np.conj(a)) ** 2 for a, b in p.nu.charges)
+    np.fill_diagonal(B, n * (p.gamma / 4.0) * dq - np.sum(B, axis=1))
+    c = n * (p.gamma / 2.0) * p.alpha
+    return 2.0 * (np.kron(B.real, [[1, 0], [0, -1]])
+                  + np.kron(B.imag, [[0, 1], [1, 0]]) + c * np.eye(2 * n))
+
+
+def _solve(z0: np.ndarray, p: PerturbedPotential, grad_tol: float) -> tuple:
+    """L-BFGS to its floor, then Newton steps while they shrink max |g|.
+    Both run on z.view(float), where the gradient of E is 2 g.view(float)."""
+
+    def fun(x):
+        e = energy(x.view(complex), p)
+        return (math.inf if is_pos_inf(e) else e,
+                2.0 * gradient(x.view(complex), p).view(float))
+
+    z = optimize.minimize(fun, z0.view(float), jac=True, method="L-BFGS-B",
+                          options={"ftol": 0.0, "gtol": 0.0}).x.view(complex)
+    g = gradient(z, p)
+    gnorm = float(np.max(np.abs(g)))
+    for _ in range(_NEWTON_STEPS):
         if gnorm < grad_tol:
-            return z, float(e), gnorm, True
-        # dE along z -> z - eta*g is -2*eta*sum|g|^2 to first order
-        for _ in range(60):
-            z_new = z - eta * g
-            e_new = energy(z_new, p)
-            if e_new is not POS_INF and e_new < e:
-                z, e = z_new, e_new
-                eta = min(eta * 1.5, 10.0)
-                break
-            eta *= 0.5
-        else:
-            return z, float(e), gnorm, gnorm < 1e-4
-    if strict:
-        raise IterationCap(f"gradient norm {gnorm:.2e} after {max_iter} iters")
-    return z, float(e), float(np.max(np.abs(gradient(z, p)))), False
+            break
+        step = np.linalg.solve(hessian(z, p), 2.0 * g.view(float))
+        z_new = z - step.view(complex)
+        g_new = gradient(z_new, p)
+        if not np.max(np.abs(g_new)) < gnorm:
+            break
+        z, g, gnorm = z_new, g_new, float(np.max(np.abs(g_new)))
+    return z, energy(z, p), gnorm
+
+
+def _min_eigenvalue(z: np.ndarray, p: PerturbedPotential) -> float:
+    """Smallest eigenvalue of the Hessian; when every charge sits at 0, on
+    the complement of the rotation direction i z, along which E is flat."""
+    H = hessian(z, p)
+    if all(a == 0 for a, _ in p.nu.charges) and np.any(z):
+        t = (1j * z).view(float) / np.linalg.norm(z)
+        P = np.eye(t.size) - np.outer(t, t)
+        # the rotation moves above the spectrum, bounded by the row sums
+        H = P @ H @ P + np.max(np.sum(np.abs(H), axis=1)) * np.outer(t, t)
+    return float(eigh(H, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 def minimize(n: int, p: PerturbedPotential, seed: int = 0, n_starts: int = 5,
-             grad_tol: float = 1e-8, max_iter: int = 5000,
-             strict: bool = False) -> FeketeConfig:
-    """Best-of-n_starts gradient descent from uniform random starts in
-    B(0, outer_radius)."""
+             grad_tol: float = 1e-8) -> FeketeConfig:
+    """Lowest energy over n_starts uniform random starts in
+    B(0, outer_radius); converged when max |g_i| < grad_tol and the
+    Hessian there is positive definite."""
     if n < 1:
         raise ValueError("need n >= 1")
     R = outer_radius(p)
-    best = None
-    for s in range(n_starts):
-        rng = np.random.default_rng(seed + s)
+
+    def start(s):
+        rng = np.random.default_rng(s)
         r = R * np.sqrt(rng.uniform(0.0, 1.0, n))
-        th = rng.uniform(0.0, 2.0 * np.pi, n)
-        z0 = r * np.exp(1j * th)
-        z, e, gnorm, ok = _descend(z0, p, grad_tol, max_iter, strict)
-        if best is None or e < best[1]:
-            best = (z, e, gnorm, ok, seed + s)
-    z, e, gnorm, ok, used = best
+        return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+
+    runs = [(*_solve(start(s), p, grad_tol), s)
+            for s in range(seed, seed + n_starts)]
+    z, e, gnorm, used = min(runs, key=lambda run: run[1])
+    lam = _min_eigenvalue(z, p)
     return FeketeConfig(n=n, points=z, energy=e, grad_norm=gnorm,
-                        converged=ok, seed=used)
+                        converged=gnorm < grad_tol and lam > 0, seed=used,
+                        min_eigenvalue=lam)
 
 
 def gradient_fd_check(points: np.ndarray, p: PerturbedPotential,
@@ -132,15 +163,12 @@ def gradient_fd_check(points: np.ndarray, p: PerturbedPotential,
     z = np.asarray(points, dtype=complex)
     g = gradient(z, p)
     worst = 0.0
-    for i in range(len(z)):
-        for d in (h, 1j * h):
-            zp = z.copy()
-            zp[i] += d
-            zm = z.copy()
-            zm[i] -= d
-            fd = (energy(zp, p) - energy(zm, p)) / (2.0 * h)
-            exact = 2.0 * (g[i] * np.conj(d / h)).real
-            worst = max(worst, abs(fd - exact) / max(abs(exact), 1.0))
+    for i, d in itertools.product(range(len(z)), (h, 1j * h)):
+        dz = np.zeros_like(z)
+        dz[i] = d
+        fd = (energy(z + dz, p) - energy(z - dz, p)) / (2.0 * h)
+        exact = 2.0 * (g[i] * np.conj(d / h)).real
+        worst = max(worst, abs(fd - exact) / max(abs(exact), 1.0))
     return worst
 
 
@@ -184,9 +212,7 @@ def discrepancy(cfg: FeketeConfig, geom: DiskWithCavities,
         want = _annulus_mass(geom, lo, hi)
         rows.append({"r_lo": lo, "r_hi": hi, "observed": got, "expected": want})
         worst = max(worst, abs(got - want))
-    cav = 0
-    for c, r in geom.cavities:
-        cav += int(np.sum(np.abs(z - c) < r))
+    cav = sum(int(np.sum(np.abs(z - c) < r)) for c, r in geom.cavities)
     return {"fraction_inside": float(np.mean(inside)),
             "max_annulus_discrepancy": worst,
             "scaled_discrepancy": worst * math.sqrt(cfg.n),

@@ -52,6 +52,12 @@ def is_pos_inf(x) -> bool:
     return isinstance(x, PositiveInfinity)
 
 
+def _scalar(v):
+    """A 0-d result of a grid evaluation as a float, +inf as POS_INF."""
+    v = float(v)
+    return POS_INF if v == math.inf else v
+
+
 @dataclass(frozen=True)
 class PointChargeMeasure:
     """Finite positive combination of point masses sum_k beta_k * delta(a_k)."""
@@ -64,11 +70,8 @@ class PointChargeMeasure:
         for _, b in charges:
             if b <= 0:
                 raise ValueError("all point masses must be positive")
-        locs = [a for a, _ in charges]
-        for i in range(len(locs)):
-            for j in range(i + 1, len(locs)):
-                if locs[i] == locs[j]:
-                    raise ValueError("charge locations must be pairwise distinct")
+        if len({a for a, _ in charges}) < len(charges):
+            raise ValueError("charge locations must be pairwise distinct")
 
     @property
     def total_mass(self) -> float:
@@ -78,29 +81,16 @@ class PointChargeMeasure:
     def locations(self) -> np.ndarray:
         return np.array([a for a, _ in self.charges], dtype=complex)
 
-    @property
-    def masses(self) -> np.ndarray:
-        return np.array([b for _, b in self.charges], dtype=float)
-
     def log_potential(self, z: complex):
         """U_nu(z) = sum_k beta_k log(1/|z - a_k|); POS_INF at each a_k."""
-        z = complex(z)
-        total = 0.0
-        for a, b in self.charges:
-            if z == a:
-                return POS_INF
-            total += b * math.log(1.0 / abs(z - a))
-        return total
+        return _scalar(self.log_potential_grid(complex(z)))
 
     def log_potential_grid(self, z: np.ndarray) -> np.ndarray:
         """Vectorized potential; +inf entries mark charge locations."""
         z = np.asarray(z)
-        out = np.zeros(z.shape, dtype=z.real.dtype)
-        for a, b in self.charges:
-            d = np.abs(z - a)
-            with np.errstate(divide="ignore"):
-                out = out - b * np.log(d)
-        return out
+        with np.errstate(divide="ignore"):
+            return sum((-b * np.log(np.abs(z - a)) for a, b in self.charges),
+                       np.zeros(z.shape, dtype=z.real.dtype))
 
 
 EMPTY_MEASURE = PointChargeMeasure(charges=())
@@ -152,45 +142,32 @@ class PerturbedPotential:
     gamma: float = 2.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.N <= 0:
-            raise ValueError("N must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        for name in ("alpha", "N", "gamma"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
     def value(self, z: complex):
         """V(z) = alpha|z|^2 + U_nu(z); POS_INF exactly at the charges."""
-        u = self.nu.log_potential(z)
-        if is_pos_inf(u):
-            return POS_INF
-        return self.alpha * abs(complex(z)) ** 2 + u
+        return _scalar(self.value_grid(complex(z)))
 
     def value_grid(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         return self.alpha * np.abs(z) ** 2 + self.nu.log_potential_grid(z)
 
     def rescaled(self, z: complex):
-        """Q(z) = (gamma/2) V(z)."""
-        v = self.value(z)
-        if is_pos_inf(v):
-            return POS_INF
-        return 0.5 * self.gamma * v
+        """Q(z) = (gamma/2) V(z); POS_INF exactly at the charges."""
+        return _scalar(0.5 * self.gamma * self.value_grid(complex(z)))
 
     def weight(self, z: complex) -> float:
         """exp(-N*V(z)); exactly 0 at charge locations."""
-        v = self.value(z)
-        if is_pos_inf(v):
-            return 0.0
-        return math.exp(-self.N * v)
+        return float(self.weight_grid(complex(z)))
 
     def log_weight_grid(self, z: np.ndarray) -> np.ndarray:
         """-N*V on an array; -inf entries mark charge locations (weight 0)."""
         return -self.N * self.value_grid(z)
 
     def weight_grid(self, z: np.ndarray) -> np.ndarray:
-        lw = self.log_weight_grid(z)
-        return np.where(np.isneginf(lw), 0.0, np.exp(lw))
+        return np.exp(self.log_weight_grid(z))  # exactly 0 at the charges
 
 
 def weight_upper_bound(p: PerturbedPotential):
@@ -205,29 +182,20 @@ def weight_upper_bound(p: PerturbedPotential):
         L = 0.0
     else:
 
-        def phi(xy):
-            z = complex(xy[0], xy[1])
-            u = nu.log_potential(z)
-            if is_pos_inf(u):
-                return math.inf
-            return p.N * (0.5 * p.alpha * abs(z) ** 2 + u)
+        def phi(z):
+            # +inf at the charges
+            return p.N * (0.5 * p.alpha * np.abs(z) ** 2
+                          + nu.log_potential_grid(z))
 
-        locs = nu.locations
-        box = max(1.0, np.max(np.abs(locs)) + 1.0,
+        box = max(1.0, np.max(np.abs(nu.locations)) + 1.0,
                   math.sqrt(4.0 * max(nu.total_mass, 1.0) / p.alpha))
         xs = np.linspace(-box, box, 61)
-        best, best_xy = math.inf, (0.0, 0.0)
-        for x in xs:
-            for y in xs:
-                v = phi((x, y))
-                if v < best:
-                    best, best_xy = v, (x, y)
-        res = minimize(phi, best_xy, method="Nelder-Mead",
+        mesh = xs[:, None] + 1j * xs[None, :]
+        vals = phi(mesh)
+        i, j = np.unravel_index(np.argmin(vals), vals.shape)
+        res = minimize(lambda xy: float(phi(complex(xy[0], xy[1]))),
+                       (xs[i], xs[j]), method="Nelder-Mead",
                        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-        L = min(best, float(res.fun)) - 1e-9
+        L = min(float(vals[i, j]), float(res.fun)) - 1e-9
     Na = p.N * p.alpha
-
-    def bound(z):
-        return math.exp(-L) * math.exp(-0.5 * Na * abs(complex(z)) ** 2)
-
-    return L, bound
+    return L, lambda z: math.exp(-L - 0.5 * Na * abs(complex(z)) ** 2)

@@ -14,9 +14,9 @@ On a grid with a mirror axis phi (all charges on one line through 0, see
 rotated frame x = z e^{-i phi}.  There the same loop runs on the upper
 half of the grid only: nodes on the axis rays count once, every other
 node also stands for its mirror image, and inner products, norms and Gram
-rows are the real parts of the half sums, so H is real; H and the
-coefficients are rotated back at the end.  This halves the
-extended-precision work and the stored basis.
+rows are the real parts of the half sums, so H is real; H is rotated
+back at the end.  This halves the extended-precision work and the stored
+basis.
 
 Polynomials are evaluated and root-found through the Hessenberg matrix H
 alone: values by the recurrence
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,13 +60,10 @@ class OrthoPolySet:
     """Monic orthogonal polynomials P_0..P_{n_max} with squared norms h_k.
 
     hessenberg holds the recurrence coefficients of the orthonormal
-    Arnoldi basis, through which the polynomials are evaluated;
-    monic_coeffs[k] holds ascending coefficients of P_k (clongdouble,
-    leading entry exactly 1) for export and product-form checks.
+    Arnoldi basis, through which the polynomials are evaluated.
     """
 
     n_max: int
-    monic_coeffs: tuple
     norms: np.ndarray               # h_k, longdouble
     hessenberg: np.ndarray
     gram_residual: float
@@ -79,6 +77,21 @@ class OrthoPolySet:
         H = self.hessenberg
         p = _recurrence(H, k, np.asarray(z, dtype=CLD))
         return p[k] * np.prod(np.diagonal(H, -1)[:k].real)
+
+    @cached_property
+    def monic_coeffs(self) -> tuple:
+        """Ascending coefficients of P_0..P_{n_max} (clongdouble, leading
+        entry exactly 1) for export and product-form checks, by the monic
+        recurrence P_{k+1} = z P_k - sum_{j<=k} H[j,k] (s_k/s_j) P_j with
+        s_k = prod_{i<k} H[i+1,i]."""
+        H, n = self.hessenberg, self.n_max
+        s = np.cumprod(np.append(LD(1.0), np.diagonal(H, -1)[:n].real))
+        C = np.zeros((n + 1, n + 1), dtype=CLD)
+        C[0, 0] = 1.0
+        for k in range(n):
+            C[k + 1, 1:] = C[k, :-1]
+            C[k + 1] -= np.dot(H[:k + 1, k] * (s[k] / s[:k + 1]), C[:k + 1])
+        return tuple(C[k, :k + 1] for k in range(n + 1))
 
     def orthonormal(self, k: int, z):
         """p_k(z) = P_k(z)/sqrt(h_k)."""
@@ -127,14 +140,13 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     h_j = <v, q_j>, v -= sum_j h_j q_j.  A second pass runs only when the
     first cancelled more than a factor 1/sqrt(2) of ||v|| (the
     Kahan-Parlett test; two passes suffice, see Giraud, Langou &
-    Rozloznik 2005).  The coefficient rows of the q_k in the monomial
-    basis are carried through the same updates, so the monic polynomials
-    come out exactly (leading coefficient set to 1 by division).
+    Rozloznik 2005).  The squared norms are h_k = h_0 s_k^2 with
+    h_0 = sum of the weights and s_k = prod_{i<k} H[i+1,i].
 
     On a grid with a mirror axis phi the same loop runs on
     `grid.mirror_half()` with real h_j (the real dot product of q_j and v
     viewed as interleaved reals), and the result is rotated back:
-    H[j,k] e^{i(k+1-j) phi}, C[k,m] e^{i(k-m) phi}.
+    H[j,k] e^{i(k+1-j) phi}.
     """
     if grid.angular_order < 2 * n_max + 2:
         raise ValueError(
@@ -146,18 +158,15 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     # with inner products the real parts of the half sums
     fold = grid.axis is not None
     x, w = grid.mirror_half() if fold else (grid.nodes, grid.measure_weights)
-    # Q[k]: q_k at the nodes times sqrt(weight); C[k, :k+1]: ascending
-    # monomial coefficients of q_k.  B is Q as the inner product sees it:
-    # viewed as reals when folded, where Re<f, g> is the real dot product
-    # of the interleaved real and imaginary parts
+    # Q[k]: q_k at the nodes times sqrt(weight).  B is Q as the inner
+    # product sees it: viewed as reals when folded, where Re<f, g> is the
+    # real dot product of the interleaved real and imaginary parts
     Q = np.empty((n_max + 1, x.size), dtype=CLD)
     B = Q.view(LD) if fold else Q
-    C = np.zeros((n_max + 1, n_max + 1), dtype=B.dtype)
     H = np.zeros((n_max + 2, n_max + 1), dtype=B.dtype)
     v = np.sqrt(w).astype(CLD)
     nrm = _norm(v)
     Q[0] = v / nrm
-    C[0, 0] = 1.0 / nrm
     u = v.view(LD) if fold else v   # v as the inner product sees it
 
     def gram_row(j):
@@ -171,7 +180,6 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
         for k in range(n_max):
             Bk = B[:k + 1]
             np.multiply(x, Q[k], out=v)
-            c = np.roll(C[k], 1)
             nrm = _norm(v)
             for _pass in range(2):
                 # conjugating v, not Q, spares a conjugated copy of the
@@ -179,7 +187,6 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
                 # would walk its columns
                 h = np.conj(np.dot(Bk, np.conj(u)))
                 u -= np.einsum("j,jm->m", h, Bk)
-                c -= np.dot(h, C[:k + 1])
                 H[:k + 1, k] += h
                 before, nrm = nrm, _norm(v)
                 if nrm >= before * _KAHAN_PARLETT:
@@ -189,28 +196,24 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
                     f"vanishing norm at degree {k + 1}; grid cannot resolve it")
             H[k + 1, k] = nrm
             Q[k + 1] = v / nrm
-            C[k + 1] = c / nrm
             rows.append(pool.submit(gram_row, k + 1))
         # Gram residual of the orthonormal node vectors: max |<q_i, q_j>|, i < j
         gram = max((row.result() for row in rows), default=0.0)
 
     if fold:
         # back from the axis frame: q_k(z) = e^{ik phi} q~_k(z e^{-i phi})
-        # gives H[j, k] e^{i(k+1-j) phi} and C[k, m] e^{i(k-m) phi}
+        # gives H[j, k] e^{i(k+1-j) phi}
         e = np.arange(n_max + 2)
         turn = np.exp(CLD(1j) * LD(grid.axis) * e)
-        col = e[:n_max + 1]
-        H = H * turn[np.maximum(col + 1 - e[:, None], 0)]
-        C = C * turn[np.maximum(col[:, None] - col, 0)]
+        H = H * turn[np.maximum(e[:n_max + 1] + 1 - e[:, None], 0)]
 
-    lead = np.diagonal(C)
-    monic = tuple(C[k, :k + 1] / lead[k] for k in range(n_max + 1))
-    hs = LD(1.0) / np.abs(lead) ** 2
+    sub = np.diagonal(H, -1)[:n_max].real
+    hs = np.sum(w) * np.cumprod(np.append(LD(1.0), sub ** 2))
 
     if gram > GRAM_TOL:
         raise LossOfOrthogonality(
             f"Gram residual {gram:.2e} exceeds {GRAM_TOL:.0e} at n_max={n_max}")
-    return OrthoPolySet(n_max=n_max, monic_coeffs=monic, norms=hs,
+    return OrthoPolySet(n_max=n_max, norms=hs,
                         hessenberg=H, gram_residual=gram, potential=p)
 
 

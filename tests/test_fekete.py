@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import chargedgauss as cg
 from chargedgauss.equilibrium import classify_support
 from chargedgauss.fekete import (_circle_lens_area, discrepancy, energy,
-                                 gradient, gradient_fd_check, minimize)
+                                 gradient, gradient_fd_check, hessian,
+                                 minimize)
 from chargedgauss.measures import (POS_INF, PerturbedPotential, is_pos_inf)
 
 
@@ -50,6 +51,29 @@ def test_gradient_matches_finite_differences(cavity_potential):
     assert gradient_fd_check(z, cavity_potential) < 1e-6
 
 
+def test_hessian_matches_finite_differences(cavity_potential):
+    # columns of the real Hessian against central differences of the
+    # real gradient 2 g.view(float), in the coordinates z.view(float)
+    rng = np.random.default_rng(5)
+    z = 1.5 * (rng.standard_normal(10) + 1j * rng.standard_normal(10))
+    H = hessian(z, cavity_potential)
+    assert np.array_equal(H, H.T)
+    h = 1e-6
+    for k in range(20):
+        dz = np.zeros(20)
+        dz[k] = h
+        fd = (gradient(z + dz.view(complex), cavity_potential)
+              - gradient(z - dz.view(complex), cavity_potential)) / h
+        assert np.max(np.abs(fd.view(float) - H[:, k])) \
+            < 1e-6 * max(np.max(np.abs(H[:, k])), 1.0)
+
+
+def test_hessian_single_point_is_field_curvature():
+    # E = n (gamma/2) alpha |z|^2 for one point and no charges
+    p = PerturbedPotential(alpha=0.5, nu=cg.EMPTY_MEASURE, gamma=3.0)
+    assert np.allclose(hessian(np.array([0.4 - 0.2j]), p), 1.5 * np.eye(2))
+
+
 @given(phi=st.floats(0.0, 2 * math.pi))
 @settings(max_examples=25, deadline=None)
 def test_energy_rotation_invariant_radial(phi):
@@ -79,7 +103,7 @@ def test_minimize_pair_radial_oracle():
 def test_minimize_energy_not_above_start(cavity_potential):
     rng = np.random.default_rng(0)
     z0 = 0.5 * (rng.standard_normal(20) + 1j * rng.standard_normal(20))
-    res = minimize(20, cavity_potential, seed=0, n_starts=1, max_iter=500)
+    res = minimize(20, cavity_potential, seed=0, n_starts=1)
     assert res.energy <= float(energy(z0, cavity_potential)) + 1e-9
 
 
@@ -98,7 +122,27 @@ def test_lens_area_cases():
 
 def test_discrepancy_counts(cavity_potential):
     geom = classify_support(cavity_potential)
-    res = minimize(60, cavity_potential, seed=0, n_starts=1, max_iter=1500)
+    res = minimize(60, cavity_potential, seed=0, n_starts=1)
     rep = discrepancy(res, geom)
     assert rep["points_in_cavities"] == 0
     assert rep["fraction_inside"] > 0.9
+
+
+def test_minimize_certifies_strict_minimum_n200(cavity_potential):
+    # criterion 12's configuration: the gradient reaches the tolerance and
+    # the Hessian is positive definite there
+    res = minimize(200, cavity_potential, seed=0, n_starts=1)
+    assert res.converged
+    assert res.grad_norm < 1e-8
+    assert res.min_eigenvalue > 0
+    assert res.min_eigenvalue == pytest.approx(
+        np.linalg.eigvalsh(hessian(res.points, cavity_potential))[0])
+
+
+def test_minimize_radial_pair_certified_modulo_rotation():
+    # a rotation-invariant energy has a circle of minimizers; the
+    # certificate is on the complement of the rotation direction
+    p = PerturbedPotential(alpha=0.5, nu=cg.EMPTY_MEASURE, gamma=2.0)
+    res = minimize(2, p, seed=1, n_starts=1)
+    assert np.linalg.eigvalsh(hessian(res.points, p))[0] < 1e-8
+    assert res.converged and res.min_eigenvalue > 1.0
