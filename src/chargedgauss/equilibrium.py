@@ -106,7 +106,8 @@ class ExteriorMap:
 
     def zeta_roots(self, z: complex):
         """Both solutions of rho*zeta^2 + (u-z-A*rho)*zeta + A(z-u) + v = 0,
-        i.e. preimages of z under the map extended to all of C."""
+        i.e. preimages of z under the map extended to all of C, the larger
+        in modulus (the exterior sheet) first."""
         b = self.u - z - self.A * self.rho
         c = self.A * (z - self.u) + self.v
         disc = cmath.sqrt(b * b - 4.0 * self.rho * c)
@@ -116,8 +117,9 @@ class ExteriorMap:
         return q / self.rho, c / q
 
     def _preimages(self, z: np.ndarray):
-        """zeta_roots over an array z.  zeta_roots stays scalar: per step of
-        the trajectory integrator, numpy's call overhead would dominate."""
+        """zeta_roots over an array z.  The scalar zeta_roots places one
+        trajectory launch on its sheet; the trajectory integrator then
+        steps in zeta and solves no quadratic."""
         b = self.u - z - self.A * self.rho
         c = self.A * (z - self.u) + self.v
         disc = np.sqrt(b * b - 4.0 * self.rho * c)

@@ -5,8 +5,10 @@ against the zero counting measure.
 
 Exterior-map boundaries have a genuinely two-sheeted Schwarz function
 (square-root branch points); the disk-with-cavity boundary contributes a
-single-valued analytic jump field with simple zeros, and both are traced
-by the same integrator.
+single-valued analytic jump field with simple zeros.  Both are traced by
+the same integrator, whose state is the sheet parameter zeta for the
+exterior map (where the jump is single-valued and the branch points are
+regular) and z for the cavity field.
 """
 
 from __future__ import annotations
@@ -62,9 +64,7 @@ def boundary_curve(geom: ExteriorMap, n_samples: int = 720) -> BoundaryCurve:
 def schwarz_value(geom: ExteriorMap, zeta):
     """S at the sheet parameter zeta: rho/zeta + conj(u)
     + conj(v)*zeta/(1 - conj(A)*zeta); equals conj(f(zeta)) on |zeta|=1.
-
-    zeta is an array or a Python complex; a scalar stays in plain Python
-    arithmetic, like zeta_roots, for the integrator's per-step calls."""
+    zeta is an array or a Python complex."""
     u, v, A = (complex(c).conjugate() for c in (geom.u, geom.v, geom.A))
     return float(geom.rho) / zeta + u + v * zeta / (1.0 - A * zeta)
 
@@ -77,22 +77,10 @@ class SchwarzBranches:
     s_plus: complex
     s_minus: complex
 
-    @property
-    def delta(self) -> complex:
-        return self.s_plus - self.s_minus
 
-
-def schwarz_branches(geom: ExteriorMap, z: complex,
-                     prev: SchwarzBranches | None = None) -> SchwarzBranches:
-    """Both sheet values at z; labeled by nearest-zeta continuity with
-    prev when given, else by |zeta| (exterior sheet first)."""
+def schwarz_branches(geom: ExteriorMap, z: complex) -> SchwarzBranches:
+    """Both sheet values at z, exterior sheet (larger |zeta|) first."""
     z1, z2 = geom.zeta_roots(complex(z))
-    if prev is not None:
-        if (abs(z1 - prev.zeta_plus) + abs(z2 - prev.zeta_minus)
-                > abs(z2 - prev.zeta_plus) + abs(z1 - prev.zeta_minus)):
-            z1, z2 = z2, z1
-    elif abs(z1) < abs(z2):
-        z1, z2 = z2, z1
     return SchwarzBranches(z=complex(z), zeta_plus=z1, zeta_minus=z2,
                            s_plus=schwarz_value(geom, complex(z1)),
                            s_minus=schwarz_value(geom, complex(z2)))
@@ -123,19 +111,52 @@ def branch_points(geom: ExteriorMap) -> list:
 
 
 class ExteriorDeltaS:
-    """Jump field S_plus - S_minus with branch continuity along a path."""
+    """Jump field S_plus - S_minus of an exterior map.
+
+    f identifies zeta and its sheet partner A + (v/rho)/(zeta - A) (see
+    ExteriorMap.is_univalent), so on the sheet parameter the jump
+    S(zeta) - S(partner) is single-valued, with the square-root branch
+    points of the z-plane unfolded into simple zeros at the critical
+    points of f, where zeta and its partner coincide."""
 
     def __init__(self, geom: ExteriorMap):
         self.geom = geom
-        self._prev = None
+        self.rho = float(geom.rho)
+        self.u, self.v, self.A = (complex(c) for c in (geom.u, geom.v, geom.A))
+        self._w = self.v / self.rho
+        self._cv, self._cA = self.v.conjugate(), self.A.conjugate()
 
-    def reset(self):
-        self._prev = None
+    def _jump(self, z1, z2):
+        """S(z1) - S(z2) for two preimages of one point; the conj(u) terms
+        cancel and the factor z1 - z2 carries the zero at a branch point."""
+        return (z1 - z2) * (self._cv / ((1.0 - self._cA * z1)
+                                        * (1.0 - self._cA * z2))
+                            - self.rho / (z1 * z2))
 
-    def __call__(self, z: complex) -> complex:
-        br = schwarz_branches(self.geom, z, self._prev)
-        self._prev = br
-        return br.delta
+    def __call__(self, z) -> np.ndarray:
+        """dS at the points of a path z (array): S_plus is the exterior
+        sheet (larger |zeta|) at the first point, and each later dS takes
+        the sign that keeps Re(dS_i * conj(dS_{i-1})) nonnegative."""
+        d = self._jump(*self.geom._preimages(
+            np.atleast_1d(np.asarray(z, dtype=complex))))
+        flip = np.where((d[1:] * d[:-1].conj()).real < 0, -1.0, 1.0)
+        d[1:] *= np.cumprod(flip)
+        return d
+
+    # integrator interface: state zeta, in plain Python complex arithmetic
+
+    def state(self, z: complex) -> complex:
+        """The exterior-sheet preimage of z."""
+        return self.geom.zeta_roots(z)[0]
+
+    def point(self, zeta: complex) -> complex:
+        return self.rho * zeta + self.u + self.v / (zeta - self.A)
+
+    def flow(self, zeta: complex):
+        """(dS, dz/dzeta) at the sheet parameter zeta."""
+        t = zeta - self.A
+        return (self._jump(zeta, self.A + self._w / t),
+                self.rho - self.v / (t * t))
 
 
 class CavityDeltaS:
@@ -145,12 +166,20 @@ class CavityDeltaS:
     def __init__(self, R: float, a: complex, r: float):
         self.R, self.a, self.r = float(R), complex(a), float(r)
 
-    def reset(self):
-        pass
-
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
         a = self.a
         return self.R**2 / z - a.conjugate() - self.r**2 / (z - a)
+
+    # integrator interface: the state is z itself
+
+    def state(self, z: complex) -> complex:
+        return z
+
+    def point(self, z: complex) -> complex:
+        return z
+
+    def flow(self, z: complex):
+        return self(z), 1.0
 
     def critical_points(self) -> np.ndarray:
         """Zeros of dS: roots of R^2 (z-a) - conj(a) z (z-a) - r^2 z."""
@@ -174,39 +203,35 @@ class Trajectory:
 
 def trajectory_residual(points: np.ndarray, ds_field) -> float:
     """max over segments of |Re[dS(mid) * dz]| / (|dS| |dz|)."""
-    ds_field.reset()
-    mids = 0.5 * (points[:-1] + points[1:])
+    s = ds_field(0.5 * (points[:-1] + points[1:]))
     dz = np.diff(points)
-    worst = 0.0
-    for m, d in zip(mids, dz):
-        s = ds_field(m)
-        denom = abs(s) * abs(d)
-        if denom > 0:
-            worst = max(worst, abs((s * d).real) / denom)
-    return worst
+    denom = np.abs(s) * np.abs(dz)
+    ok = denom > 0
+    return float(np.max(np.abs((s * dz).real[ok]) / denom[ok], initial=0.0))
 
 
-def _trace(ds_field, z0: complex, origin: complex, sign: float, step: float,
-           stop_points, escape_radius: float, ds_tol: float,
-           max_steps: int = 100000, init_dir: complex | None = None) -> Trajectory:
-    """RK4 along sign * i * conj(dS)/|dS| with steps capped at a tenth of
-    the distance to the nearest singular point: near a vanishing point of
-    dS the direction field rotates on that length scale, so a fixed step
-    would violate the tangency residual there."""
-    ds_field.reset()
-    prev_dir = [init_dir]
+def _trace(ds_field, z0: complex, origin: complex, init_dir: complex,
+           step: float, stop_points, escape_radius: float, ds_tol: float,
+           max_steps: int = 100000) -> Trajectory:
+    """RK4 for the unit-speed z-velocity sign * i * conj(dS)/|dS|, carried
+    over to the field's state x by dx/dt = (dz/dt) / (dz/dx).  The sign is
+    fixed once, from the launch direction init_dir; on the state the jump
+    is single-valued, so the field never flips sign along the way.  Steps
+    are in z arc length, capped at a tenth of the distance to the nearest
+    singular point: near a vanishing point of dS the direction field
+    rotates on that length scale, so a fixed step would violate the
+    tangency residual there."""
+    flow, point = ds_field.flow, ds_field.point
+    x = ds_field.state(z0)
+    d, dz_dx = flow(x)
+    sign = -1.0 if (1j * d.conjugate() * init_dir.conjugate()).real < 0 \
+        else 1.0
 
-    def f(z):
-        d = ds_field(z)
+    def velocity(d, dz_dx):
         m = abs(d)
         if m == 0:
             return 0.0
-        u = sign * 1j * d.conjugate() / m
-        # the trajectory is invariant under dS -> -dS, but the tracer is
-        # not: keep the direction continuous across sheet-label flips
-        if prev_dir[0] is not None and (u * prev_dir[0].conjugate()).real < 0:
-            u = -u
-        return u
+        return sign * 1j * d.conjugate() / (m * dz_dx)
 
     singular = [origin] + list(stop_points)
     pts = [z0]
@@ -216,20 +241,20 @@ def _trace(ds_field, z0: complex, origin: complex, sign: float, step: float,
     for i in range(max_steps):
         dmin = min(abs(z - s) for s in singular)
         h = min(step, max(0.1 * dmin, 1e-7))
-        k1 = f(z)
+        k1 = velocity(d, dz_dx)
         if k1 == 0.0:
             end = "node"
             break
-        prev_dir[0] = k1
-        k2 = f(z + 0.5 * h * k1)
-        k3 = f(z + 0.5 * h * k2)
-        k4 = f(z + h * k3)
-        z_new = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = velocity(*flow(x + 0.5 * h * k1))
+        k3 = velocity(*flow(x + 0.5 * h * k2))
+        k4 = velocity(*flow(x + h * k3))
+        x = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        z_new = point(x)
         travelled += abs(z_new - z)
         z = z_new
         pts.append(z)
-        prev_dir[0] = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        if abs(ds_field(z)) < ds_tol:
+        d, dz_dx = flow(x)
+        if abs(d) < ds_tol:
             end = "node"
             break
         if abs(z) > escape_radius:
@@ -254,10 +279,7 @@ def _local_exponent_and_phase(ds_field, z0: complex, eps: float = 1e-5):
     """Probe dS ~ C (z - z0)^p near a vanishing point: p from a two-radius
     ratio, arg(C) from the probe value (mod pi, enough to seed the comb
     of critical directions)."""
-    ds_field.reset()
-    v1 = ds_field(z0 + eps)
-    ds_field.reset()
-    v2 = ds_field(z0 + 2.0 * eps)
+    v1, v2 = ds_field(z0 + eps * np.array([1.0, 2.0]))
     p = math.log2(abs(v2) / abs(v1))
     p = 0.5 if abs(p - 0.5) < 0.25 else 1.0
     # probe offset is real positive, so phase(v1) = arg C (mod the sheet sign)
@@ -276,7 +298,8 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
     directions solve (p+1)*psi + arg C = pi/2 (mod pi): three directions
     for a square-root branch point, four for a simple zero.  Each is
     integrated by RK4; if a returned polyline violates the residual bound
-    the step is halved and it is retraced.
+    the step is halved and it is retraced.  A bare jump field provides
+    the integrator interface of CavityDeltaS: state, point and flow.
     """
     if isinstance(geom_or_field, ExteriorMap):
         field_fn = ExteriorDeltaS(geom_or_field)
@@ -309,9 +332,8 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
             zstart = z0 + offset * cmath.exp(1j * psi)
             h = step
             while True:
-                tr = _trace(field_fn, zstart, z0, +1.0, h, others,
-                            escape_radius, ds_tol,
-                            init_dir=cmath.exp(1j * psi))
+                tr = _trace(field_fn, zstart, z0, cmath.exp(1j * psi), h,
+                            others, escape_radius, ds_tol)
                 if tr.max_residual < tol or tr.end_tag == "node":
                     break
                 h *= 0.5
@@ -335,13 +357,9 @@ def effective_zero_density(traj: Trajectory, ds_field):
     Returns (midpoints, weights).  Raises SignFlip when no global
     orientation makes all weights nonnegative.
     """
-    ds_field.reset()
     pts = traj.points
     mids = 0.5 * (pts[:-1] + pts[1:])
-    dz = np.diff(pts)
-    w = np.empty(len(mids))
-    for i, (m, d) in enumerate(zip(mids, dz)):
-        w[i] = (ds_field(m) * d).imag / (2.0 * math.pi)
+    w = (ds_field(mids) * np.diff(pts)).imag / (2.0 * math.pi)
     total = np.sum(w)
     if total < 0:
         w = -w

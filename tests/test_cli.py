@@ -57,6 +57,19 @@ def test_support_exterior(tmp_path):
     assert geom["kind"] == "exterior_map"
 
 
+def test_trajectory_exterior(tmp_path):
+    # the worked example of scripts/run_worked_example.py
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.5, "gamma": 2.0,
+                               "charges": [{"re": 2.0, "beta": 0.5}]}))
+    rc = main(["--config", str(cfg), "--out", str(tmp_path), "trajectory"])
+    assert rc == EXIT_OK
+    rows = (tmp_path / "trajectories.csv").read_text().splitlines()
+    assert rows[0] == "trajectory,end_tag,x,y"
+    assert {r.split(",")[0] for r in rows[1:]} == {str(i) for i in range(6)}
+    assert (tmp_path / "trajectories.svg").exists()
+
+
 def test_unsupported_configuration_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 0.5, "gamma": 2.0,

@@ -84,6 +84,11 @@ def test_exterior_map_contains_matches_scalar_roots(exterior_map):
     assert np.array_equal(got, [scalar_contains(w) for w in z])
     assert got.any() and not got.all()
     assert isinstance(em.contains(0.3 + 0.1j), bool)
+    # both paths put the exterior sheet (larger |zeta|) first
+    z1, z2 = em._preimages(z)
+    assert np.all(np.abs(z1) >= np.abs(z2))
+    assert all(abs(r1) >= abs(r2)
+               for r1, r2 in (em.zeta_roots(complex(w)) for w in z))
 
 
 def test_exterior_map_intersecting_regime():

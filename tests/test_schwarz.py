@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import chargedgauss as cg
 from chargedgauss import schwarz
-from chargedgauss.equilibrium import ExteriorMap, outer_radius
+from chargedgauss.equilibrium import (ExteriorMap, outer_radius,
+                                      solve_exterior_map)
 from chargedgauss.measures import PerturbedPotential, PointChargeMeasure
 from chargedgauss.orthopoly import ZeroSet
 from chargedgauss.schwarz import (CavityDeltaS, DegenerateMap, ExteriorDeltaS,
@@ -221,3 +223,236 @@ def test_density_sign_flip_detection(cavity_potential):
                         max_residual=t.max_residual)
     with pytest.raises(SignFlip):
         effective_zero_density(corrupted, ds)
+
+
+# ---------------------------------------------------------------------
+# Reference: the z-plane tracer the sheet-parameter tracer replaced.  It
+# solves the preimage quadratic at every field evaluation, relabels the
+# sheets by nearest-zeta continuity with the previous call, and keeps the
+# direction continuous by flipping it against the previous one.
+
+
+class _ReferenceExteriorField:
+    def __init__(self, geom):
+        self.geom, self.prev = geom, None
+
+    def reset(self):
+        self.prev = None
+
+    def __call__(self, z):
+        z1, z2 = self.geom.zeta_roots(complex(z))
+        if self.prev is not None:
+            p1, p2 = self.prev
+            if abs(z1 - p1) + abs(z2 - p2) > abs(z2 - p1) + abs(z1 - p2):
+                z1, z2 = z2, z1
+        elif abs(z1) < abs(z2):
+            z1, z2 = z2, z1
+        self.prev = (z1, z2)
+        return schwarz_value(self.geom, z1) - schwarz_value(self.geom, z2)
+
+
+class _ReferenceCavityField:
+    def __init__(self, ds):
+        self.ds = ds
+
+    def reset(self):
+        pass
+
+    def __call__(self, z):
+        return self.ds(z)
+
+
+def _reference_weights(points, field):
+    """Unnormalized (1/2pi) Im[dS(mid) dz], one scalar call per segment."""
+    field.reset()
+    mids = 0.5 * (points[:-1] + points[1:])
+    return np.array([(field(m) * d).imag / (2.0 * math.pi)
+                     for m, d in zip(mids, np.diff(points))])
+
+
+def _reference_residual(points, field):
+    field.reset()
+    worst = 0.0
+    for m, d in zip(0.5 * (points[:-1] + points[1:]), np.diff(points)):
+        s = field(m)
+        if abs(s) * abs(d) > 0:
+            worst = max(worst, abs((s * d).real) / (abs(s) * abs(d)))
+    return worst
+
+
+def _reference_trace(field, z0, origin, init_dir, step, stop_points,
+                     escape_radius, ds_tol=1e-9, max_steps=100000):
+    field.reset()
+    prev_dir = [init_dir]
+
+    def f(z):
+        d = field(z)
+        m = abs(d)
+        if m == 0:
+            return 0.0
+        u = 1j * d.conjugate() / m
+        if (u * prev_dir[0].conjugate()).real < 0:
+            u = -u
+        return u
+
+    singular = [origin] + list(stop_points)
+    pts, z, end, travelled = [z0], z0, "maxsteps", 0.0
+    for _ in range(max_steps):
+        h = min(step, max(0.1 * min(abs(z - s) for s in singular), 1e-7))
+        k1 = f(z)
+        if k1 == 0.0:
+            end = "node"
+            break
+        prev_dir[0] = k1
+        k2 = f(z + 0.5 * h * k1)
+        k3 = f(z + 0.5 * h * k2)
+        k4 = f(z + h * k3)
+        z_new = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        travelled += abs(z_new - z)
+        z = z_new
+        pts.append(z)
+        prev_dir[0] = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        if abs(field(z)) < ds_tol:
+            end = "node"
+            break
+        if abs(z) > escape_radius:
+            end = "exit"
+            break
+        if travelled > 20.0 * step:
+            if any(abs(z - bp) < 0.5 * step for bp in stop_points):
+                end = "branch"
+                break
+            if abs(z - z0) < 1.5 * step:
+                end = "closed"
+                break
+    points = np.array(pts)
+    return end, points, _reference_residual(points, field)
+
+
+def _reference_trajectories(field, starts, escape_radius, step=2e-3,
+                            tol=1e-3, offset=1e-6):
+    out = []
+    for z0 in starts:
+        others = [b for b in starts if b != z0]
+        field.reset()
+        v1 = field(z0 + 1e-5)
+        field.reset()
+        v2 = field(z0 + 2e-5)
+        p = 0.5 if abs(math.log2(abs(v2) / abs(v1)) - 0.5) < 0.25 else 1.0
+        psi0 = (0.5 * math.pi - cmath.phase(v1)) / (p + 1.0)
+        for m in range(int(round(2 * (p + 1)))):
+            psi = psi0 + m * math.pi / (p + 1.0)
+            h = step
+            while True:
+                tr = _reference_trace(field, z0 + offset * cmath.exp(1j * psi),
+                                      z0, cmath.exp(1j * psi), h, others,
+                                      escape_radius)
+                if tr[2] < tol or tr[0] == "node":
+                    break
+                h *= 0.5
+            out.append(tr)
+    return out
+
+
+def _criterion_02_draws(k):
+    """The first k (alpha, beta, a) of criterion 02's generator."""
+    rng = np.random.default_rng(7)
+    draws = []
+    for _ in range(k):
+        alpha = float(rng.uniform(0.3, 2.0))
+        beta = float(rng.uniform(0.1, 1.0))
+        R = math.sqrt((1.0 + beta) / (2.0 * alpha))
+        r = math.sqrt(beta / (2.0 * alpha))
+        t = (R - r) + rng.uniform(0.05, 0.95) * (2.0 * r)
+        draws.append((alpha, beta,
+                      complex(t * np.exp(2j * np.pi * rng.uniform()))))
+    return draws
+
+
+def _compare_to_reference(trajs, ref, pts_tol):
+    assert [t.end_tag for t in trajs] == [r[0] for r in ref]
+    assert [len(t.points) for t in trajs] == [len(r[1]) for r in ref]
+    for t, (_, pts, _) in zip(trajs, ref):
+        assert np.max(np.abs(t.points - pts)) <= pts_tol
+    new = max(t.max_residual for t in trajs)
+    old = max(r[2] for r in ref)
+    assert abs(new - old) <= 0.1 * old
+
+
+def test_zeta_tracer_matches_z_plane_reference(exterior_map):
+    draws = _criterion_02_draws(3)
+    assert any(abs(a.imag) > 0.1 for _, _, a in draws)  # an off-axis charge
+    maps = [exterior_map] + [solve_exterior_map(*d) for d in draws]
+    th = 2.0 * np.pi * np.arange(256) / 256
+    for em in maps:
+        trajs = critical_trajectories(em)
+        escape = 2.0 * float(np.max(np.abs(em.boundary(th))))
+        ref = _reference_trajectories(_ReferenceExteriorField(em),
+                                      [complex(z) for z in branch_points(em)],
+                                      escape)
+        _compare_to_reference(trajs, ref, 1e-7)
+
+
+def test_cavity_attractor_matches_z_plane_reference():
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.3, 0.5),)),
+                           N=2.0, gamma=2.0)
+    ds, trajs = zero_attractor_candidates(p)
+    crit = [complex(z) for z in ds.critical_points() if abs(z - ds.a) < ds.r]
+    ref = _reference_trajectories(_ReferenceCavityField(ds), crit,
+                                  3.0 * outer_radius(p))
+    _compare_to_reference(trajs, ref, 1e-15)
+
+
+def test_tracer_solves_no_quadratic_per_step(exterior_map, monkeypatch):
+    calls = []
+    roots = ExteriorMap.zeta_roots
+
+    def counted(self, z):
+        calls.append(z)
+        return roots(self, z)
+
+    monkeypatch.setattr(ExteriorMap, "zeta_roots", counted)
+    trajs = critical_trajectories(exterior_map)
+    assert len(calls) <= 3 * len(trajs)
+
+
+@pytest.mark.parametrize("alpha,beta,a", [(0.5, 0.5, 2.0),
+                                          (1.2, 0.4, 0.9 + 0.3j)])
+def test_exterior_density_matches_scalar_continuity(alpha, beta, a):
+    em = solve_exterior_map(alpha, beta, complex(a))
+    ds = ExteriorDeltaS(em)
+    conn = connecting_trajectories(critical_trajectories(em))
+    assert len(conn) >= 2
+    for t in conn:
+        _, w = effective_zero_density(t, ds)
+        ref = _reference_weights(t.points, _ReferenceExteriorField(em))
+        ref = np.clip(ref * np.sign(np.sum(ref)), 0.0, None)
+        assert np.max(np.abs(w - ref / np.sum(ref))) <= 1e-15
+
+
+def test_exterior_density_sign_flip_detection(exterior_map):
+    ds = ExteriorDeltaS(exterior_map)
+    t = connecting_trajectories(critical_trajectories(exterior_map))[0]
+    n, k = len(t.points), len(t.points) // 2
+    conjugated = t.points.copy()
+    conjugated[k: k + n // 4] = np.conj(conjugated[k: k + n // 4])
+    reversed_block = t.points.copy()
+    reversed_block[k: k + 50] = reversed_block[k: k + 50][::-1]
+    for bad in (conjugated, reversed_block):
+        corrupted = type(t)(points=bad, start_tag=t.start_tag,
+                            end_tag=t.end_tag, max_residual=t.max_residual)
+        with pytest.raises(SignFlip):
+            effective_zero_density(corrupted, ds)
+
+
+def test_exterior_field_continues_around_a_branch_point(exterior_map):
+    # a loop around a square-root branch point swaps the sheets: the
+    # exterior-sheet label jumps where |zeta_1| = |zeta_2|, while
+    # continuity brings dS back as -dS
+    bp = branch_points(exterior_map)[0]
+    path = bp + 0.05 * np.exp(2j * np.pi * np.arange(401) / 400)
+    d = ExteriorDeltaS(exterior_map)(path)
+    ref = _ReferenceExteriorField(exterior_map)
+    expected = np.array([ref(z) for z in path])
+    assert np.max(np.abs(d - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert abs(d[-1] + d[0]) <= 1e-12 * abs(d[0])
