@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Full run of the non-contained-charge example (alpha=0.5, beta=0.5, a=2).
 
-Writes the support geometry, the critical trajectories of the Schwarz
-function, and the equilibrium verification report into OUT (default
-out/worked_example).
+Writes the configuration (config.json), the support geometry, the
+critical trajectories of the Schwarz function, and the equilibrium
+verification report into OUT (default out/worked_example).
 """
 
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from chargedgauss.cli import main as cli_main
@@ -19,10 +18,10 @@ CONFIG = {"alpha": 0.5, "gamma": 2.0,
 
 
 def run(out: str, quick: bool) -> int:
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
-        json.dump(CONFIG, f)
-        cfg = f.name
-    base = ["--config", cfg, "--out", out]
+    cfg = Path(out) / "config.json"
+    cfg.parent.mkdir(parents=True, exist_ok=True)
+    cfg.write_text(json.dumps(CONFIG))
+    base = ["--config", str(cfg), "--out", out]
     if quick:
         base.append("--quick")
     rc = 0

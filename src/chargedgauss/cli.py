@@ -228,11 +228,17 @@ def cmd_dbar_check(cfg: ExperimentConfig, out: Path, args) -> int:
                          "Y11_dev": asym.max_Y11_ratio_dev},
               "uniqueness": uniq}
     write_json(out / f"dbar_k{k}.json", report)
+    # criteria 07 and 08
     ok = (order["order_12"] >= 1.8 and order["order_22"] >= 1.8
           and abs(asym.slope_Y12 + (k + 1)) < 0.2
-          and uniq["max_orthogonality_residual"] < 1e-8)
+          and abs(asym.slope_Y22_dev + 1.0) < 0.2
+          and abs(asym.slope_Y21_ratio + 1.0) < 0.2
+          and uniq["max_orthogonality_residual"] < 1e-8
+          and uniq["normalization_deviation"] < 1e-8)
     print(f"dbar-check: k={k} orders=({order['order_12']:.2f},"
-          f"{order['order_22']:.2f}) slope_Y12={asym.slope_Y12:.2f} "
+          f"{order['order_22']:.2f}) slopes Y12={asym.slope_Y12:.2f} "
+          f"Y22_dev={asym.slope_Y22_dev:.3f} Y21={asym.slope_Y21_ratio:.3f} "
+          f"normalization_dev={uniq['normalization_deviation']:.1e} "
           f"{'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_INVARIANT
 

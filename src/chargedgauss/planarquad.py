@@ -1,5 +1,5 @@
 """Planar quadrature against the weight exp(-N*V): polar tensor grids,
-moments, inner products, and singularity-aware Cauchy transforms.
+moments, inner products, and a Cauchy transform exact in angle.
 
 Grids are polar tensor products: Gauss-Legendre panels radially (panel
 boundaries at each charge modulus and cavity radius, where the integrand
@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
+from scipy import fft as sp_fft
 
 from .measures import PerturbedPotential, weight_upper_bound
 
@@ -240,96 +241,94 @@ def total_mass(grid: QuadGrid) -> float:
     return float(np.sum(grid.measure_weights))
 
 
-@dataclass(frozen=True)
-class CauchyTransformEstimate:
-    value: complex
-    bound: float       # H_lambda, uniform bound on int d|lambda|(w)/|z-w|
-    tail_error: float
-
-
-def _bump(rho):
-    """C^3 radial cutoff: 1 at 0, 0 for rho >= 1."""
-    out = np.zeros_like(rho)
-    m = rho < 1.0
-    out[m] = (1.0 - rho[m] ** 2) ** 4
-    return out
-
-
-def cauchy_transform(p: PerturbedPotential, grid: QuadGrid, density, z: complex,
-                     r_loc: float | None = None,
-                     local_orders: tuple = (48, 256)) -> CauchyTransformEstimate:
-    """[C lambda](z) = int density(w) exp(-N*V(w)) / (z-w) dm(w).
-
-    The integrand is split with a smooth radial bump supported on
-    B(z, r_loc): the bump part is integrated on a polar rule centered at z
-    (the r dr Jacobian annihilates the 1/|z-w| singularity), the remainder
-    on the fixed global grid.  The smooth partition keeps the value a
-    smooth function of z, which finite-difference d-bar checks rely on.
-    """
-    z = complex(z)
-    if r_loc is None:
-        # keep the charge singularities outside the local polar disk
-        r_loc = 0.5
-        for a, _ in p.nu.charges:
-            if abs(z - a) > 0:
-                r_loc = min(r_loc, 0.5 * abs(z - a))
-    nodes = grid.nodes.astype(complex)
-    dens_glob = np.asarray(density(nodes), dtype=complex)
-    lam = grid.measure_weights.astype(float) * dens_glob
-
-    d = z - nodes
-    absd = np.abs(d)
-    phi = _bump(absd / r_loc)
+def _ring_sums(F, r, a, z, rot):
+    """sum_i a_i (T/2pi) int f_i(t) dt / (z - r_i e^{it}) over rings
+    carrying trigonometric polynomials with DFT coefficients F[..., K+m]
+    (mode m, t from the grid axis, rot = exp(-i axis)); r and a broadcast
+    against z[:, None].  With z' = rot*z a ring inside |z| gives
+    (1/z) sum_k F_{-k} (r/z')^k, one outside -(rot/r) sum_k F_{k+1} (z'/r)^k,
+    both by Horner in a ratio of modulus <= 1, so nothing overflows."""
+    K = (F.shape[-1] - 1) // 2
+    z = z[:, None]
+    inner = r < np.abs(z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kern = np.where(absd > 0, (1.0 - phi) / np.where(absd > 0, d, 1.0), 0.0)
-    far = np.sum(lam * kern)
-
-    # local polar rule centered at z for the bump part
-    loc = 0.0 + 0.0j
-    if r_loc > 0:
-        n_r, n_t = local_orders
-        xr, wrad = leggauss(n_r)
-        rr = 0.5 * r_loc * (xr + 1.0)
-        wrad = 0.5 * r_loc * wrad
-        tt = 2.0 * np.pi * np.arange(n_t) / n_t
-        et = np.exp(1j * tt)
-        w_pts = z + rr[:, None] * et[None, :]
-        gv = (np.asarray(density(w_pts.ravel()), dtype=complex).reshape(w_pts.shape)
-              * p.weight_grid(w_pts))
-        # 1/(z-w) * r dr dtheta = -exp(-i theta) dr dtheta
-        phi_r = _bump(rr / r_loc)
-        integ = gv * (-np.conj(et))[None, :] * phi_r[:, None]
-        loc = (2.0 * np.pi / n_t) * np.sum(wrad[:, None] * integ)
-
-    mass = float(np.sum(np.abs(lam)))
-    dens_sup = float(np.max(np.abs(dens_glob) * grid.weight_values.astype(float)))
-    bound = 2.0 * math.sqrt(2.0 * math.pi * max(dens_sup, 1e-300) * mass)
-    return CauchyTransformEstimate(value=complex(far + loc), bound=bound,
-                                   tail_error=grid.eps_tail)
+        q = np.where(inner, r / (rot * z), rot * z / r)
+        acc = np.where(inner, F[..., 0], CLD(0))
+        for k in range(K - 1, -1, -1):
+            acc = acc * q + np.where(inner, F[..., K - k], F[..., K + k + 1])
+        return np.sum(a * np.where(inner, acc / z, -rot * acc / r), axis=-1)
 
 
-def cauchy_tail_split(grid: QuadGrid, dens_values: np.ndarray, n: int,
-                      z: complex):
-    """Evaluate CT(z) = int conj-poly density/(z-w) dlambda and its deviation
-    from m_n / z^(n+1) without cancellation, via the geometric-series split
+def cauchy_transform(grid: QuadGrid, values, z) -> np.ndarray:
+    """[C lambda](z) = int values(w) exp(-N*V(w)) / (z-w) dm(w) in
+    clongdouble, with the shape of z; values are the density on
+    grid.nodes.
 
-        1/(z-w) = sum_{k<=n} w^k/z^(k+1) + (w/z)^(n+1) / (z-w).
-
-    Returns (value, deviation, m_n) with m_k the discrete moments of the
-    density; for density conj(P_n) the moments below n vanish by discrete
-    orthogonality, so the deviation decays like z^-(n+2).
+    Exact in angle: each ring of values * weight is replaced by its
+    trigonometric interpolant (one FFT, Nyquist mode split in half),
+    whose ring integral against 1/(z-w) is a finite geometric series
+    (Daripa, SIAM J. Sci. Stat. Comput. 13, 1992).  That integral jumps
+    by 2*pi*lambda(z)/z at r = |z|, so the Legendre panel holding |z| is
+    split there and each part integrated by an n_r-point Gauss rule on
+    the panel's own Legendre interpolant of the coefficients.  Beyond
+    r_trunc nothing is split and the sum is the moment series of lambda.
+    The result is smooth in z, as finite-difference d-bar checks need.
     """
-    zl = CLD(z)
-    lam = grid.measure_weights * np.asarray(dens_values).astype(CLD)
-    zw = grid.nodes
-    moments = np.empty(n + 1, dtype=CLD)
-    pw = np.ones_like(zw)
-    for k in range(n + 1):
-        moments[k] = np.sum(lam * pw)
-        pw = pw * zw
-    # pw is now w^(n+1)
-    rem = np.sum(lam * pw / (zl - zw)) / zl ** (n + 1)
-    series = sum(moments[k] / zl ** (k + 1) for k in range(n + 1))
-    value = series + rem
-    dev = sum(moments[k] / zl ** (k + 1) for k in range(n)) + rem
-    return complex(value), complex(dev), complex(moments[n])
+    z = np.asarray(z, dtype=CLD)
+    T, n = grid.angular_order, grid.radial_order
+    K = T // 2
+    lam = (np.asarray(values).astype(CLD) * grid.weight_values).reshape(-1, T)
+    F = np.roll(sp_fft.fft(lam, axis=1), K, axis=1)  # modes -K..K-1
+    if T % 2 == 0:
+        F = np.concatenate([F, F[:, :1]], axis=1)
+        F[:, [0, -1]] *= LD(0.5)
+    rot = CLD(1) if grid.axis is None else np.exp(CLD(-1j) * LD(grid.axis))
+    r, a = np.abs(grid.nodes[::T]), grid.areas[::T]
+
+    # panels are consecutive groups of n rings on Gauss-Legendre nodes
+    xs, ws = (v.astype(LD) for v in leggauss(n))
+    rp = r.reshape(-1, n)
+    half = (rp[:, -1] - rp[:, 0]) / (xs[-1] - xs[0])
+    mid = LD(0.5) * (rp[:, -1] + rp[:, 0])
+    # node values -> Legendre coefficients of the panel interpolant
+    to_leg = (np.arange(n)[:, None] + LD(0.5)) * legvander(xs, n - 1).T * ws
+    sides = np.array([[-1], [1]])
+
+    zf = z.ravel()
+    p = np.minimum(np.searchsorted(mid + half, np.abs(zf), side="right"),
+                   len(mid) - 1)
+    tau = (np.abs(zf) - mid[p]) / half[p]  # |z| in panel coordinates
+    split = np.abs(tau) < 1
+    out = np.empty(zf.shape, dtype=CLD)
+    # bound the (points, 2n, modes) interpolated coefficients to ~32 MB
+    chunk = max(1, 2**20 // (2 * n * F.shape[1]))
+    for i in range(0, zf.size, chunk):
+        c = slice(i, i + chunk)
+        sp = split[c]
+        skip = sp[:, None] & (np.arange(r.size) // n == p[c, None])
+        out[c] = _ring_sums(F, r, np.where(skip, LD(0), a), zf[c], rot)
+        ps, ts = p[c][sp], tau[c][sp]
+        # Gauss rules on [-1, tau] and [tau, 1], the parts of the panel
+        u = LD(0.5) * (1 - sides * ts)[..., None]    # (2, points, 1)
+        t = np.concatenate(u * (xs - sides[..., None]) + sides[..., None], -1)
+        wt = np.concatenate(u * ws, -1)
+        rho = mid[ps, None] + half[ps, None] * t
+        Fs = (legvander(t, n - 1) @ to_leg).astype(CLD) \
+            @ F.reshape(-1, n, F.shape[1])[ps]
+        a_s = half[ps, None] * wt * rho * (LD(2.0) * _PI / LD(T))
+        out[c][sp] += _ring_sums(Fs, rho, a_s, zf[c][sp], rot)
+    return out.reshape(z.shape)
+
+
+def cauchy_tail_split(grid: QuadGrid, dens_values: np.ndarray, n: int, z):
+    """(CT(z), CT(z) - m_n/z^(n+1), m_n) for CT = `cauchy_transform` and
+    m_n = int w^n dens dlambda.  Beyond r_trunc CT is the moment series,
+    summed in clongdouble; for density conj(P_n) the moments below n
+    vanish by discrete orthogonality, so the deviation decays like
+    z^-(n+2)."""
+    z = np.asarray(z, dtype=CLD)
+    value = cauchy_transform(grid, dens_values, z)
+    m_n = np.sum(grid.measure_weights * np.asarray(dens_values).astype(CLD)
+                 * grid.nodes ** n)
+    dev = value - m_n / z ** (n + 1)
+    return value.astype(complex), np.asarray(dev, dtype=complex), complex(m_n)

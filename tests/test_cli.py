@@ -1,9 +1,13 @@
+import dataclasses
+import importlib.util
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chargedgauss import fekete
+from chargedgauss import dbar, fekete
 from chargedgauss.orthopoly import build_orthopolys
 from chargedgauss.planarquad import build_grid
 from chargedgauss.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_UNSUPPORTED,
@@ -122,3 +126,48 @@ def test_fekete_exit_code_follows_convergence(tmp_path, monkeypatch, capsys,
     assert ("not converged" in capsys.readouterr().out) is not converged
     rep = json.loads((tmp_path / "fekete_n10.json").read_text())
     assert rep["converged"] is converged
+
+
+def test_dbar_check_passes(tmp_path):
+    rc = main(["--out", str(tmp_path), "--quick", "--degree", "3",
+               "dbar-check"])
+    assert rc == EXIT_OK
+    rep = json.loads((tmp_path / "dbar_k3.json").read_text())
+    assert abs(rep["slopes"]["Y22_dev"] + 1.0) < 0.2
+
+
+@pytest.mark.parametrize("entry, value", [("slope_Y22_dev", -0.5),
+                                          ("slope_Y21_ratio", -1.5),
+                                          ("normalization_deviation", 1e-6)])
+def test_dbar_check_judges_criteria_07_and_08(tmp_path, monkeypatch, entry,
+                                              value):
+    # each condition of criteria 07 and 08 alone fails the check
+    asym, uniq = dbar.asymptotic_normalization, dbar.uniqueness_crosscheck
+    if entry.startswith("slope"):
+        monkeypatch.setattr(dbar, "asymptotic_normalization", lambda *a:
+                            dataclasses.replace(asym(*a), **{entry: value}))
+    else:
+        monkeypatch.setattr(dbar, "uniqueness_crosscheck", lambda *a:
+                            {**uniq(*a), entry: value})
+    rc = main(["--out", str(tmp_path), "--quick", "--degree", "3",
+               "dbar-check"])
+    assert rc == EXIT_INVARIANT
+
+
+def test_worked_example_leaves_no_temporary_file(tmp_path, monkeypatch):
+    path = Path(__file__).parents[1] / "scripts" / "run_worked_example.py"
+    spec = importlib.util.spec_from_file_location("run_worked_example", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+    monkeypatch.setattr(script, "cli_main",
+                        lambda argv: calls.append(argv) or EXIT_OK)
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    out = tmp_path / "we"
+    assert script.run(str(out), quick=True) == EXIT_OK
+    assert list(tmp.iterdir()) == []
+    cfg = out / "config.json"
+    assert json.loads(cfg.read_text()) == script.CONFIG
+    assert [argv[:2] for argv in calls] == [["--config", str(cfg)]] * 3

@@ -53,6 +53,22 @@ def test_fd_order_column_two(cavity_Y, cavity_potential):
     assert rep["monotone"]
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_fd_order_two_charges(k):
+    # a two-charge cavity configuration of the dbar_cavities workload: a
+    # transform whose quadrature error changes across the FD stencil
+    # gives orders far below 2 here
+    p = cg.PerturbedPotential(
+        alpha=0.34, nu=cg.PointChargeMeasure(((-0.534 + 0.18j, 0.13),
+                                              (0.542 + 0.573j, 0.137))),
+        N=4.0, gamma=2.0)
+    grid = build_grid(p, orders=(24, 128), max_degree=24)
+    Y = assemble_Y(build_orthopolys(p, grid, 12), p, grid, k)
+    rep = fd_order(Y, p, -1.05 + 0.71j)
+    assert rep["order_12"] >= 1.8
+    assert rep["order_22"] >= 1.8
+
+
 def test_residual_negligible_far_out(cavity_Y, cavity_potential):
     # weight ~ 0 there, so column 2 vanishes identically; column 1 is
     # polynomial, leaving only FD truncation/roundoff relative to |z|^k

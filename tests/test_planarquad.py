@@ -58,25 +58,27 @@ def test_truncation_radius_grows_with_degree(cavity_potential):
 def test_cauchy_transform_radial_oracle(radial_potential, radial_grid):
     # for a radial integrand, int g(|w|)/(z-w) dm = (1/z) * (mass inside |z|)
     na = radial_potential.N * radial_potential.alpha
+    ones = np.ones(radial_grid.nodes.size)
     for z in [1.5 + 0.5j, -2.0 + 1.0j]:
         exact = math.pi / na * (1 - math.exp(-na * abs(z) ** 2)) / z
-        est = cauchy_transform(radial_potential, radial_grid,
-                               lambda w: np.ones_like(w), z)
-        # the grid resolves the cutoff circle only algebraically, so the
-        # accuracy is grid-limited rather than at machine precision
-        assert abs(est.value - exact) < 5e-6
-        assert abs(est.value) <= est.bound
+        value = complex(cauchy_transform(radial_grid, ones, z))
+        # exact in angle, and the panel holding |z| is split at |z|
+        assert abs(value - exact) < 1e-13
 
 
-def test_cauchy_transform_insensitive_to_local_radius(cavity_potential,
-                                                      cavity_grid):
-    dens = lambda w: np.conj(np.asarray(w))
-    z = 0.7 - 0.4j
-    v1 = cauchy_transform(cavity_potential, cavity_grid, dens, z,
-                          r_loc=0.3).value
-    v2 = cauchy_transform(cavity_potential, cavity_grid, dens, z,
-                          r_loc=0.5).value
-    assert abs(v1 - v2) < 5e-6
+def test_cauchy_transform_array_matches_scalar(cavity_grid):
+    dens = np.conj(cavity_grid.nodes)
+    # inside, on and beyond the grid, on a charge modulus and at 0, then
+    # enough points to take more than one chunk of the array path
+    special = [0.7 - 0.4j, -0.3, 0.0, 1.9 + 0.8j, 2 * cavity_grid.r_trunc,
+               0.1 + 0.05j]
+    more = 2.5 * np.exp(np.linspace(0, 40, 194) * 1j) * np.linspace(0, 1, 194)
+    zs = np.concatenate([special, more]).reshape(2, 100)
+    values = cauchy_transform(cavity_grid, dens, zs)
+    assert values.shape == zs.shape and values.dtype == np.clongdouble
+    for i in [0, 1, 2, 3, 4, 5, 168, 169, 170, 199]:
+        z, v = zs.flat[i], values.flat[i]
+        assert abs(cauchy_transform(cavity_grid, dens, z) - v) < 1e-17
 
 
 def test_cauchy_tail_split_matches_direct(cavity_potential, cavity_grid):
