@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .measures import DiskMeasure, PerturbedPotential
 
@@ -379,8 +378,10 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     X, Y = np.meshgrid(xs, xs)
     Z = (X + 1j * Y).ravel()
     # exclude charge locations, where V = +inf
+    keep = np.ones(Z.size, dtype=bool)
     for a, _ in p.nu.charges:
-        Z = Z[np.abs(Z - a) > 1e-9]
+        keep &= np.abs(Z - a) > 1e-9
+    Z = Z[keep]
 
     if disk:
         F = robin_constant(geom, p)
@@ -390,14 +391,28 @@ def verify_equilibrium(geom, p: PerturbedPotential,
             m_on &= np.abs(Z - c) >= r + spec["collar"]
             m_off |= np.abs(Z - c) <= r - spec["collar"]
     else:
+        # the collar: mesh nodes within spec["collar"] of a boundary sample,
+        # all of which lie within w steps of the sample's mesh cell
+        step = xs[1] - xs[0]
+        w = math.ceil(spec["collar"] / step) + 1
+        off = np.arange(-w, w + 1)
+        i0 = np.floor((bpts.real + extent) / step).astype(int)
+        j0 = np.floor((bpts.imag + extent) / step).astype(int)
+        ix = np.clip(i0[:, None, None] + off[None, None, :], 0, n - 1)
+        iy = np.clip(j0[:, None, None] + off[None, :, None], 0, n - 1)
+        d = np.abs(xs[ix] + 1j * xs[iy] - bpts[:, None, None])
+        near = np.zeros(n * n, dtype=bool)
+        near[(iy * n + ix)[d <= spec["collar"]]] = True
+        near = near[keep]
         inside = geom.contains(Z)
-        dist = cKDTree(np.column_stack([bpts.real, bpts.imag])).query(
-            np.column_stack([Z.real, Z.imag]))[0]
-        m_on = inside & (dist > spec["collar"])
-        m_off = ~inside & (dist > spec["collar"])
-        # F at the support point farthest from the boundary: the boundary
+        m_on = inside & ~near
+        m_off = ~inside & ~near
+        # F at the support point farthest from every 8th boundary sample,
+        # deep inside the support, where F is constant; the boundary
         # samples' mean (= u) can lie off a support with a deep bite
-        z_ref = Z[m_on][np.argmax(dist[m_on])]
+        on = Z[m_on]
+        far = np.min(np.abs(on[:, None] - bpts[None, ::8]), axis=1)
+        z_ref = on[np.argmax(far)]
         F = float(effective_potential(geom, p, z_ref)[0])
 
     dev_on = 0.0

@@ -18,9 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg import eigh
-from scipy.spatial.distance import pdist
 
 from .equilibrium import DiskWithCavities, classify_support, outer_radius
 from .measures import POS_INF, PerturbedPotential, is_pos_inf
@@ -50,11 +47,13 @@ def energy(points: np.ndarray, p: PerturbedPotential):
     equilibrium measure.
     """
     z = np.asarray(points, dtype=complex)
-    d = pdist(np.column_stack([z.real, z.imag]))
+    d = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(d, 1.0)
     v = p.value_grid(z)
     if np.any(d == 0.0) or np.any(np.isposinf(v)):
         return POS_INF
-    return float(-np.sum(np.log(d)) + len(z) * (p.gamma / 2.0) * np.sum(v))
+    return float(-0.5 * np.sum(np.log(d))
+                 + len(z) * (p.gamma / 2.0) * np.sum(v))
 
 
 def gradient(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
@@ -99,6 +98,7 @@ def hessian(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
 def _solve(z0: np.ndarray, p: PerturbedPotential, grad_tol: float) -> tuple:
     """L-BFGS to its floor, then Newton steps while they shrink max |g|.
     Both run on z.view(float), where the gradient of E is 2 g.view(float)."""
+    from scipy import optimize  # here, so the package loads numpy alone
 
     def fun(x):
         e = energy(x.view(complex), p)
@@ -124,6 +124,7 @@ def _solve(z0: np.ndarray, p: PerturbedPotential, grad_tol: float) -> tuple:
 def _min_eigenvalue(z: np.ndarray, p: PerturbedPotential) -> float:
     """Smallest eigenvalue of the Hessian; when every charge sits at 0, on
     the complement of the rotation direction i z, along which E is flat."""
+    from scipy.linalg import eigh  # here, so the package loads numpy alone
     H = hessian(z, p)
     if all(a == 0 for a, _ in p.nu.charges) and np.any(z):
         t = (1j * z).view(float) / np.linalg.norm(z)

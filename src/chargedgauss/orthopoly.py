@@ -182,11 +182,9 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
             np.multiply(x, Q[k], out=v)
             nrm = _norm(v)
             for _pass in range(2):
-                # conjugating v, not Q, spares a conjugated copy of the
-                # basis; einsum streams the rows of Q where np.dot(h, Bk)
-                # would walk its columns
+                # conjugating v, not Q, spares a conjugated copy of the basis
                 h = np.conj(np.dot(Bk, np.conj(u)))
-                u -= np.einsum("j,jm->m", h, Bk)
+                u -= np.dot(h, Bk)
                 H[:k + 1, k] += h
                 before, nrm = nrm, _norm(v)
                 if nrm >= before * _KAHAN_PARLETT:

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy import fft as sp_fft
 
 from .measures import PerturbedPotential, weight_upper_bound
 
@@ -265,7 +264,8 @@ def cauchy_transform(grid: QuadGrid, values, z) -> np.ndarray:
     grid.nodes.
 
     Exact in angle: each ring of values * weight is replaced by its
-    trigonometric interpolant (one FFT, Nyquist mode split in half),
+    trigonometric interpolant (one numpy FFT, which runs in long double
+    since numpy 2.0; Nyquist mode split in half),
     whose ring integral against 1/(z-w) is a finite geometric series
     (Daripa, SIAM J. Sci. Stat. Comput. 13, 1992).  That integral jumps
     by 2*pi*lambda(z)/z at r = |z|, so the Legendre panel holding |z| is
@@ -278,7 +278,7 @@ def cauchy_transform(grid: QuadGrid, values, z) -> np.ndarray:
     T, n = grid.angular_order, grid.radial_order
     K = T // 2
     lam = (np.asarray(values).astype(CLD) * grid.weight_values).reshape(-1, T)
-    F = np.roll(sp_fft.fft(lam, axis=1), K, axis=1)  # modes -K..K-1
+    F = np.roll(np.fft.fft(lam, axis=1), K, axis=1)  # modes -K..K-1
     if T % 2 == 0:
         F = np.concatenate([F, F[:, :1]], axis=1)
         F[:, [0, -1]] *= LD(0.5)

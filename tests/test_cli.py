@@ -1,6 +1,9 @@
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -171,3 +174,33 @@ def test_worked_example_leaves_no_temporary_file(tmp_path, monkeypatch):
     cfg = out / "config.json"
     assert json.loads(cfg.read_text()) == script.CONFIG
     assert [argv[:2] for argv in calls] == [["--config", str(cfg)]] * 3
+
+
+_NUMERIC_PATHS = """
+import json, sys
+import numpy as np
+import chargedgauss.cli
+from chargedgauss import (PerturbedPotential, PointChargeMeasure, build_grid,
+                          build_orthopolys, cauchy_transform, classify_support,
+                          compute_zeros, verify_equilibrium)
+p = PerturbedPotential(alpha=1.0, nu=PointChargeMeasure(((0.3, 0.5),)), N=20.0)
+grid = build_grid(p, orders=(16, 64), max_degree=10)
+compute_zeros(build_orthopolys(p, grid, 10), 10)
+cauchy_transform(grid, np.ones(grid.nodes.size), np.array([0.5, 3.0]))
+q = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)))
+assert verify_equilibrium(classify_support(q), q, {"n": 40}).passed
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_numeric_paths_load_no_scipy_submodule():
+    # scipy is the Fekete solver's alone: the CLI import and the grid,
+    # zeros, Cauchy and exterior equilibrium paths run on numpy
+    src = str(Path(dbar.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _NUMERIC_PATHS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(json.loads(out.splitlines()[-1]))
+    assert loaded.isdisjoint({"scipy.optimize", "scipy.spatial", "scipy.fft",
+                              "scipy.linalg", "scipy.sparse"})

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -194,6 +195,27 @@ def test_verify_equilibrium_criterion_03_masks(exterior_map):
     assert rep.max_dev_on < 1e-14
 
 
+def test_verify_equilibrium_collar_is_exact():
+    # the mesh-window collar marks only nodes within the collar of a
+    # boundary sample, so equal counts with brute-force distances to all
+    # 720 samples mean equal on- and off-support sets
+    for alpha, beta, a in _criterion_02_draws(np.random.default_rng(3), 5):
+        p = PerturbedPotential(alpha=alpha,
+                               nu=PointChargeMeasure(((a, beta),)))
+        geom = classify_support(p)
+        rep = verify_equilibrium(geom, p, {"n": 80})
+        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        bpts = geom.boundary(th)
+        extent = float(np.max(np.abs(bpts))) + 0.6
+        xs = np.linspace(-extent, extent, 80)
+        z = (xs[None, :] + 1j * xs[:, None]).ravel()
+        z = z[np.abs(z - a) > 1e-9]
+        dist = functools.reduce(np.minimum, (np.abs(z - b) for b in bpts))
+        inside = geom.contains(z)
+        assert (rep.n_on, rep.n_off) == (int(np.sum(inside & (dist > 0.02))),
+                                         int(np.sum(~inside & (dist > 0.02))))
+
+
 def region_log_potential(boundary_pts, boundary_elems, z):
     """Reference: U^S(z) = -int_S log|z-w| dm(w) for the region S enclosed
     by the sampled boundary, reduced to a contour integral by Stokes,
@@ -216,15 +238,19 @@ def region_log_potential(boundary_pts, boundary_elems, z):
     return out
 
 
-def _criterion_02_maps(rng, k):
+def _criterion_02_draws(rng, k):
     for _ in range(k):
         alpha = rng.uniform(0.3, 2.0)
         beta = rng.uniform(0.1, 1.0)
         R = math.sqrt((1.0 + beta) / (2.0 * alpha))
         r = math.sqrt(beta / (2.0 * alpha))
         t = (R - r) + rng.uniform(0.05, 0.95) * (2.0 * r)
-        yield solve_exterior_map(alpha, beta,
-                                 t * np.exp(2j * np.pi * rng.uniform()))
+        yield alpha, beta, t * np.exp(2j * np.pi * rng.uniform())
+
+
+def _criterion_02_maps(rng, k):
+    for draw in _criterion_02_draws(rng, k):
+        yield solve_exterior_map(*draw)
 
 
 def _general_maps(rng, k):
