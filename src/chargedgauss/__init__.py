@@ -7,8 +7,8 @@ from .equilibrium import (DiskWithCavities, ExteriorMap, NoRootError,
                           UnsupportedGeometry, classify_support,
                           effective_potential, outer_radius,
                           solve_exterior_map, verify_equilibrium)
-from .measures import (EMPTY_MEASURE, POS_INF, DiskMeasure,
-                       PerturbedPotential, PointChargeMeasure)
+from .measures import (EMPTY_MEASURE, DiskMeasure, PerturbedPotential,
+                       PointChargeMeasure)
 from .orthopoly import (OrthoPolySet, ZeroSet, build_orthopolys,
                         compute_zeros, one_point_function, zero_potential)
 from .planarquad import QuadGrid, build_grid, cauchy_transform, inner_product
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiskMeasure", "DiskWithCavities", "EMPTY_MEASURE", "ExteriorMap",
-    "NoRootError", "OrthoPolySet", "POS_INF", "PerturbedPotential",
+    "NoRootError", "OrthoPolySet", "PerturbedPotential",
     "PointChargeMeasure", "QuadGrid", "UnsupportedGeometry", "ZeroSet",
     "build_grid", "build_orthopolys", "cauchy_transform", "classify_support",
     "compute_zeros", "effective_potential", "inner_product",

@@ -4,7 +4,7 @@ potential comparisons and the full pipeline.
 
 Outputs are JSON reports, CSV polylines/point sets, and standalone SVG
 figures regenerable from the CSVs.  Exit codes: 0 ok, 2 invariant
-failure, 3 unsupported configuration.
+failure, 3 unsupported or malformed configuration.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dbar, equilibrium, fekete, orthopoly, planarquad, schwarz
-from .equilibrium import DiskWithCavities, ExteriorMap, UnsupportedGeometry
+from .equilibrium import DiskWithCavities, UnsupportedGeometry
 from .measures import PerturbedPotential, PointChargeMeasure
 
 EXIT_OK = 0
@@ -55,15 +55,22 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return cfg
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("the config is not a JSON object")
     if "N" in doc and "gamma" in doc and doc.get("N") is not None:
         raise ValueError("give either N or gamma, not both")
-    charges = tuple((complex(c["re"], c.get("im", 0.0)), float(c["beta"]))
-                    for c in doc.get("charges", []))
-    return ExperimentConfig(alpha=float(doc.get("alpha", cfg.alpha)),
-                            gamma=float(doc.get("gamma", cfg.gamma)),
-                            N=doc.get("N"),
-                            charges=charges or cfg.charges,
-                            seed=int(doc.get("seed", 0)))
+    try:
+        charges = tuple((complex(c["re"], c.get("im", 0.0)), float(c["beta"]))
+                        for c in doc.get("charges", []))
+        return ExperimentConfig(
+            alpha=float(doc.get("alpha", cfg.alpha)),
+            gamma=float(doc.get("gamma", cfg.gamma)),
+            N=None if doc.get("N") is None else float(doc["N"]),
+            charges=charges or cfg.charges, seed=int(doc.get("seed", 0)))
+    except KeyError as e:
+        raise ValueError(f"charge without {e}") from None
+    except TypeError as e:  # a field of the wrong JSON type
+        raise ValueError(str(e)) from None
 
 
 # ---------------------------------------------------------------- output
@@ -391,10 +398,15 @@ def main(argv=None) -> int:
                                         "compare", "verify", "pipeline"])
     args = ap.parse_args(argv)
 
-    cfg = load_config(args.config)
-    if args.gamma is not None:
-        cfg.gamma = args.gamma
-        cfg.N = None
+    try:
+        cfg = load_config(args.config)
+        if args.gamma is not None:
+            cfg.gamma = args.gamma
+            cfg.N = None
+        cfg.potential()  # rejects nonpositive alpha, gamma, N or masses
+    except ValueError as e:
+        print(f"invalid configuration: {e}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     if args.seed is not None:
         cfg.seed = args.seed
     out = Path(args.out)
@@ -407,10 +419,7 @@ def main(argv=None) -> int:
                 "pipeline": cmd_pipeline}
     try:
         return handlers[args.command](cfg, out, args)
-    except UnsupportedGeometry as e:
-        print(f"unsupported configuration: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except equilibrium.NoRootError as e:
+    except (UnsupportedGeometry, equilibrium.NoRootError) as e:
         print(f"unsupported configuration: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 

@@ -104,21 +104,14 @@ class ExteriorMap:
         return abs(self.A + s) < 1.0 and abs(self.A - s) < 1.0
 
     def zeta_roots(self, z: complex):
-        """Both solutions of rho*zeta^2 + (u-z-A*rho)*zeta + A(z-u) + v = 0,
-        i.e. preimages of z under the map extended to all of C, the larger
-        in modulus (the exterior sheet) first."""
-        b = self.u - z - self.A * self.rho
-        c = self.A * (z - self.u) + self.v
-        disc = cmath.sqrt(b * b - 4.0 * self.rho * c)
-        q = -0.5 * (b + disc) if abs(b + disc) > abs(b - disc) else -0.5 * (b - disc)
-        if q == 0:
-            return 0.0 + 0.0j, 0.0 + 0.0j
-        return q / self.rho, c / q
+        """Both preimages of z under the map extended to all of C, the
+        exterior sheet (larger |zeta|) first, as Python complex."""
+        z1, z2 = self._preimages(complex(z))
+        return complex(z1), complex(z2)
 
     def _preimages(self, z: np.ndarray):
-        """zeta_roots over an array z.  The scalar zeta_roots places one
-        trajectory launch on its sheet; the trajectory integrator then
-        steps in zeta and solves no quadratic."""
+        """Both solutions of rho*zeta^2 + (u-z-A*rho)*zeta + A(z-u) + v = 0
+        over an array z, the larger in modulus first."""
         b = self.u - z - self.A * self.rho
         c = self.A * (z - self.u) + self.v
         disc = np.sqrt(b * b - 4.0 * self.rho * c)
@@ -316,21 +309,25 @@ def _exterior_map_potential(geom: ExteriorMap, z: np.ndarray) -> np.ndarray:
     return -0.5 * I.real
 
 
-def effective_potential(geom, p: PerturbedPotential, z) -> np.ndarray:
-    """U^sigma(z) + V(z) for sigma uniform with density 2*alpha/pi on the
-    support; closed-form disk potentials in the cavity case, the exact
+def support_potential(geom, z) -> np.ndarray:
+    """U^S(z) = -int_S log|z-w| dm(w) for the Lebesgue measure on the
+    support S: closed-form disk potentials in the cavity case, the exact
     residue formula of _exterior_map_potential in the exterior-map case."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    dens = 2.0 * p.alpha / math.pi
-    if isinstance(geom, DiskWithCavities):
-        u = DiskMeasure(0.0, geom.outer_radius).log_potential_grid(z)
-        for c, r in geom.cavities:
-            u = u - DiskMeasure(c, r).log_potential_grid(z)
-    elif isinstance(geom, ExteriorMap):
-        u = _exterior_map_potential(geom, z)
-    else:
-        raise TypeError(f"unknown geometry {type(geom)!r}")
-    return dens * u + p.value_grid(z)
+    if isinstance(geom, ExteriorMap):
+        return _exterior_map_potential(geom, z)
+    u = DiskMeasure(0.0, geom.outer_radius).log_potential_grid(z)
+    for c, r in geom.cavities:
+        u = u - DiskMeasure(c, r).log_potential_grid(z)
+    return u
+
+
+def effective_potential(geom, p: PerturbedPotential, z) -> np.ndarray:
+    """U^sigma(z) + V(z) for sigma uniform with density 2*alpha/pi on the
+    support."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return 2.0 * p.alpha / math.pi * support_potential(geom, z) \
+        + p.value_grid(z)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import DiskWithCavities, classify_support, outer_radius
-from .measures import POS_INF, PerturbedPotential, is_pos_inf
+from .equilibrium import DiskWithCavities, outer_radius
+from .measures import PerturbedPotential
 
 # Newton steps after L-BFGS; two reach roundoff at n = 200
 _NEWTON_STEPS = 4
@@ -37,9 +37,9 @@ class FeketeConfig:
     min_eigenvalue: float = math.nan  # of the Hessian, see _min_eigenvalue
 
 
-def energy(points: np.ndarray, p: PerturbedPotential):
+def energy(points: np.ndarray, p: PerturbedPotential) -> float:
     """E = (1/2) sum_{i != j} log 1/|z_i - z_j| + n * sum_i Q(z_i);
-    POS_INF marker if any pair coincides or a point sits on a charge.
+    +inf if any pair coincides or a point sits on a charge.
 
     The external term carries the per-point weight n so both terms scale
     as n^2, matching the weight exp(-N*V) with N = gamma*n; without it
@@ -51,7 +51,7 @@ def energy(points: np.ndarray, p: PerturbedPotential):
     np.fill_diagonal(d, 1.0)
     v = p.value_grid(z)
     if np.any(d == 0.0) or np.any(np.isposinf(v)):
-        return POS_INF
+        return math.inf
     return float(-0.5 * np.sum(np.log(d))
                  + len(z) * (p.gamma / 2.0) * np.sum(v))
 
@@ -101,8 +101,7 @@ def _solve(z0: np.ndarray, p: PerturbedPotential, grad_tol: float) -> tuple:
     from scipy import optimize  # here, so the package loads numpy alone
 
     def fun(x):
-        e = energy(x.view(complex), p)
-        return (math.inf if is_pos_inf(e) else e,
+        return (energy(x.view(complex), p),
                 2.0 * gradient(x.view(complex), p).view(float))
 
     z = optimize.minimize(fun, z0.view(float), jac=True, method="L-BFGS-B",

@@ -9,52 +9,9 @@ V(z) = alpha*|z|^2 + U_nu(z) and the weight is exp(-N*V(z)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-class PositiveInfinity:
-    """Explicit extended-real +infinity marker.
-
-    Returned where a logarithmic potential diverges (at charge locations)
-    instead of silently propagating float('inf').
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "PositiveInfinity"
-
-    def __gt__(self, other):
-        return not isinstance(other, PositiveInfinity)
-
-    def __lt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return True
-
-    def __le__(self, other):
-        return isinstance(other, PositiveInfinity)
-
-
-POS_INF = PositiveInfinity()
-
-
-def is_pos_inf(x) -> bool:
-    return isinstance(x, PositiveInfinity)
-
-
-def _scalar(v):
-    """A 0-d result of a grid evaluation as a float, +inf as POS_INF."""
-    v = float(v)
-    return POS_INF if v == math.inf else v
 
 
 @dataclass(frozen=True)
@@ -80,9 +37,9 @@ class PointChargeMeasure:
     def locations(self) -> np.ndarray:
         return np.array([a for a, _ in self.charges], dtype=complex)
 
-    def log_potential(self, z: complex):
-        """U_nu(z) = sum_k beta_k log(1/|z - a_k|); POS_INF at each a_k."""
-        return _scalar(self.log_potential_grid(complex(z)))
+    def log_potential(self, z: complex) -> float:
+        """U_nu(z) = sum_k beta_k log(1/|z - a_k|); +inf at each a_k."""
+        return float(self.log_potential_grid(complex(z)))
 
     def log_potential_grid(self, z: np.ndarray) -> np.ndarray:
         """Vectorized potential; +inf entries mark charge locations."""
@@ -145,17 +102,17 @@ class PerturbedPotential:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    def value(self, z: complex):
-        """V(z) = alpha|z|^2 + U_nu(z); POS_INF exactly at the charges."""
-        return _scalar(self.value_grid(complex(z)))
+    def value(self, z: complex) -> float:
+        """V(z) = alpha|z|^2 + U_nu(z); +inf exactly at the charges."""
+        return float(self.value_grid(complex(z)))
 
     def value_grid(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         return self.alpha * np.abs(z) ** 2 + self.nu.log_potential_grid(z)
 
-    def rescaled(self, z: complex):
-        """Q(z) = (gamma/2) V(z); POS_INF exactly at the charges."""
-        return _scalar(0.5 * self.gamma * self.value_grid(complex(z)))
+    def rescaled(self, z: complex) -> float:
+        """Q(z) = (gamma/2) V(z); +inf exactly at the charges."""
+        return float(0.5 * self.gamma * self.value_grid(complex(z)))
 
     def weight(self, z: complex) -> float:
         """exp(-N*V(z)); exactly 0 at charge locations."""

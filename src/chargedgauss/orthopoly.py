@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import POS_INF, PerturbedPotential
+from .measures import PerturbedPotential
 from .planarquad import CLD, LD, QuadGrid
 
 GRAM_TOL = 1e-8
@@ -235,9 +235,6 @@ class ZeroSet:
     zeros: np.ndarray
     max_residual: float  # max_j |P_n(z_j)| / prod_{k != j} |z_j - z_k|
 
-    def counting_weights(self) -> np.ndarray:
-        return np.full(self.n, 1.0 / self.n)
-
 
 def compute_zeros(ops: OrthoPolySet, n: int,
                   residual_tol: float = 1e-10) -> ZeroSet:
@@ -302,13 +299,9 @@ def one_point_function(ops: OrthoPolySet, n: int, z):
     return acc.astype(float) / n * ops.potential.weight_grid(z)
 
 
-def zero_potential(zs: ZeroSet, z: complex):
+def zero_potential(zs: ZeroSet, z: complex) -> float:
     """-(1/n) log|P_n(z)| = (1/n) sum_j log(1/|z - z_j|); +inf at a zero."""
-    z = complex(z)
-    d = np.abs(z - zs.zeros)
-    if np.any(d == 0):
-        return POS_INF
-    return float(-np.sum(np.log(d)) / zs.n)
+    return float(zero_potential_grid(zs, complex(z)))
 
 
 def zero_potential_grid(zs: ZeroSet, z: np.ndarray) -> np.ndarray:

@@ -91,13 +91,13 @@ class QuadGrid:
 
 
 def load_grid(path, p: PerturbedPotential) -> QuadGrid:
-    """Grid saved by `QuadGrid.save`; version-1 files have no axis."""
+    """Grid saved by `QuadGrid.save`."""
     d = np.load(path)
     version = int(d["version"])
-    if version not in (1, 2):
+    if version != 2:
         raise ValueError(f"unknown grid cache version {version}")
     meta = d["meta"]
-    axis = float(d["axis"]) if version == 2 else math.nan
+    axis = float(d["axis"])
     return QuadGrid(nodes=d["nodes"].astype(CLD),
                     areas=d["areas"].astype(LD),
                     weight_values=d["weight_values"].astype(LD),

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import (DiskWithCavities, ExteriorMap, classify_support,
-                          outer_radius)
-from .measures import DiskMeasure, PerturbedPotential, PointChargeMeasure
+                          outer_radius, support_potential)
+from .measures import PerturbedPotential, PointChargeMeasure
 from .orthopoly import ZeroSet, zero_potential_grid
 
 
@@ -67,23 +67,6 @@ def schwarz_value(geom: ExteriorMap, zeta):
     zeta is an array or a Python complex."""
     u, v, A = (complex(c).conjugate() for c in (geom.u, geom.v, geom.A))
     return float(geom.rho) / zeta + u + v * zeta / (1.0 - A * zeta)
-
-
-@dataclass(frozen=True)
-class SchwarzBranches:
-    z: complex
-    zeta_plus: complex
-    zeta_minus: complex
-    s_plus: complex
-    s_minus: complex
-
-
-def schwarz_branches(geom: ExteriorMap, z: complex) -> SchwarzBranches:
-    """Both sheet values at z, exterior sheet (larger |zeta|) first."""
-    z1, z2 = geom.zeta_roots(complex(z))
-    return SchwarzBranches(z=complex(z), zeta_plus=z1, zeta_minus=z2,
-                           s_plus=schwarz_value(geom, complex(z1)),
-                           s_minus=schwarz_value(geom, complex(z2)))
 
 
 def branch_points(geom: ExteriorMap) -> list:
@@ -377,23 +360,14 @@ def equilibrium_measure_potential(p: PerturbedPotential, z) -> np.ndarray:
     """U^{mu_Q}(z) for the rescaled potential Q = (gamma/2) V.
 
     mu_Q is uniform with density gamma*alpha/pi on the support of the
-    potential with parameters scaled by gamma/2; evaluated from the
-    closed-form disk potentials (cavity case only).
+    potential with parameters scaled by gamma/2; either geometry.
     """
     g = p.gamma / 2.0
     pq = PerturbedPotential(alpha=g * p.alpha,
                             nu=PointChargeMeasure(tuple(
                                 (a, g * b) for a, b in p.nu.charges)),
                             N=p.N, gamma=2.0)
-    geom = classify_support(pq)
-    if not isinstance(geom, DiskWithCavities):
-        raise NotImplementedError("closed-form potential needs the cavity case")
-    dens = 2.0 * pq.alpha / math.pi
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    u = DiskMeasure(0.0, geom.outer_radius).log_potential_grid(z)
-    for c, r in geom.cavities:
-        u = u - DiskMeasure(c, r).log_potential_grid(z)
-    return dens * u
+    return 2.0 * pq.alpha / math.pi * support_potential(classify_support(pq), z)
 
 
 def external_potential_compare(zs: ZeroSet, p: PerturbedPotential,

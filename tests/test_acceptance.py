@@ -28,8 +28,8 @@ from chargedgauss.orthopoly import (build_orthopolys, compute_zeros,
 from chargedgauss.planarquad import build_grid, cauchy_tail_split, inner_product
 from chargedgauss.schwarz import (boundary_curve, branch_points,
                                   critical_trajectories,
-                                  external_potential_compare,
-                                  schwarz_branches, zero_attractor_candidates)
+                                  external_potential_compare, schwarz_value,
+                                  zero_attractor_candidates)
 
 DEFAULT_CHARGE = PointChargeMeasure(((0.3 + 0.0j, 0.5),))
 
@@ -240,9 +240,10 @@ def test_criterion_08_uniqueness_relations(cavity_potential, cavity_grid,
 
 def test_criterion_09_schwarz_identity(exterior_map):
     bc = boundary_curve(exterior_map, 720)
-    bdry = max(min(abs(schwarz_branches(exterior_map, z).s_plus - np.conj(z)),
-                   abs(schwarz_branches(exterior_map, z).s_minus - np.conj(z)))
-               for z in bc.points)
+    zc = np.conj(bc.points)
+    s1, s2 = (schwarz_value(exterior_map, zeta)
+              for zeta in exterior_map._preimages(bc.points))
+    bdry = float(np.max(np.minimum(np.abs(s1 - zc), np.abs(s2 - zc))))
     disc = 0.0
     for z in branch_points(exterior_map):
         b = exterior_map.u - z - exterior_map.A * exterior_map.rho

@@ -86,6 +86,26 @@ def test_unsupported_configuration_exit_code(tmp_path):
     assert rc == EXIT_UNSUPPORTED
 
 
+@pytest.mark.parametrize("doc,extra", [
+    ({"charges": [{"re": 0.2, "beta": -0.5}]}, []),
+    ({"N": 3, "gamma": 2}, []),
+    ({"charges": [{"im": 0.2, "beta": 0.5}]}, []),
+    ({"alpha": -1}, []),
+    ({}, ["--gamma", "0"]),
+    ([1, 2], []),
+    ({"charges": [{"re": "0.2", "im": 0.1, "beta": 0.5}]}, []),
+    ({"N": "ten"}, []),
+])
+def test_malformed_configuration_exit_code(tmp_path, capsys, doc, extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["--config", str(cfg), "--out", str(tmp_path), *extra,
+               "support"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_UNSUPPORTED
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_zeros_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

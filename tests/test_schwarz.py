@@ -17,18 +17,16 @@ from chargedgauss.schwarz import (CavityDeltaS, DegenerateMap, ExteriorDeltaS,
                                   critical_trajectories,
                                   effective_zero_density,
                                   equilibrium_measure_potential,
-                                  external_potential_compare, schwarz_branches,
-                                  schwarz_value, zero_attractor_candidates)
+                                  external_potential_compare, schwarz_value,
+                                  zero_attractor_candidates)
 
 
 def test_boundary_identity(exterior_map):
     bc = boundary_curve(exterior_map, 720)
-    worst = 0.0
-    for z in bc.points:
-        br = schwarz_branches(exterior_map, z)
-        worst = max(worst, min(abs(br.s_plus - np.conj(z)),
-                               abs(br.s_minus - np.conj(z))))
-    assert worst < 1e-10
+    zc = np.conj(bc.points)
+    s1, s2 = (schwarz_value(exterior_map, zeta)
+              for zeta in exterior_map._preimages(bc.points))
+    assert np.max(np.minimum(np.abs(s1 - zc), np.abs(s2 - zc))) < 1e-10
 
 
 def test_boundary_area(exterior_map):
@@ -103,9 +101,9 @@ def test_circle_schwarz_function():
     # v -> 0 limit: boundary is a circle of radius rho around u
     em = ExteriorMap(rho=1.3, u=0.2, v=1e-14, A=0.4)
     z = 2.0 + 1.0j
-    br = schwarz_branches(em, z)
     expected = 1.3**2 / (z - 0.2) + 0.2
-    assert min(abs(br.s_plus - expected), abs(br.s_minus - expected)) < 1e-9
+    assert min(abs(schwarz_value(em, zeta) - expected)
+               for zeta in em._preimages(z)) < 1e-9
 
 
 def test_branch_points_zero_discriminant(exterior_map):
@@ -210,6 +208,17 @@ def test_external_potential_trivial_gaussian():
     zs = ZeroSet(n=5, zeros=np.zeros(5, dtype=complex), max_residual=0.0)
     rep = external_potential_compare(zs, p, np.array([2.0 + 1.0j, -3.0j]))
     assert rep["sup_error"] < 1e-12
+
+
+@pytest.mark.parametrize("a", [2.0, 0.3])
+def test_equilibrium_measure_potential_unit_mass(a):
+    # exterior map (a = 2) and cavity (a = 0.3): mu_Q has mass 1, so
+    # U^{mu_Q}(z) = log 1/|z| + O(1/|z|) far out
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((a, 0.5),)),
+                           N=2.0, gamma=2.0)
+    z = 1e4 * np.exp(2j * np.pi * np.arange(16) / 16)
+    u = equilibrium_measure_potential(p, z)
+    assert np.max(np.abs(u + np.log(np.abs(z)))) < 1e-3
 
 
 def test_density_sign_flip_detection(cavity_potential):
