@@ -54,7 +54,11 @@ def load_config(path: str | None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is None:
         return cfg
-    doc = json.loads(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as e:  # missing, unreadable or a directory
+        raise ValueError(f"cannot read {path}: {e.strerror}") from None
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("the config is not a JSON object")
     if "N" in doc and "gamma" in doc and doc.get("N") is not None:

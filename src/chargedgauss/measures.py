@@ -107,8 +107,26 @@ class PerturbedPotential:
         return float(self.value_grid(complex(z)))
 
     def value_grid(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+        """V on an array, in clongdouble arithmetic for clongdouble z and
+        in complex double for anything else."""
+        z = np.asarray(z)
+        if z.dtype != np.clongdouble:
+            z = z.astype(complex)
         return self.alpha * np.abs(z) ** 2 + self.nu.log_potential_grid(z)
+
+    def angular_degree(self) -> int | None:
+        """Degree of exp(-N*V) as a trigonometric polynomial on every
+        circle |z| = r, or None when it is not one.
+
+        On |z| = r, |z - a|^2 = (z - a)(r^2/z - conj(a)) is a Laurent
+        polynomial of degree 1 in e^{it}, so a charge off 0 with
+        c = N*beta/2 an integer contributes |z - a|^{2c} of degree c.  A
+        charge at 0 and the Gaussian factor are radial and contribute 0.
+        """
+        cs = [0.5 * self.N * b for a, b in self.nu.charges if a != 0]
+        if not all(c.is_integer() for c in cs):
+            return None
+        return int(sum(cs))
 
     def rescaled(self, z: complex) -> float:
         """Q(z) = (gamma/2) V(z); +inf exactly at the charges."""

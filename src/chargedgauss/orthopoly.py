@@ -18,6 +18,12 @@ rows are the real parts of the half sums, so H is real; H is rotated
 back at the end.  This halves the extended-precision work and the stored
 basis.
 
+When the weight is a trigonometric polynomial of degree c on circles
+(N*beta/2 an integer for every charge off 0, see `planarquad`), the loop
+runs on every s-th ring node only, with T/s > n_max + c: that rule gives
+every inner product of polynomials of degree <= n_max exactly as the full
+rings do, so H is the same and the work falls by a factor s.
+
 Polynomials are evaluated and root-found through the Hessenberg matrix H
 alone: values by the recurrence
 p_{k+1} = (z p_k - sum_{j<=k} H[j,k] p_j) / H[k+1,k], the zeros of
@@ -143,9 +149,20 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     Rozloznik 2005).  The squared norms are h_k = h_0 s_k^2 with
     h_0 = sum of the weights and s_k = prod_{i<k} H[i+1,i].
 
+    The loop runs on `grid.subrule(s)`, every s-th node of each ring,
+    with s = `grid.angular_stride(n_max)`.  Exactness: on |z| = r the
+    weight is a trigonometric polynomial of degree c and z^j conj(z)^k
+    one of degree |j - k| <= n_max, so every integrand the loop forms
+    (z q_k conj(q_j), k < n_max, j <= n_max) has degree <= n_max + c in
+    angle, and a trapezoid rule with T/s > n_max + c nodes integrates it
+    exactly, as the full ring does.  The Gram certificate is computed on
+    the same strided rule, which equals the full-ring inner product on
+    polynomials of degree <= n_max.  Weights that are not trigonometric
+    polynomials on circles get s = 1, the full grid.
+
     On a grid with a mirror axis phi the same loop runs on
-    `grid.mirror_half()` with real h_j (the real dot product of q_j and v
-    viewed as interleaved reals), and the result is rotated back:
+    `grid.mirror_half(s)` with real h_j (the real dot product of q_j and
+    v viewed as interleaved reals), and the result is rotated back:
     H[j,k] e^{i(k+1-j) phi}.
     """
     if grid.angular_order < 2 * n_max + 2:
@@ -157,7 +174,8 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     # coefficients in the frame of its axis: run on the half grid there,
     # with inner products the real parts of the half sums
     fold = grid.axis is not None
-    x, w = grid.mirror_half() if fold else (grid.nodes, grid.measure_weights)
+    s = grid.angular_stride(n_max)
+    x, w = grid.mirror_half(s) if fold else grid.subrule(s)
     # Q[k]: q_k at the nodes times sqrt(weight).  B is Q as the inner
     # product sees it: viewed as reals when folded, where Re<f, g> is the
     # real dot product of the interleaved real and imaginary parts

@@ -5,7 +5,21 @@ Grids are polar tensor products: Gauss-Legendre panels radially (panel
 boundaries at each charge modulus and cavity radius, where the integrand
 has kinks or high-order zeros) and periodic trapezoid angularly.  Node
 sums run in 80-bit extended precision because moment matrices are
-exponentially ill-conditioned in the degree.
+exponentially ill-conditioned in the degree, and the weight is evaluated
+in that precision too.
+
+When N*beta/2 is an integer for every charge off 0, the weight is a
+trigonometric polynomial of degree c = `PerturbedPotential.angular_degree`
+on every circle |z| = r (the exact-moment class of Balogh, Bertola, Lee &
+McLaughlin, CPAM 2015).  Then for deg f, g <= n the ring integrand
+f conj(g) exp(-N*V) has degree n + c in angle, and the trapezoid rule on
+every s-th ring node integrates it exactly, as the full ring does, while
+T/s > n + c.  `QuadGrid.angular_stride` finds the largest such s with T/s
+even (so that both axis columns of a mirrored grid stay in the subrule),
+and `QuadGrid.subrule` gives those nodes.  The two rules agree only as far
+as the sampled weight is a trigonometric polynomial: double-precision
+samples carry about 1e-16 of noise that is not band-limited, which moves
+the Arnoldi's H by 1e-16; extended-precision ones move it by < 4e-18.
 
 When every charge lies on one line through 0 (the paper's single charge,
 or any collinear configuration), the weight is symmetric under reflection
@@ -16,8 +30,10 @@ therefore carry exactly equal weights.  phi is kept as `QuadGrid.axis`
 (None for charges not collinear with 0), and `QuadGrid.mirror_half`
 gives the half grid on which `orthopoly` folds its inner products.  A
 charge counts as on the line when it lies within a few ulps of its
-modulus from it; mirroring then changes the weight by less than the error
-of its double-precision evaluation.
+modulus from it, at distance d say.  The mirrored nodes then see the
+charge moved by up to 2d, which changes their weight by about
+2*N*beta*d/|z - a| relative: 1e-16 away from the charge, more only where
+the weight itself is tiny (6e-14 where it is e^-99, for N = 40).
 """
 
 from __future__ import annotations
@@ -59,29 +75,55 @@ class QuadGrid:
         """Combined weights w_i * exp(-N*V(z_i)) for d(lambda) integrals."""
         return self.areas * self.weight_values
 
-    def mirror_half(self):
-        """Nodes 0 <= j <= T/2 of every ring rotated by -axis into the
-        closed upper half plane, and their measure weights, with each
-        off-axis node also carrying the weight of its mirror image.
+    def angular_stride(self, degree: int) -> int:
+        """Largest s dividing T with T/s even and T/s > degree + c, for c
+        the angular degree of the weight; 1 when the weight is not a
+        trigonometric polynomial on circles or no such s exists.  Every
+        s-th ring node then integrates f conj(g) exp(-N*V) exactly for
+        deg f, g <= degree, as the full rings do."""
+        c = self.potential.angular_degree()
+        if c is None:
+            return 1
+        T = self.angular_order
+        return max((s for s in range(1, T + 1) if T % s == 0
+                    and (T // s) % 2 == 0 and T // s > degree + c),
+                   default=1)
+
+    def subrule(self, stride: int):
+        """Every stride-th node of every ring and its measure weight
+        times stride: the grid's rule with T/stride angular nodes."""
+        T = self.angular_order
+        x = self.nodes.reshape(-1, T)[:, ::stride]
+        w = stride * self.measure_weights.reshape(-1, T)[:, ::stride]
+        return x.ravel(), w.ravel()
+
+    def mirror_half(self, stride: int):
+        """Nodes 0 <= j <= L/2 of `subrule(stride)` on every ring, with
+        L = T/stride, rotated by -axis into the closed upper half plane,
+        and their measure weights, with each off-axis node also carrying
+        the weight of its mirror image.  Column 0 and, for even L, column
+        L/2 lie on the axis.
 
         For polynomials f, g with real coefficients in that frame the
-        full-grid inner product <f, g> is Re sum_i w_i f(x_i) conj(g(x_i))
+        subrule's inner product <f, g> is Re sum_i w_i f(x_i) conj(g(x_i))
         over these nodes: a mirrored pair contributes 2 Re of either term.
         """
         if self.axis is None:
             raise ValueError("grid has no mirror axis")
-        T = self.angular_order
-        x = self.nodes.reshape(-1, T)[:, :T // 2 + 1] \
-            * np.exp(CLD(-1j) * LD(self.axis))
-        w = self.measure_weights.reshape(-1, T)[:, :T // 2 + 1].copy()
-        w[:, 1:(T + 1) // 2] *= 2
+        L = self.angular_order // stride
+        x, w = (v.reshape(-1, L)[:, :L // 2 + 1]
+                for v in self.subrule(stride))
+        x = x * np.exp(CLD(-1j) * LD(self.axis))
+        w[:, 1:(L + 1) // 2] *= 2
         return x.ravel(), w.ravel()
 
     def save(self, path):
         # extended precision: nodes rounded to double are mirror images
-        # only to 1e-16, which the folded inner product would not see
+        # only to 1e-16, which the folded inner product would not see,
+        # and weights rounded to double are trigonometric polynomials only
+        # to 1e-16, which the strided rule would not see
         np.savez(path,
-                 version=np.int64(2),
+                 version=np.int64(3),
                  nodes=self.nodes,
                  areas=self.areas,
                  weight_values=self.weight_values,
@@ -94,7 +136,7 @@ def load_grid(path, p: PerturbedPotential) -> QuadGrid:
     """Grid saved by `QuadGrid.save`."""
     d = np.load(path)
     version = int(d["version"])
-    if version != 2:
+    if version != 3:
         raise ValueError(f"unknown grid cache version {version}")
     meta = d["meta"]
     axis = float(d["axis"])
@@ -205,8 +247,7 @@ def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
     cols = np.arange(n_t)
     if axis is not None:
         cols = np.minimum(cols, n_t - cols)
-    logw = p.log_weight_grid(
-        nodes[:, :cols.max() + 1].astype(complex))[:, cols].astype(LD)
+    logw = p.log_weight_grid(nodes[:, :cols.max() + 1])[:, cols]
     wv = np.where(np.isneginf(logw), LD(0.0), np.exp(logw)).ravel()
     return QuadGrid(nodes=nodes.ravel(), areas=areas, weight_values=wv,
                     r_trunc=float(rt), radial_order=n_r, angular_order=n_t,

@@ -106,6 +106,17 @@ def test_malformed_configuration_exit_code(tmp_path, capsys, doc, extra):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_unreadable_config_exit_code(tmp_path, capsys, name):
+    # a missing file, and a directory in place of a file
+    path = tmp_path / name
+    rc = main(["--config", str(path), "--out", str(tmp_path), "support"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_UNSUPPORTED
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert str(path) in err
+
+
 def test_zeros_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -79,6 +79,29 @@ def test_weight_grid_zero_at_charge(cavity_potential):
     assert w[0] == 0.0 and w[1] > 0
 
 
+@pytest.mark.parametrize("charges,N,degree", [
+    ((), 4.0, 0),
+    (((0.0, 0.3),), 4.0, 0),            # radial: any mass at 0
+    (((0.3, 0.5),), 4.0, 1),
+    (((0.3, 0.5), (0.4j, 1.5)), 4.0, 4),
+    (((0.3, 0.5), (0.0, 0.3)), 4.0, 1),
+    (((0.3, 0.3),), 4.0, None),         # N*beta/2 = 0.6
+    (((0.3, 0.5),), 2.0, None),         # N*beta/2 = 1/2
+    (((0.3, 0.5), (0.4j, 0.3)), 4.0, None),
+])
+def test_angular_degree(charges, N, degree):
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(charges), N=N)
+    assert p.angular_degree() == degree
+
+
+def test_value_grid_keeps_extended_precision(cavity_potential):
+    z = np.array([1.0 + 0.5j, 0.3 + 0j])
+    assert cavity_potential.value_grid(z).dtype == np.float64
+    assert cavity_potential.value_grid(z.astype(np.clongdouble)).dtype \
+        == np.longdouble
+    assert cavity_potential.value_grid([1.0, 2.0]).dtype == np.float64
+
+
 def test_potential_validation():
     with pytest.raises(ValueError):
         PerturbedPotential(alpha=-1.0)

@@ -113,6 +113,21 @@ def test_non_collinear_charges_use_full_grid():
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
+@pytest.mark.parametrize("beta,stride", [(0.5, 4), (0.35, 1)])
+def test_strided_arnoldi_matches_full_grid_reference(beta, stride):
+    # criterion 05's charge at N = 2n: with beta = 0.5 the weight is a
+    # trigonometric polynomial of degree 15 on circles and the Arnoldi
+    # runs on 64 of the 256 ring nodes; N*beta/2 = 10.5 keeps all 256
+    n = 30
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.3, beta),)),
+                           N=2.0 * n, gamma=2.0)
+    grid = build_grid(p, orders=(24, 256), max_degree=2 * n)
+    assert grid.angular_stride(n) == stride
+    ops = build_orthopolys(p, grid, n)
+    ref = _mgs2_hessenberg(grid, n)
+    assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
+
+
 def test_grid_save_load_keeps_axis(tmp_path):
     p, grid, ops = _mirror_case(((0.3 * np.exp(0.7j), 0.5),))
     path = tmp_path / "grid.npz"

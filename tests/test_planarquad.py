@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import chargedgauss as cg
-from chargedgauss.planarquad import (absolute_moment, build_grid,
+from chargedgauss.planarquad import (LD, absolute_moment, build_grid,
                                      cauchy_tail_split, cauchy_transform,
                                      inner_product, load_grid, total_mass,
                                      truncation_radius)
@@ -35,6 +36,81 @@ def test_grid_save_load_roundtrip(tmp_path, cavity_potential, cavity_grid):
     assert np.allclose(g2.nodes.astype(complex),
                        cavity_grid.nodes.astype(complex))
     assert np.isclose(total_mass(g2), total_mass(cavity_grid))
+
+
+def test_load_grid_rejects_version_2(tmp_path, cavity_potential,
+                                    cavity_grid):
+    # version 2 stored weights evaluated in double precision
+    path = tmp_path / "grid.npz"
+    cavity_grid.save(path)
+    with np.load(path) as d:
+        fields = dict(d)
+    fields["version"] = np.int64(2)
+    np.savez(path, **fields)
+    with pytest.raises(ValueError, match="version 2"):
+        load_grid(path, cavity_potential)
+
+
+def _mp(x):
+    """A longdouble as an mpf, exactly: the sum of two doubles."""
+    hi = float(x)
+    return mp.mpf(hi) + mp.mpf(float(x - LD(hi)))
+
+
+@pytest.mark.parametrize("charges", [((0.3, 0.5),),
+                                     ((0.3, 0.5), (0.4j, 0.3))])
+def test_weight_values_extended_precision(charges):
+    # evaluated in complex double, the weight is off by up to 5e-14
+    # relative at these grids' nodes
+    p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(charges),
+                              N=20.0)
+    grid = build_grid(p, orders=(24, 64), max_degree=20)
+    T = grid.angular_order
+    rings = grid.nodes.size // T
+    with mp.workdps(40):
+        # columns up to T/2: the weight is evaluated there, not mirrored
+        for i in [0, 3, rings // 2, rings - 1]:
+            for j in [0, 5, 17, T // 2]:
+                z = grid.nodes[i * T + j]
+                x, y = _mp(z.real), _mp(z.imag)
+                V = p.alpha * (x * x + y * y) - mp.fsum(
+                    b * mp.log(mp.hypot(x - a.real, y - a.imag))
+                    for a, b in p.nu.charges)
+                exact = mp.exp(-p.N * V)
+                got = _mp(grid.weight_values[i * T + j])
+                assert abs(got / exact - 1) <= 1e-17
+
+
+@pytest.mark.parametrize("charges,n,T,stride", [
+    (((0.3, 0.5),), 10, 256, 16),        # c = 5: 16 nodes > 15
+    (((0.3, 0.5),), 30, 256, 4),         # c = 15: 64 nodes > 45
+    (((0.3, 0.5),), 10, 384, 24),        # 16 nodes > 15
+    ((), 10, 64, 4),                     # radial: 16 nodes > 10
+    (((0.3, 0.3),), 12, 256, 1),         # N*beta/2 = 3.6
+    (((0.3, 0.5),), 10, 30, 1),          # 30 is the only even T/s > 15
+    (((0.3, 0.5),), 10, 33, 1),          # T odd: no T/s is even
+])
+def test_angular_stride(charges, n, T, stride):
+    p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(charges),
+                              N=2.0 * n)
+    grid = build_grid(p, orders=(8, T), max_degree=2 * n)
+    assert grid.angular_stride(n) == stride
+
+
+def test_subrule_integrates_weight_exactly():
+    # the weight alone has angular degree 5 < T/s = 16
+    p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(
+        ((0.3 * np.exp(0.7j), 0.5),)), N=20.0)
+    grid = build_grid(p, orders=(24, 256), max_degree=20)
+    s = grid.angular_stride(10)
+    x, w = grid.subrule(s)
+    assert s == 16 and x.size == grid.nodes.size // s
+    full = np.sum(grid.measure_weights)
+    assert abs(np.sum(w) / full - 1) < 1e-17
+    # the mirror half of the subrule is the same rule, folded
+    xh, wh = grid.mirror_half(s)
+    assert xh.size == grid.nodes.size // 256 * 9
+    assert abs(np.sum(wh) / full - 1) < 1e-17
 
 
 def test_inner_product_conjugate_symmetry(cavity_grid):
