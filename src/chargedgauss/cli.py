@@ -408,6 +408,13 @@ def main(argv=None) -> int:
             cfg.gamma = args.gamma
             cfg.N = None
         cfg.potential()  # rejects nonpositive alpha, gamma, N or masses
+        if args.degree is not None and args.degree < 1:
+            raise ValueError(f"degree {args.degree} is below 1")
+        if args.quad is not None:
+            nr, nt, eps = args.quad
+            if nr < 2 or nt < 4 or not 0 < eps < 1:
+                raise ValueError(f"quadrature {nr},{nt},{eps}: need n_r >= 2, "
+                                 f"n_t >= 4 and 0 < eps < 1")
     except ValueError as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -47,8 +47,26 @@ def energy(points: np.ndarray, p: PerturbedPotential) -> float:
     equilibrium measure.
     """
     z = np.asarray(points, dtype=complex)
-    d = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(d, 1.0)
+    return _energy(z, _conj_differences(z), p)
+
+
+def gradient(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
+    """g_i = dE/d(conj z_i) = -(1/2) sum_{j != i} 1/(conj z_i - conj z_j)
+    + n * (gamma/2) (alpha z_i - (1/2) sum_k beta_k/(conj z_i - conj a_k))."""
+    z = np.asarray(points, dtype=complex)
+    return _gradient(z, _conj_differences(z), p)
+
+
+def _conj_differences(z: np.ndarray) -> np.ndarray:
+    """conj z_i - conj z_j, with 1 on the diagonal."""
+    zc = np.conj(z)
+    diff = zc[:, None] - zc[None, :]
+    np.fill_diagonal(diff, 1.0)
+    return diff
+
+
+def _energy(z: np.ndarray, diff: np.ndarray, p: PerturbedPotential) -> float:
+    d = np.abs(diff)  # |z_i - z_j|, exactly
     v = p.value_grid(z)
     if np.any(d == 0.0) or np.any(np.isposinf(v)):
         return math.inf
@@ -56,16 +74,12 @@ def energy(points: np.ndarray, p: PerturbedPotential) -> float:
                  + len(z) * (p.gamma / 2.0) * np.sum(v))
 
 
-def gradient(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
-    """g_i = dE/d(conj z_i) = -(1/2) sum_{j != i} 1/(conj z_i - conj z_j)
-    + n * (gamma/2) (alpha z_i - (1/2) sum_k beta_k/(conj z_i - conj a_k))."""
-    z = np.asarray(points, dtype=complex)
-    zc = np.conj(z)
-    diff = zc[:, None] - zc[None, :]
-    np.fill_diagonal(diff, 1.0)
+def _gradient(z: np.ndarray, diff: np.ndarray,
+              p: PerturbedPotential) -> np.ndarray:
     inv = 1.0 / diff
     np.fill_diagonal(inv, 0.0)
     g = -0.5 * np.sum(inv, axis=1)
+    zc = np.conj(z)
     dq = p.alpha * z
     for a, b in p.nu.charges:
         dq = dq - 0.5 * b / (zc - np.conj(a))
@@ -101,8 +115,9 @@ def _solve(z0: np.ndarray, p: PerturbedPotential, grad_tol: float) -> tuple:
     from scipy import optimize  # here, so the package loads numpy alone
 
     def fun(x):
-        return (energy(x.view(complex), p),
-                2.0 * gradient(x.view(complex), p).view(float))
+        z = x.view(complex)
+        diff = _conj_differences(z)  # shared by both terms
+        return _energy(z, diff, p), 2.0 * _gradient(z, diff, p).view(float)
 
     z = optimize.minimize(fun, z0.view(float), jac=True, method="L-BFGS-B",
                           options={"ftol": 0.0, "gtol": 0.0}).x.view(complex)

@@ -12,7 +12,7 @@ P_n (criterion 06) is not resolved in complex double.
 On a grid with a mirror axis phi (all charges on one line through 0, see
 `planarquad`) the orthonormal polynomials have real coefficients in the
 rotated frame x = z e^{-i phi}.  There the same loop runs on the upper
-half of the grid only: nodes on the axis rays count once, every other
+half of its rule only: nodes on the axis rays count once, every other
 node also stands for its mirror image, and inner products, norms and Gram
 rows are the real parts of the half sums, so H is real; H is rotated
 back at the end.  This halves the extended-precision work and the stored
@@ -20,9 +20,10 @@ basis.
 
 When the weight is a trigonometric polynomial of degree c on circles
 (N*beta/2 an integer for every charge off 0, see `planarquad`), the loop
-runs on every s-th ring node only, with T/s > n_max + c: that rule gives
-every inner product of polynomials of degree <= n_max exactly as the full
-rings do, so H is the same and the work falls by a factor s.
+runs on the Gauss rule of the grid's own radial measure, ceil(L/2) radii
+times L = n_max + c + 1 angles: that rule gives every inner product of
+polynomials of degree <= n_max exactly as the grid does, so H is the same
+and the work no longer grows with the grid's size.
 
 Polynomials are evaluated and root-found through the Hessenberg matrix H
 alone: values by the recurrence
@@ -149,20 +150,21 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     Rozloznik 2005).  The squared norms are h_k = h_0 s_k^2 with
     h_0 = sum of the weights and s_k = prod_{i<k} H[i+1,i].
 
-    The loop runs on `grid.subrule(s)`, every s-th node of each ring,
-    with s = `grid.angular_stride(n_max)`.  Exactness: on |z| = r the
-    weight is a trigonometric polynomial of degree c and z^j conj(z)^k
-    one of degree |j - k| <= n_max, so every integrand the loop forms
-    (z q_k conj(q_j), k < n_max, j <= n_max) has degree <= n_max + c in
-    angle, and a trapezoid rule with T/s > n_max + c nodes integrates it
-    exactly, as the full ring does.  The Gram certificate is computed on
-    the same strided rule, which equals the full-ring inner product on
-    polynomials of degree <= n_max.  Weights that are not trigonometric
-    polynomials on circles get s = 1, the full grid.
+    The loop runs on `grid.polynomial_rule(n_max)`.  Exactness: with the
+    weight g(|z|) h(z), h a trigonometric polynomial of degree c on every
+    circle, every integrand the loop forms (z q_k conj(q_j) h, k < n_max,
+    j <= n_max) has degree <= n_max + c in angle, so L = n_max + c + 1
+    angles integrate it exactly, as the grid's T >= L do; its ring integral
+    is g(r) P(r^2) with deg P <= n_max + c, which the ceil(L/2)-node Gauss
+    rule of the grid's discrete radial measure integrates exactly.  The
+    Gram certificate is computed on the same rule, which equals the
+    grid's inner product on polynomials of degree <= n_max.  Weights that
+    are not trigonometric polynomials on circles keep the whole grid.
 
-    On a grid with a mirror axis phi the same loop runs on
-    `grid.mirror_half(s)` with real h_j (the real dot product of q_j and
-    v viewed as interleaved reals), and the result is rotated back:
+    On a grid with a mirror axis phi the rule is folded onto the upper
+    half plane of the axis frame, the loop runs with real h_j (the real
+    dot product of q_j and v viewed as interleaved reals), and the result
+    is rotated back:
     H[j,k] e^{i(k+1-j) phi}.
     """
     if grid.angular_order < 2 * n_max + 2:
@@ -171,11 +173,10 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
             f"{2 * n_max} moments; need at least {2 * n_max + 2}")
 
     # a mirror-symmetric weight has orthonormal polynomials with real
-    # coefficients in the frame of its axis: run on the half grid there,
+    # coefficients in the frame of its axis: run on the half rule there,
     # with inner products the real parts of the half sums
     fold = grid.axis is not None
-    s = grid.angular_stride(n_max)
-    x, w = grid.mirror_half(s) if fold else grid.subrule(s)
+    x, w = (a.ravel() for a in grid.polynomial_rule(n_max))
     # Q[k]: q_k at the nodes times sqrt(weight).  B is Q as the inner
     # product sees it: viewed as reals when folded, where Re<f, g> is the
     # real dot product of the interleaved real and imaginary parts

@@ -6,20 +6,25 @@ boundaries at each charge modulus and cavity radius, where the integrand
 has kinks or high-order zeros) and periodic trapezoid angularly.  Node
 sums run in 80-bit extended precision because moment matrices are
 exponentially ill-conditioned in the degree, and the weight is evaluated
-in that precision too.
+in that precision too, on first use (`QuadGrid.weight_values`).
 
-When N*beta/2 is an integer for every charge off 0, the weight is a
+When N*beta/2 is an integer for every charge off 0, the weight is
+g(|z|) h(z): g(r) = exp(-N*alpha*r^2) r^(N*beta_0) is radial (the Gaussian
+and any charge at 0), and h = prod_{a != 0} |z - a|^(N*beta) is a
 trigonometric polynomial of degree c = `PerturbedPotential.angular_degree`
 on every circle |z| = r (the exact-moment class of Balogh, Bertola, Lee &
-McLaughlin, CPAM 2015).  Then for deg f, g <= n the ring integrand
-f conj(g) exp(-N*V) has degree n + c in angle, and the trapezoid rule on
-every s-th ring node integrates it exactly, as the full ring does, while
-T/s > n + c.  `QuadGrid.angular_stride` finds the largest such s with T/s
-even (so that both axis columns of a mirrored grid stay in the subrule),
-and `QuadGrid.subrule` gives those nodes.  The two rules agree only as far
-as the sampled weight is a trigonometric polynomial: double-precision
-samples carry about 1e-16 of noise that is not band-limited, which moves
-the Arnoldi's H by 1e-16; extended-precision ones move it by < 4e-18.
+McLaughlin, CPAM 2015).  For deg f, g <= n the ring integrand f conj(g) h
+then has degree n + c in angle, so any trapezoid rule of L = n + c + 1 or
+more nodes integrates it exactly, and the ring integral is P(r^2) times
+g(r), with P a polynomial of degree <= n + c.  The grid's inner product is
+therefore the integral of P against its discrete radial measure
+sum_i A_i g(r_i) delta(u - r_i^2), which the ceil(L/2)-node Gauss rule of
+that measure reproduces exactly (Golub & Welsch, Math. Comp. 23, 1969).
+`QuadGrid.polynomial_rule` gives that rule, radii times L angles, for the
+Arnoldi in `orthopoly`.  Rule and grid agree only as far as the weight is
+evaluated accurately: samples in double precision carry about 1e-16 of
+noise that is not a trigonometric polynomial, while extended-precision
+ones keep the Arnoldi's H within 2e-18 of the grid's.
 
 When every charge lies on one line through 0 (the paper's single charge,
 or any collinear configuration), the weight is symmetric under reflection
@@ -27,13 +32,14 @@ across that line.  The angular nodes then start on the line, at angle
 phi + 2*pi*j/T, so node T-j is the mirror image of node j; the weight is
 evaluated on 0 <= j <= T/2 only and copied to the mirrored nodes, which
 therefore carry exactly equal weights.  phi is kept as `QuadGrid.axis`
-(None for charges not collinear with 0), and `QuadGrid.mirror_half`
-gives the half grid on which `orthopoly` folds its inner products.  A
-charge counts as on the line when it lies within a few ulps of its
-modulus from it, at distance d say.  The mirrored nodes then see the
-charge moved by up to 2d, which changes their weight by about
-2*N*beta*d/|z - a| relative: 1e-16 away from the charge, more only where
-the weight itself is tiny (6e-14 where it is e^-99, for N = 40).
+(None for charges not collinear with 0), and `QuadGrid.polynomial_rule`
+then gives the upper half of its rule in the axis frame, on which
+`orthopoly` folds its inner products.  A charge counts as on the line
+when it lies within a few ulps of its modulus from it, at distance d
+say.  The mirrored nodes then see the charge moved by up to 2d, which
+changes their weight by about 2*N*beta*d/|z - a| relative: 1e-16 away
+from the charge, more only where the weight itself is tiny (6e-14 where
+it is e^-99, for N = 40).
 """
 
 from __future__ import annotations
@@ -41,11 +47,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .measures import PerturbedPotential, weight_upper_bound
+from .measures import (PerturbedPotential, PointChargeMeasure,
+                       weight_upper_bound)
 
 LD = np.longdouble
 CLD = np.clongdouble
@@ -62,7 +70,6 @@ class QuadGrid:
 
     nodes: np.ndarray          # complex nodes (clongdouble)
     areas: np.ndarray          # plain area weights (longdouble)
-    weight_values: np.ndarray  # exp(-N*V) at nodes (longdouble)
     r_trunc: float
     radial_order: int
     angular_order: int
@@ -70,63 +77,78 @@ class QuadGrid:
     potential: PerturbedPotential = field(repr=False)
     axis: float | None = None  # angle of the mirror line; None: no mirror
 
+    @cached_property
+    def weight_values(self) -> np.ndarray:
+        """exp(-N*V) at the nodes (longdouble), evaluated on first use in
+        extended precision.  On a mirrored grid column j takes the value
+        of column min(j, T-j), its mirror image."""
+        T = self.angular_order
+        cols = np.arange(T)
+        if self.axis is not None:
+            cols = np.minimum(cols, T - cols)
+        z = self.nodes.reshape(-1, T)[:, :cols.max() + 1]
+        logw = self.potential.log_weight_grid(z)[:, cols]
+        return np.where(np.isneginf(logw), LD(0.0), np.exp(logw)).ravel()
+
     @property
     def measure_weights(self) -> np.ndarray:
         """Combined weights w_i * exp(-N*V(z_i)) for d(lambda) integrals."""
         return self.areas * self.weight_values
 
-    def angular_stride(self, degree: int) -> int:
-        """Largest s dividing T with T/s even and T/s > degree + c, for c
-        the angular degree of the weight; 1 when the weight is not a
-        trigonometric polynomial on circles or no such s exists.  Every
-        s-th ring node then integrates f conj(g) exp(-N*V) exactly for
-        deg f, g <= degree, as the full rings do."""
-        c = self.potential.angular_degree()
-        if c is None:
-            return 1
-        T = self.angular_order
-        return max((s for s in range(1, T + 1) if T % s == 0
-                    and (T // s) % 2 == 0 and T // s > degree + c),
-                   default=1)
+    def polynomial_rule(self, degree: int):
+        """Nodes and weights, as (radii, columns) arrays, of a rule whose
+        inner product equals the grid's on polynomials of degree <= degree.
 
-    def subrule(self, stride: int):
-        """Every stride-th node of every ring and its measure weight
-        times stride: the grid's rule with T/stride angular nodes."""
-        T = self.angular_order
-        x = self.nodes.reshape(-1, T)[:, ::stride]
-        w = stride * self.measure_weights.reshape(-1, T)[:, ::stride]
-        return x.ravel(), w.ravel()
+        With c = `PerturbedPotential.angular_degree()` not None and
+        L = degree + c + 1 <= T, the radii are those of the ceil(L/2)-node
+        Gauss rule (u_j, W_j) of the grid's radial measure
+        sum_i A_i g(r_i) delta(u - r_i^2), u = r^2, with A_i the ring's
+        area weight and g the radial factor of the weight (see above);
+        each carries L angles, and node z weighs W_j/L * h(z).  Otherwise
+        (no c, or a grid whose own angular rule is not exact) it is the
+        grid.
 
-    def mirror_half(self, stride: int):
-        """Nodes 0 <= j <= L/2 of `subrule(stride)` on every ring, with
-        L = T/stride, rotated by -axis into the closed upper half plane,
-        and their measure weights, with each off-axis node also carrying
-        the weight of its mirror image.  Column 0 and, for even L, column
-        L/2 lie on the axis.
-
-        For polynomials f, g with real coefficients in that frame the
-        subrule's inner product <f, g> is Re sum_i w_i f(x_i) conj(g(x_i))
-        over these nodes: a mirrored pair contributes 2 Re of either term.
+        On a grid with a mirror axis the rule is folded: columns
+        0 <= j <= L/2 only, rotated by -axis into the closed upper half
+        plane, each off-axis column also carrying the weight of its
+        mirror image.  For polynomials f, g with real coefficients in that
+        frame the inner product is then Re sum_i w_i f(x_i) conj(g(x_i)).
         """
+        T = self.angular_order
+        p = self.potential
+        c = p.angular_degree()
+        if c is None or degree + c >= T:
+            x = self.nodes.reshape(-1, T)
+            w = self.measure_weights.reshape(-1, T)
+        else:
+            L = degree + c + 1
+            r = np.abs(self.nodes[::T])
+            beta0 = sum(b for a, b in p.nu.charges if a == 0)
+            g = np.exp(p.N * (beta0 * np.log(r) - p.alpha * r * r))
+            u, W = _gauss_rule(r * r, T * self.areas[::T] * g, (L + 1) // 2)
+            th = LD(2.0) * _PI * np.arange(L, dtype=LD) / LD(L)
+            if self.axis is not None:
+                th += LD(self.axis)
+            x = np.sqrt(u).astype(CLD)[:, None] * np.exp(1j * th.astype(CLD))
+            off = PointChargeMeasure(
+                tuple(q for q in p.nu.charges if q[0] != 0))
+            w = (W / LD(L))[:, None] * np.exp(-p.N * off.log_potential_grid(x))
         if self.axis is None:
-            raise ValueError("grid has no mirror axis")
-        L = self.angular_order // stride
-        x, w = (v.reshape(-1, L)[:, :L // 2 + 1]
-                for v in self.subrule(stride))
-        x = x * np.exp(CLD(-1j) * LD(self.axis))
+            return x, w
+        L = x.shape[1]
+        x = x[:, :L // 2 + 1] * np.exp(CLD(-1j) * LD(self.axis))
+        w = w[:, :L // 2 + 1].copy()
         w[:, 1:(L + 1) // 2] *= 2
-        return x.ravel(), w.ravel()
+        return x, w
 
     def save(self, path):
         # extended precision: nodes rounded to double are mirror images
-        # only to 1e-16, which the folded inner product would not see,
-        # and weights rounded to double are trigonometric polynomials only
-        # to 1e-16, which the strided rule would not see
+        # only to 1e-16, which the folded inner product would not see.
+        # The weights are not stored: `weight_values` derives them again.
         np.savez(path,
-                 version=np.int64(3),
+                 version=np.int64(4),
                  nodes=self.nodes,
                  areas=self.areas,
-                 weight_values=self.weight_values,
                  meta=np.array([self.r_trunc, self.radial_order,
                                 self.angular_order, self.eps_tail]),
                  axis=np.float64(np.nan if self.axis is None else self.axis))
@@ -136,16 +158,66 @@ def load_grid(path, p: PerturbedPotential) -> QuadGrid:
     """Grid saved by `QuadGrid.save`."""
     d = np.load(path)
     version = int(d["version"])
-    if version != 3:
+    if version != 4:
         raise ValueError(f"unknown grid cache version {version}")
     meta = d["meta"]
     axis = float(d["axis"])
     return QuadGrid(nodes=d["nodes"].astype(CLD),
                     areas=d["areas"].astype(LD),
-                    weight_values=d["weight_values"].astype(LD),
                     r_trunc=float(meta[0]), radial_order=int(meta[1]),
                     angular_order=int(meta[2]), eps_tail=float(meta[3]),
                     potential=p, axis=None if math.isnan(axis) else axis)
+
+
+def _gauss_rule(u: np.ndarray, mu: np.ndarray, m: int):
+    """Nodes and weights (longdouble) of the m-node Gauss rule of the
+    discrete measure sum_i mu_i delta(x - u_i), exact for polynomials of
+    degree <= 2m - 1; the support points themselves when m is not below
+    their number.
+
+    Lanczos with full reorthogonalization in long double gives the Jacobi
+    matrix (Golub & Welsch, Math. Comp. 23, 1969).  Its eigenvalues,
+    computed in double, are polished by 3 Newton steps on the three-term
+    recurrence of the orthonormal polynomials p_k, and the weights are the
+    Christoffel numbers mu_0 / sum_{k<m} p_k(x_j)^2.
+    """
+    keep = mu > 0
+    u, mu = u[keep], mu[keep]
+    if m >= u.size:
+        return u, mu
+    mu0 = np.sum(mu)
+    a = np.zeros(m, dtype=LD)
+    b = np.ones(m + 1, dtype=LD)   # b[k] = beta_k, 0 < k < m; b[m] = 1
+    Q = np.empty((m, u.size), dtype=LD)
+    Q[0] = np.sqrt(mu / mu0)
+    for k in range(m):
+        v = u * Q[k]
+        a[k] = np.dot(Q[k], v)
+        for _pass in range(2):
+            v -= np.dot(np.dot(Q[:k + 1], v), Q[:k + 1])
+        if k + 1 < m:
+            b[k + 1] = np.sqrt(np.dot(v, v))
+            Q[k + 1] = v / b[k + 1]
+
+    def recurrence(x):
+        # row k+1: p_k for k < m, then beta_m p_m (zero at the nodes);
+        # D: their derivatives
+        P = np.zeros((m + 2, x.size), dtype=LD)
+        D = np.zeros_like(P)
+        P[1] = 1.0
+        for k in range(m):
+            P[k + 2] = ((x - a[k]) * P[k + 1] - b[k] * P[k]) / b[k + 1]
+            D[k + 2] = (P[k + 1] + (x - a[k]) * D[k + 1]
+                        - b[k] * D[k]) / b[k + 1]
+        return P, D
+
+    J = np.diag(a) + np.diag(b[1:m], 1) + np.diag(b[1:m], -1)
+    x = np.linalg.eigvalsh(J.astype(float)).astype(LD)
+    for _ in range(3):
+        P, D = recurrence(x)
+        x = x - P[m + 1] / D[m + 1]
+    P, _ = recurrence(x)
+    return x, mu0 / np.sum(P[1:m + 1] ** 2, axis=0)
 
 
 def mirror_axis(p: PerturbedPotential) -> float | None:
@@ -243,15 +315,9 @@ def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
     dth = LD(2.0) * _PI / LD(n_t)
     areas = (wr[:, None] * r[:, None] * dth * np.ones(n_t, dtype=LD)[None, :]).ravel()
 
-    # column j takes the weight of column min(j, T-j), its mirror image
-    cols = np.arange(n_t)
-    if axis is not None:
-        cols = np.minimum(cols, n_t - cols)
-    logw = p.log_weight_grid(nodes[:, :cols.max() + 1])[:, cols]
-    wv = np.where(np.isneginf(logw), LD(0.0), np.exp(logw)).ravel()
-    return QuadGrid(nodes=nodes.ravel(), areas=areas, weight_values=wv,
-                    r_trunc=float(rt), radial_order=n_r, angular_order=n_t,
-                    eps_tail=eps_tail, potential=p, axis=axis)
+    return QuadGrid(nodes=nodes.ravel(), areas=areas, r_trunc=float(rt),
+                    radial_order=n_r, angular_order=n_t, eps_tail=eps_tail,
+                    potential=p, axis=axis)
 
 
 def _values(grid: QuadGrid, f):

@@ -106,6 +106,21 @@ def test_malformed_configuration_exit_code(tmp_path, capsys, doc, extra):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--degree", "-5"],
+    ["--degree", "0"],
+    ["--quad", "1,384,1e-12"],
+    ["--quad", "24,3,1e-12"],
+    ["--quad", "24,384,-1"],
+    ["--quad", "24,384,1"],
+])
+def test_bad_numeric_flag_exit_code(tmp_path, capsys, flags):
+    rc = main(["--out", str(tmp_path), "--quick", *flags, "zeros"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_UNSUPPORTED
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["missing.json", "."])
 def test_unreadable_config_exit_code(tmp_path, capsys, name):
     # a missing file, and a directory in place of a file

@@ -113,19 +113,40 @@ def test_non_collinear_charges_use_full_grid():
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
-@pytest.mark.parametrize("beta,stride", [(0.5, 4), (0.35, 1)])
-def test_strided_arnoldi_matches_full_grid_reference(beta, stride):
+@pytest.mark.parametrize("charges,n,N,T,rule", [
     # criterion 05's charge at N = 2n: with beta = 0.5 the weight is a
-    # trigonometric polynomial of degree 15 on circles and the Arnoldi
-    # runs on 64 of the 256 ring nodes; N*beta/2 = 10.5 keeps all 256
-    n = 30
-    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.3, beta),)),
-                           N=2.0 * n, gamma=2.0)
-    grid = build_grid(p, orders=(24, 256), max_degree=2 * n)
-    assert grid.angular_stride(n) == stride
+    # trigonometric polynomial of degree 15 on circles, and the Arnoldi
+    # runs on 23 radii x 24 folded columns; N*beta/2 = 10.5 keeps the grid
+    (((0.3, 0.5),), 30, 60, 256, (23, 24)),
+    (((0.3, 0.35),), 30, 60, 256, (144, 129)),
+    (((2.0, 0.5),), 20, 40, 256, (16, 16)),
+    (((2.0, 0.5),), 30, 60, 256, (23, 24)),
+    # non-collinear charges, c = 2 and 3: the unfolded rule
+    (((0.3, 0.5), (0.4j, 0.5)), 12, 4, 128, (8, 15)),
+    (((0.3, 0.5), (0.4j, 0.5), (-0.2 - 0.3j, 0.5)), 12, 4, 128, (8, 16)),
+    # a charge at 0 is radial: c = 0, then c = 10 with an off-axis charge
+    (((0.0, 0.35),), 20, 40, 256, (11, 11)),
+    (((0.0, 0.35), (0.3 * np.exp(0.7j), 0.5)), 20, 40, 256, (16, 16)),
+    # 16 Gauss nodes are no fewer than the 8 rings: the rings themselves
+    ((), 30, 60, 128, (8, 16)),
+    (((0.3, 0.5),), 60, 120, 384, (46, 46)),
+])
+def test_rule_arnoldi_matches_full_grid_reference(charges, n, N, T, rule):
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(charges), N=N,
+                           gamma=2.0)
+    grid = build_grid(p, orders=(4 if not charges else 24, T),
+                      max_degree=2 * n)
+    assert grid.polynomial_rule(n)[0].shape == rule
     ops = build_orthopolys(p, grid, n)
     ref = _mgs2_hessenberg(grid, n)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
+
+
+def test_rule_arnoldi_leaves_grid_weight_unevaluated():
+    p = PerturbedPotential(alpha=0.5, nu=DEFAULT_CHARGE, N=40.0, gamma=2.0)
+    grid = build_grid(p, orders=(24, 256), max_degree=40)
+    build_orthopolys(p, grid, 20)
+    assert "weight_values" not in grid.__dict__
 
 
 def test_grid_save_load_keeps_axis(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -38,16 +39,32 @@ def test_grid_save_load_roundtrip(tmp_path, cavity_potential, cavity_grid):
     assert np.isclose(total_mass(g2), total_mass(cavity_grid))
 
 
+def _set_version(path, version):
+    with np.load(path) as d:
+        fields = dict(d)
+    fields["version"] = np.int64(version)
+    np.savez(path, **fields)
+
+
 def test_load_grid_rejects_version_2(tmp_path, cavity_potential,
                                     cavity_grid):
     # version 2 stored weights evaluated in double precision
     path = tmp_path / "grid.npz"
     cavity_grid.save(path)
-    with np.load(path) as d:
-        fields = dict(d)
-    fields["version"] = np.int64(2)
-    np.savez(path, **fields)
+    _set_version(path, 2)
     with pytest.raises(ValueError, match="version 2"):
+        load_grid(path, cavity_potential)
+
+
+def test_load_grid_rejects_version_3(tmp_path, cavity_potential,
+                                    cavity_grid):
+    # version 3 stored the weights; version 4 derives them on load
+    path = tmp_path / "grid.npz"
+    cavity_grid.save(path)
+    with np.load(path) as d:
+        assert "weight_values" not in d
+    _set_version(path, 3)
+    with pytest.raises(ValueError, match="version 3"):
         load_grid(path, cavity_potential)
 
 
@@ -81,36 +98,63 @@ def test_weight_values_extended_precision(charges):
                 assert abs(got / exact - 1) <= 1e-17
 
 
-@pytest.mark.parametrize("charges,n,T,stride", [
-    (((0.3, 0.5),), 10, 256, 16),        # c = 5: 16 nodes > 15
-    (((0.3, 0.5),), 30, 256, 4),         # c = 15: 64 nodes > 45
-    (((0.3, 0.5),), 10, 384, 24),        # 16 nodes > 15
-    ((), 10, 64, 4),                     # radial: 16 nodes > 10
-    (((0.3, 0.3),), 12, 256, 1),         # N*beta/2 = 3.6
-    (((0.3, 0.5),), 10, 30, 1),          # 30 is the only even T/s > 15
-    (((0.3, 0.5),), 10, 33, 1),          # T odd: no T/s is even
+@pytest.mark.parametrize("charges,n,T,rule", [
+    (((0.3, 0.5),), 10, 256, (8, 16)),   # c = 5: L = 16
+    (((0.3, 0.5),), 30, 256, (23, 46)),  # c = 15: L = 46
+    (((0.3, 0.5),), 10, 384, (8, 16)),   # the rule does not depend on T
+    ((), 10, 64, (6, 11)),               # radial: c = 0
+    (((0.3, 0.3),), 12, 256, None),      # N*beta/2 = 3.6: the grid
+    (((0.3, 0.5),), 10, 30, (8, 16)),
+    (((0.3, 0.5),), 10, 33, (8, 16)),    # T odd
+    (((0.3, 1.5),), 10, 24, None),       # L = 26 > T: the grid
 ])
-def test_angular_stride(charges, n, T, stride):
+def test_polynomial_rule_size(charges, n, T, rule):
+    # m = ceil(L/2) radii, L = n + c + 1 angles; folded to L//2 + 1
+    # columns on these mirrored grids
     p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(charges),
                               N=2.0 * n)
     grid = build_grid(p, orders=(8, T), max_degree=2 * n)
-    assert grid.angular_stride(n) == stride
+    m, L = rule or (grid.nodes.size // T, T)
+    x, w = grid.polynomial_rule(n)
+    assert x.shape == w.shape == (m, L // 2 + 1)
 
 
-def test_subrule_integrates_weight_exactly():
-    # the weight alone has angular degree 5 < T/s = 16
-    p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(
-        ((0.3 * np.exp(0.7j), 0.5),)), N=20.0)
-    grid = build_grid(p, orders=(24, 256), max_degree=20)
-    s = grid.angular_stride(10)
-    x, w = grid.subrule(s)
-    assert s == 16 and x.size == grid.nodes.size // s
-    full = np.sum(grid.measure_weights)
-    assert abs(np.sum(w) / full - 1) < 1e-17
-    # the mirror half of the subrule is the same rule, folded
-    xh, wh = grid.mirror_half(s)
-    assert xh.size == grid.nodes.size // 256 * 9
-    assert abs(np.sum(wh) / full - 1) < 1e-17
+def _moments(x, w, n):
+    """Mass and |z|^(2k) moments, k <= n, of a rule."""
+    u = np.abs(x.ravel()) ** 2
+    return np.array([np.sum(w.ravel() * u ** k) for k in range(n + 1)])
+
+
+@pytest.mark.parametrize("charges", [
+    ((0.3 * np.exp(0.7j), 0.5),),              # c = 5, mirrored
+    ((0.3, 0.5), (0.4j, 0.5)),                 # c = 10, not mirrored
+    ((0.0, 0.35), (0.3 * np.exp(0.7j), 0.5)),  # radial factor |z|^7
+])
+def test_polynomial_rule_integrates_weight_exactly(charges):
+    # the rule's mass and |z|^(2k) moments are the grid's
+    n = 10
+    p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(charges),
+                              N=20.0)
+    grid = build_grid(p, orders=(24, 256), max_degree=2 * n)
+    # the rule folded where the grid has a mirror axis, and unfolded
+    for g in (grid, dataclasses.replace(grid, axis=None)):
+        full = _moments(g.nodes, g.measure_weights, n)
+        x, w = g.polynomial_rule(n)
+        assert x.size < grid.nodes.size // 50
+        assert np.max(np.abs(_moments(x, w, n) / full - 1)) < 1e-17
+
+
+def test_polynomial_rule_falls_back_to_the_rings():
+    # m = 16 Gauss nodes are no fewer than the 8 rings: the rule keeps
+    # the rings, with their radial weights, on L = 31 angles
+    p = cg.PerturbedPotential(alpha=0.5, N=60.0)
+    grid = build_grid(p, orders=(4, 128), max_degree=60)
+    T = grid.angular_order
+    x, w = grid.polynomial_rule(30)
+    assert x.shape == (8, 16)
+    assert np.max(np.abs(np.abs(x[:, 0]) - np.abs(grid.nodes[::T]))) < 1e-18
+    full = _moments(grid.nodes, grid.measure_weights, 30)
+    assert np.max(np.abs(_moments(x, w, 30) / full - 1)) < 1e-17
 
 
 def test_inner_product_conjugate_symmetry(cavity_grid):
