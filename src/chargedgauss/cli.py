@@ -378,9 +378,26 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK if not failures else EXIT_INVARIANT
 
 
+def _flag_value(flag, kind, s):
+    """s converted by kind (int or float); a ValueError names the flag."""
+    try:
+        return kind(s)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"{flag} {s!r}: expected {expected}") from None
+
+
 def _parse_quad(s):
-    nr, nt, eps = s.split(",")
-    return int(nr), int(nt), float(eps)
+    try:
+        nr, nt, eps = s.split(",")
+        nr, nt, eps = int(nr), int(nt), float(eps)
+    except ValueError:
+        raise ValueError(f"--quad {s!r}: expected integers nr,nt and a "
+                         f"number eps") from None
+    if nr < 2 or nt < 4 or not 0 < eps < 1:
+        raise ValueError(f"quadrature {nr},{nt},{eps}: need n_r >= 2, "
+                         f"n_t >= 4 and 0 < eps < 1")
+    return nr, nt, eps
 
 
 def main(argv=None) -> int:
@@ -391,11 +408,12 @@ def main(argv=None) -> int:
                     "perturbed by point charges.")
     ap.add_argument("--config", help="JSON config path")
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--quad", type=_parse_quad, default=None,
+    # numeric flags are converted below, so that a malformed value exits 3
+    ap.add_argument("--quad", default=None,
                     help="quadrature orders nr,nt,eps")
-    ap.add_argument("--degree", type=int, default=None, help="degree n (or k)")
-    ap.add_argument("--gamma", type=float, default=None)
-    ap.add_argument("--seed", type=int, default=None)
+    ap.add_argument("--degree", default=None, help="degree n (or k)")
+    ap.add_argument("--gamma", default=None)
+    ap.add_argument("--seed", default=None)
     ap.add_argument("--quick", action="store_true")
     ap.add_argument("command", choices=["support", "orthopoly", "zeros",
                                         "dbar-check", "trajectory", "fekete",
@@ -405,21 +423,20 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.gamma is not None:
-            cfg.gamma = args.gamma
+            cfg.gamma = _flag_value("--gamma", float, args.gamma)
             cfg.N = None
+        if args.seed is not None:
+            cfg.seed = _flag_value("--seed", int, args.seed)
         cfg.potential()  # rejects nonpositive alpha, gamma, N or masses
-        if args.degree is not None and args.degree < 1:
-            raise ValueError(f"degree {args.degree} is below 1")
+        if args.degree is not None:
+            args.degree = _flag_value("--degree", int, args.degree)
+            if args.degree < 1:
+                raise ValueError(f"degree {args.degree} is below 1")
         if args.quad is not None:
-            nr, nt, eps = args.quad
-            if nr < 2 or nt < 4 or not 0 < eps < 1:
-                raise ValueError(f"quadrature {nr},{nt},{eps}: need n_r >= 2, "
-                                 f"n_t >= 4 and 0 < eps < 1")
+            args.quad = _parse_quad(args.quad)
     except ValueError as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    if args.seed is not None:
-        cfg.seed = args.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

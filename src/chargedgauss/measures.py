@@ -8,6 +8,7 @@ V(z) = alpha*|z|^2 + U_nu(z) and the weight is exp(-N*V(z)).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,9 +24,12 @@ class PointChargeMeasure:
     def __post_init__(self):
         charges = tuple((complex(a), float(b)) for a, b in self.charges)
         object.__setattr__(self, "charges", charges)
-        for _, b in charges:
-            if b <= 0:
-                raise ValueError("all point masses must be positive")
+        for a, b in charges:
+            if not 0 < b < math.inf:
+                raise ValueError("all point masses must be positive and "
+                                 "finite")
+            if not cmath.isfinite(a):
+                raise ValueError("charge locations must be finite")
         if len({a for a, _ in charges}) < len(charges):
             raise ValueError("charge locations must be pairwise distinct")
 
@@ -99,8 +103,8 @@ class PerturbedPotential:
 
     def __post_init__(self):
         for name in ("alpha", "N", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def value(self, z: complex) -> float:
         """V(z) = alpha|z|^2 + U_nu(z); +inf exactly at the charges."""
@@ -143,35 +147,3 @@ class PerturbedPotential:
     def weight_grid(self, z: np.ndarray) -> np.ndarray:
         return np.exp(self.log_weight_grid(z))  # exactly 0 at the charges
 
-
-def weight_upper_bound(p: PerturbedPotential):
-    """Lower bound L for N*[alpha|z|^2/2 + U_nu(z)], so that
-    exp(-N*V(z)) <= exp(-L) * exp(-N*alpha*|z|^2/2) pointwise.
-
-    Found by a mesh search zoomed onto the best node; only needs to be a
-    valid bound, not tight.
-    """
-    nu = p.nu
-    if not nu.charges:
-        L = 0.0
-    else:
-
-        def phi(z):
-            # +inf at the charges
-            return p.N * (0.5 * p.alpha * np.abs(z) ** 2
-                          + nu.log_potential_grid(z))
-
-        box = max(1.0, np.max(np.abs(nu.locations)) + 1.0,
-                  math.sqrt(4.0 * max(nu.total_mass, 1.0) / p.alpha))
-        # a 61x61 mesh, then 12 zooms onto its best node (+-2 steps, so
-        # 1/15 of the width per level), down to the rounding of the nodes
-        c, L = 0j, math.inf
-        for level in range(13):
-            xs = box / 15.0 ** level * np.linspace(-1.0, 1.0, 61)
-            mesh = c + (xs[:, None] + 1j * xs[None, :])
-            vals = phi(mesh)
-            k = np.argmin(vals)
-            c, L = mesh.flat[k], min(L, float(vals.flat[k]))
-        L -= 1e-9
-    Na = p.N * p.alpha
-    return L, lambda z: math.exp(-L - 0.5 * Na * abs(complex(z)) ** 2)

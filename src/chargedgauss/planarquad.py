@@ -6,7 +6,10 @@ boundaries at each charge modulus and cavity radius, where the integrand
 has kinks or high-order zeros) and periodic trapezoid angularly.  Node
 sums run in 80-bit extended precision because moment matrices are
 exponentially ill-conditioned in the degree, and the weight is evaluated
-in that precision too, on first use (`QuadGrid.weight_values`).
+in that precision too, on first use (`QuadGrid.weight_values`).  The
+grid is cut at `truncation_radius`, which bounds the weight on each circle
+by radial envelopes: beyond the cut lies at most eps_tail of the degree-2n
+moment int |z|^(2n) exp(-N*V) dm, relative to that moment.
 
 When N*beta/2 is an integer for every charge off 0, the weight is
 g(|z|) h(z): g(r) = exp(-N*alpha*r^2) r^(N*beta_0) is radial (the Gaussian
@@ -52,8 +55,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .measures import (PerturbedPotential, PointChargeMeasure,
-                       weight_upper_bound)
+from .measures import PerturbedPotential, PointChargeMeasure
 
 LD = np.longdouble
 CLD = np.clongdouble
@@ -62,6 +64,10 @@ CLD = np.clongdouble
 _PI = np.arccos(LD(-1.0))
 # a charge is on the mirror axis within this many ulps of its modulus
 _AXIS_ULPS = 4
+# `truncation_radius`'s mesh: its nodes, and how far past the weight's
+# bulk it reaches (see there)
+_RADIAL_MESH = 4096
+_MESH_DECAY = 400.0
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,6 @@ class QuadGrid:
     r_trunc: float
     radial_order: int
     angular_order: int
-    eps_tail: float
     potential: PerturbedPotential = field(repr=False)
     axis: float | None = None  # angle of the mirror line; None: no mirror
 
@@ -140,33 +145,6 @@ class QuadGrid:
         w = w[:, :L // 2 + 1].copy()
         w[:, 1:(L + 1) // 2] *= 2
         return x, w
-
-    def save(self, path):
-        # extended precision: nodes rounded to double are mirror images
-        # only to 1e-16, which the folded inner product would not see.
-        # The weights are not stored: `weight_values` derives them again.
-        np.savez(path,
-                 version=np.int64(4),
-                 nodes=self.nodes,
-                 areas=self.areas,
-                 meta=np.array([self.r_trunc, self.radial_order,
-                                self.angular_order, self.eps_tail]),
-                 axis=np.float64(np.nan if self.axis is None else self.axis))
-
-
-def load_grid(path, p: PerturbedPotential) -> QuadGrid:
-    """Grid saved by `QuadGrid.save`."""
-    d = np.load(path)
-    version = int(d["version"])
-    if version != 4:
-        raise ValueError(f"unknown grid cache version {version}")
-    meta = d["meta"]
-    axis = float(d["axis"])
-    return QuadGrid(nodes=d["nodes"].astype(CLD),
-                    areas=d["areas"].astype(LD),
-                    r_trunc=float(meta[0]), radial_order=int(meta[1]),
-                    angular_order=int(meta[2]), eps_tail=float(meta[3]),
-                    potential=p, axis=None if math.isnan(axis) else axis)
 
 
 def _gauss_rule(u: np.ndarray, mu: np.ndarray, m: int):
@@ -239,29 +217,48 @@ def mirror_axis(p: PerturbedPotential) -> float | None:
 
 def truncation_radius(p: PerturbedPotential, eps_tail: float,
                       max_degree: int = 0) -> float:
-    """R_T with exp(-L) * int_{|z|>R_T} |z|^max_degree *
-    exp(-N*alpha*|z|^2/2) dm < eps_tail; max_degree is the largest
-    monomial power the grid must still resolve (2*n for degree-n
-    polynomial inner products)."""
-    L, _ = weight_upper_bound(p)
+    """Radius R beyond which lies at most eps_tail of the moment
+    int |z|^m exp(-N*V) dm, m = max_degree: the largest monomial power the
+    grid must still resolve (2*n for degree-n inner products).
+
+    On |z| = r each charge factor |z - a|^(N*beta) lies between
+    |r - |a||^(N*beta) and (r + |a|)^(N*beta), so the ring integral of
+    |z|^m exp(-N*V) lies between the envelopes
+    2*pi*r^(m+1) exp(-N*alpha*r^2) prod (r +- |a|)^(N*beta), the lower one
+    with |r - |a||.  R is the first node of a radial mesh at which the
+    upper envelope's integral from R on is at most eps_tail times the
+    lower one's total, both summed on the mesh in log space.  The mesh has
+    _RADIAL_MESH nodes on (0, A + sqrt((k + _MESH_DECAY)/(N*alpha))], with
+    A the largest charge modulus and k = m + 1 + N*sum(beta); at its end
+    the upper envelope, below (r + A)^k exp(-N*alpha*r^2), has fallen
+    below e^-300 of its peak.  Raises ValueError when no node meets the
+    bound.
+    """
     na = p.N * p.alpha
-    # tail of the weight alone is (2*pi/(N*alpha)) * exp(-N*alpha*R^2/2)
-    arg = math.log(2.0 * math.pi / (na * eps_tail)) - L
-    rt = math.sqrt(2.0 * max(arg, 1.0) / na)
-    for _ in range(50):
-        rt_new = math.sqrt(2.0 * max(arg + max_degree
-                                     * math.log(max(rt, 1.0)), 1.0) / na)
-        if abs(rt_new - rt) < 1e-10:
-            break
-        rt = rt_new
-    if p.nu.charges:
-        rt = max(rt, float(np.max(np.abs(p.nu.locations))) + 1.0)
-    return rt
+    moduli = np.abs(p.nu.locations)
+    powers = p.N * np.array([b for _, b in p.nu.charges])
+    k = max_degree + 1 + powers.sum()
+    r_max = moduli.max(initial=0.0) + math.sqrt((k + _MESH_DECAY) / na)
+    r = np.linspace(0.0, r_max, _RADIAL_MESH + 1)[1:]
+    log_ring = (max_degree + 1) * np.log(r) - na * r * r
+    upper = log_ring + np.log(r[:, None] + moduli) @ powers
+    with np.errstate(divide="ignore"):  # a node on a charge circle
+        lower = log_ring + np.log(np.abs(r[:, None] - moduli)) @ powers
+    tail = np.logaddexp.accumulate(upper[::-1])[::-1]
+    ok = tail <= math.log(eps_tail) + np.logaddexp.reduce(lower)
+    if not ok.any():
+        raise ValueError(f"no radius up to {r_max:.3g} leaves a tail below "
+                         f"{eps_tail:.1e} of the degree-{max_degree} moment")
+    return float(r[np.argmax(ok)])
 
 
 def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
                orders: tuple = (24, 384), max_degree: int = 0) -> QuadGrid:
-    """Polar tensor grid resolving exp(-N*V) up to the tail tolerance."""
+    """Polar tensor grid for integrals against exp(-N*V), n_r Gauss-Legendre
+    radii per panel times n_t angles, cut at
+    `truncation_radius(p, eps_tail, max_degree)`: beyond the cut lies at
+    most eps_tail of the |z|^max_degree moment of the weight, relative to
+    that moment (max_degree = 2*n for degree-n inner products)."""
     n_r, n_t = orders
     if n_r < 2 or n_t < 4:
         raise ValueError(f"invalid quadrature orders {orders}")
@@ -316,8 +313,7 @@ def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
     areas = (wr[:, None] * r[:, None] * dth * np.ones(n_t, dtype=LD)[None, :]).ravel()
 
     return QuadGrid(nodes=nodes.ravel(), areas=areas, r_trunc=float(rt),
-                    radial_order=n_r, angular_order=n_t, eps_tail=eps_tail,
-                    potential=p, axis=axis)
+                    radial_order=n_r, angular_order=n_t, potential=p, axis=axis)
 
 
 def _values(grid: QuadGrid, f):

@@ -113,6 +113,13 @@ def test_malformed_configuration_exit_code(tmp_path, capsys, doc, extra):
     ["--quad", "24,3,1e-12"],
     ["--quad", "24,384,-1"],
     ["--quad", "24,384,1"],
+    ["--quad", "24,384"],
+    ["--quad", "24,384,abc"],
+    ["--degree", "x"],
+    ["--gamma", "x"],
+    ["--seed", "1.5"],
+    ["--gamma", "nan"],
+    ["--gamma", "inf"],
 ])
 def test_bad_numeric_flag_exit_code(tmp_path, capsys, flags):
     rc = main(["--out", str(tmp_path), "--quick", *flags, "zeros"])

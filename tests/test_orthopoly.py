@@ -13,8 +13,7 @@ from chargedgauss.orthopoly import (build_orthopolys, compute_zeros,
                                     one_point_function, radial_norm_oracle,
                                     reconstruct_coeffs, zero_potential,
                                     zero_potential_grid)
-from chargedgauss.planarquad import (CLD, LD, build_grid, inner_product,
-                                     load_grid)
+from chargedgauss.planarquad import CLD, LD, build_grid, inner_product
 
 DEFAULT_CHARGE = PointChargeMeasure(((0.3 + 0.0j, 0.5),))
 
@@ -149,15 +148,42 @@ def test_rule_arnoldi_leaves_grid_weight_unevaluated():
     assert "weight_values" not in grid.__dict__
 
 
-def test_grid_save_load_keeps_axis(tmp_path):
-    p, grid, ops = _mirror_case(((0.3 * np.exp(0.7j), 0.5),))
-    path = tmp_path / "grid.npz"
-    grid.save(path)
-    loaded = load_grid(path, p)
-    assert loaded.axis == grid.axis
-    assert np.array_equal(loaded.nodes, grid.nodes)
-    H = build_orthopolys(p, loaded, 12).hessenberg
-    assert np.max(np.abs(H - _mgs2_hessenberg(loaded, 12))) < 1e-17
+def _exact_norms(a, c, na, n):
+    """h_0..h_n of w = |z - a|^(2c) exp(-na |z|^2), by Cholesky of its
+    moment matrix in mpmath.  (z - a)^c is a polynomial, so
+    <z^j, z^k> = pi sum_p A_p conj(A_q) m!/na^(m+1), m = j + p = k + q,
+    with A_p = C(c, p) (-a)^(c - p); it vanishes for |j - k| > c."""
+    with mp.workdps(60):
+        A = [mp.binomial(c, q) * (-mp.mpmathify(a)) ** (c - q)
+             for q in range(c + 1)]
+        M = [mp.pi * mp.factorial(m) / mp.mpf(na) ** (m + 1)
+             for m in range(n + c + 1)]
+        G = mp.zeros(n + 1, n + 1)
+        for j in range(n + 1):
+            for k in range(max(0, j - c), j + 1):
+                d = j - k
+                G[j, k] = mp.fsum(A[q] * mp.conj(A[q + d]) * M[j + q]
+                                  for q in range(c + 1 - d))
+                G[k, j] = mp.conj(G[j, k])
+        L = mp.cholesky(G)
+        return [L[k, k] ** 2 for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("a,n,T", [
+    # the CLI default charge: its grids at n = 40 and 50 were once cut at
+    # 1.3, which put h_k 20 % off
+    (0.3, 40, 256), (0.3, 40, 384), (0.3, 50, 256), (0.3, 50, 384),
+    (2.0, 20, 256),   # criterion 03's exterior charge
+])
+def test_norms_match_exact_moment_oracle(a, n, T):
+    # beta = 0.5 and N = 2n: w = |z - a|^n exp(-n |z|^2), so c = n/2
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((a, 0.5),)),
+                           N=2.0 * n, gamma=2.0)
+    grid = build_grid(p, orders=(24, T), max_degree=2 * n)
+    h = build_orthopolys(p, grid, n).norms
+    exact = _exact_norms(a, n // 2, p.N * p.alpha, n)
+    err = max(abs(float(h[k]) / float(exact[k]) - 1) for k in range(n + 1))
+    assert err < 1e-12
 
 
 def test_gram_residual_extended_precision():

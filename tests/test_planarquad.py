@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import chargedgauss as cg
+from chargedgauss import planarquad
 from chargedgauss.planarquad import (LD, absolute_moment, build_grid,
                                      cauchy_tail_split, cauchy_transform,
-                                     inner_product, load_grid, total_mass,
+                                     inner_product, total_mass,
                                      truncation_radius)
 
 
@@ -28,44 +29,6 @@ def test_absolute_moments_radial(radial_potential, radial_grid, k):
 def test_moment_validation(radial_grid):
     with pytest.raises(ValueError):
         absolute_moment(radial_grid, -1)
-
-
-def test_grid_save_load_roundtrip(tmp_path, cavity_potential, cavity_grid):
-    path = tmp_path / "grid.npz"
-    cavity_grid.save(path)
-    g2 = load_grid(path, cavity_potential)
-    assert np.allclose(g2.nodes.astype(complex),
-                       cavity_grid.nodes.astype(complex))
-    assert np.isclose(total_mass(g2), total_mass(cavity_grid))
-
-
-def _set_version(path, version):
-    with np.load(path) as d:
-        fields = dict(d)
-    fields["version"] = np.int64(version)
-    np.savez(path, **fields)
-
-
-def test_load_grid_rejects_version_2(tmp_path, cavity_potential,
-                                    cavity_grid):
-    # version 2 stored weights evaluated in double precision
-    path = tmp_path / "grid.npz"
-    cavity_grid.save(path)
-    _set_version(path, 2)
-    with pytest.raises(ValueError, match="version 2"):
-        load_grid(path, cavity_potential)
-
-
-def test_load_grid_rejects_version_3(tmp_path, cavity_potential,
-                                    cavity_grid):
-    # version 3 stored the weights; version 4 derives them on load
-    path = tmp_path / "grid.npz"
-    cavity_grid.save(path)
-    with np.load(path) as d:
-        assert "weight_values" not in d
-    _set_version(path, 3)
-    with pytest.raises(ValueError, match="version 3"):
-        load_grid(path, cavity_potential)
 
 
 def _mp(x):
@@ -173,6 +136,35 @@ def test_truncation_radius_grows_with_degree(cavity_potential):
     r0 = truncation_radius(cavity_potential, 1e-12, 0)
     r1 = truncation_radius(cavity_potential, 1e-12, 40)
     assert r1 > r0
+
+
+@pytest.mark.parametrize("charges", [
+    ((0.0, 0.5),),                   # at 0: the two envelopes coincide
+    ((0.3 * np.exp(0.7j), 0.5),),    # off the real axis
+    ((2.0, 0.5),),                   # criterion 03's exterior charge
+    ((0.3, 0.5), (0.4j, 0.3)),
+])
+def test_truncation_radius_bounds_the_moment_tail(monkeypatch, charges):
+    # the |z|^(2n) moment beyond r_trunc is below 1e-12 of the moment:
+    # cutting at 1.5 r_trunc instead does not change it by more.  48
+    # radii per panel: with 24, the wider grid's last panel, 1.8 long,
+    # leaves up to 1.2e-9 of radial quadrature error at N = 80
+    n = 40
+    p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(charges),
+                              N=2.0 * n)
+    grid = build_grid(p, orders=(48, 256), max_degree=2 * n)
+    monkeypatch.setattr(planarquad, "truncation_radius",
+                        lambda *args: 1.5 * grid.r_trunc)
+    wide = build_grid(p, orders=(48, 256), max_degree=2 * n)
+    assert wide.r_trunc == 1.5 * grid.r_trunc
+    m = absolute_moment(grid, 2 * n)
+    assert abs(m / absolute_moment(wide, 2 * n) - 1) <= 1e-12
+
+
+def test_truncation_radius_raises_beyond_its_mesh(cavity_potential):
+    # a tail of 1e-300 lies beyond the radial mesh: no radius is returned
+    with pytest.raises(ValueError, match="no radius"):
+        truncation_radius(cavity_potential, 1e-300, 24)
 
 
 def test_cauchy_transform_radial_oracle(radial_potential, radial_grid):
