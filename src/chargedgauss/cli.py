@@ -450,6 +450,9 @@ def main(argv=None) -> int:
     except (UnsupportedGeometry, equilibrium.NoRootError) as e:
         print(f"unsupported configuration: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except (orthopoly.NonConvergence, orthopoly.LossOfOrthogonality) as e:
+        print(f"invariant failed: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -20,10 +20,10 @@ basis.
 
 When the weight is a trigonometric polynomial of degree c on circles
 (N*beta/2 an integer for every charge off 0, see `planarquad`), the loop
-runs on the Gauss rule of the grid's own radial measure, ceil(L/2) radii
-times L = n_max + c + 1 angles: that rule gives every inner product of
-polynomials of degree <= n_max exactly as the grid does, so H is the same
-and the work no longer grows with the grid's size.
+runs on the weight's own Gauss-Laguerre rule, ceil(L/2) radii times
+L = n_max + c + 1 angles, which gives every inner product of polynomials
+of degree <= n_max exactly: H is the weight's, free of the grid's errors,
+and neither H nor the work depends on the grid.
 
 Polynomials are evaluated and root-found through the Hessenberg matrix H
 alone: values by the recurrence
@@ -154,12 +154,13 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     weight g(|z|) h(z), h a trigonometric polynomial of degree c on every
     circle, every integrand the loop forms (z q_k conj(q_j) h, k < n_max,
     j <= n_max) has degree <= n_max + c in angle, so L = n_max + c + 1
-    angles integrate it exactly, as the grid's T >= L do; its ring integral
-    is g(r) P(r^2) with deg P <= n_max + c, which the ceil(L/2)-node Gauss
-    rule of the grid's discrete radial measure integrates exactly.  The
-    Gram certificate is computed on the same rule, which equals the
-    grid's inner product on polynomials of degree <= n_max.  Weights that
-    are not trigonometric polynomials on circles keep the whole grid.
+    angles integrate it exactly; its ring integral is g(r) P(r^2) with
+    deg P <= n_max + c, which the ceil(L/2)-node Gauss-Laguerre rule of
+    the radial measure pi u^s exp(-N*alpha*u) du integrates exactly.  The
+    Gram certificate is computed on the same rule, so it certifies the
+    weight's inner product, not the grid's.  Weights that are not
+    trigonometric polynomials on circles keep the whole grid, and the
+    certificate is the grid's.
 
     On a grid with a mirror axis phi the rule is folded onto the upper
     half plane of the axis frame, the loop runs with real h_j (the real

@@ -5,11 +5,12 @@ Grids are polar tensor products: Gauss-Legendre panels radially (panel
 boundaries at each charge modulus and cavity radius, where the integrand
 has kinks or high-order zeros) and periodic trapezoid angularly.  Node
 sums run in 80-bit extended precision because moment matrices are
-exponentially ill-conditioned in the degree, and the weight is evaluated
-in that precision too, on first use (`QuadGrid.weight_values`).  The
-grid is cut at `truncation_radius`, which bounds the weight on each circle
-by radial envelopes: beyond the cut lies at most eps_tail of the degree-2n
-moment int |z|^(2n) exp(-N*V) dm, relative to that moment.
+exponentially ill-conditioned in the degree; the Legendre rule and, on
+first use (`QuadGrid.weight_values`), the weight are computed in that
+precision too.  The grid is cut at `truncation_radius`, which bounds the
+weight on each circle by radial envelopes: beyond the cut lies at most
+eps_tail of the degree-2n moment int |z|^(2n) exp(-N*V) dm, relative to
+that moment.
 
 When N*beta/2 is an integer for every charge off 0, the weight is
 g(|z|) h(z): g(r) = exp(-N*alpha*r^2) r^(N*beta_0) is radial (the Gaussian
@@ -19,15 +20,11 @@ on every circle |z| = r (the exact-moment class of Balogh, Bertola, Lee &
 McLaughlin, CPAM 2015).  For deg f, g <= n the ring integrand f conj(g) h
 then has degree n + c in angle, so any trapezoid rule of L = n + c + 1 or
 more nodes integrates it exactly, and the ring integral is P(r^2) times
-g(r), with P a polynomial of degree <= n + c.  The grid's inner product is
-therefore the integral of P against its discrete radial measure
-sum_i A_i g(r_i) delta(u - r_i^2), which the ceil(L/2)-node Gauss rule of
-that measure reproduces exactly (Golub & Welsch, Math. Comp. 23, 1969).
-`QuadGrid.polynomial_rule` gives that rule, radii times L angles, for the
-Arnoldi in `orthopoly`.  Rule and grid agree only as far as the weight is
-evaluated accurately: samples in double precision carry about 1e-16 of
-noise that is not a trigonometric polynomial, while extended-precision
-ones keep the Arnoldi's H within 2e-18 of the grid's.
+g(r), with P a polynomial of degree <= n + c, to be integrated against
+2*pi*r g(r) dr = pi u^s exp(-N*alpha*u) du, u = r^2, s = N*beta_0/2.  That
+generalized Laguerre weight's ceil(L/2)-node Gauss rule does so exactly.
+`QuadGrid.polynomial_rule` gives it, radii times L angles, for the
+Arnoldi in `orthopoly`, which so sees the weight itself, not the grid.
 
 When every charge lies on one line through 0 (the paper's single charge,
 or any collinear configuration), the weight is symmetric under reflection
@@ -50,10 +47,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import legvander
 
 from .measures import PerturbedPotential, PointChargeMeasure
 
@@ -101,17 +98,15 @@ class QuadGrid:
         return self.areas * self.weight_values
 
     def polynomial_rule(self, degree: int):
-        """Nodes and weights, as (radii, columns) arrays, of a rule whose
-        inner product equals the grid's on polynomials of degree <= degree.
+        """Nodes and weights, as (radii, columns) arrays, of a rule exact
+        for the weight's inner product of polynomials of degree <= degree.
 
         With c = `PerturbedPotential.angular_degree()` not None and
-        L = degree + c + 1 <= T, the radii are those of the ceil(L/2)-node
-        Gauss rule (u_j, W_j) of the grid's radial measure
-        sum_i A_i g(r_i) delta(u - r_i^2), u = r^2, with A_i the ring's
-        area weight and g the radial factor of the weight (see above);
-        each carries L angles, and node z weighs W_j/L * h(z).  Otherwise
-        (no c, or a grid whose own angular rule is not exact) it is the
-        grid.
+        L = degree + c + 1, the radii are those of the ceil(L/2)-node
+        Gauss-Laguerre rule (u_j, W_j) of the radial measure
+        pi u^s exp(-N*alpha*u) du, u = r^2, s = N*beta_0/2 (see above),
+        whatever the grid's orders; each carries L angles, and node z
+        weighs W_j/L * h(z).  Otherwise it is the grid.
 
         On a grid with a mirror axis the rule is folded: columns
         0 <= j <= L/2 only, rotated by -axis into the closed upper half
@@ -119,18 +114,14 @@ class QuadGrid:
         mirror image.  For polynomials f, g with real coefficients in that
         frame the inner product is then Re sum_i w_i f(x_i) conj(g(x_i)).
         """
-        T = self.angular_order
         p = self.potential
         c = p.angular_degree()
-        if c is None or degree + c >= T:
-            x = self.nodes.reshape(-1, T)
-            w = self.measure_weights.reshape(-1, T)
+        if c is None:
+            x = self.nodes.reshape(-1, self.angular_order)
+            w = self.measure_weights.reshape(x.shape)
         else:
             L = degree + c + 1
-            r = np.abs(self.nodes[::T])
-            beta0 = sum(b for a, b in p.nu.charges if a == 0)
-            g = np.exp(p.N * (beta0 * np.log(r) - p.alpha * r * r))
-            u, W = _gauss_rule(r * r, T * self.areas[::T] * g, (L + 1) // 2)
+            u, W = _laguerre_rule(p, (L + 1) // 2)
             th = LD(2.0) * _PI * np.arange(L, dtype=LD) / LD(L)
             if self.axis is not None:
                 th += LD(self.axis)
@@ -147,38 +138,19 @@ class QuadGrid:
         return x, w
 
 
-def _gauss_rule(u: np.ndarray, mu: np.ndarray, m: int):
-    """Nodes and weights (longdouble) of the m-node Gauss rule of the
-    discrete measure sum_i mu_i delta(x - u_i), exact for polynomials of
-    degree <= 2m - 1; the support points themselves when m is not below
-    their number.
-
-    Lanczos with full reorthogonalization in long double gives the Jacobi
-    matrix (Golub & Welsch, Math. Comp. 23, 1969).  Its eigenvalues,
-    computed in double, are polished by 3 Newton steps on the three-term
-    recurrence of the orthonormal polynomials p_k, and the weights are the
-    Christoffel numbers mu_0 / sum_{k<m} p_k(x_j)^2.
-    """
-    keep = mu > 0
-    u, mu = u[keep], mu[keep]
-    if m >= u.size:
-        return u, mu
-    mu0 = np.sum(mu)
-    a = np.zeros(m, dtype=LD)
-    b = np.ones(m + 1, dtype=LD)   # b[k] = beta_k, 0 < k < m; b[m] = 1
-    Q = np.empty((m, u.size), dtype=LD)
-    Q[0] = np.sqrt(mu / mu0)
-    for k in range(m):
-        v = u * Q[k]
-        a[k] = np.dot(Q[k], v)
-        for _pass in range(2):
-            v -= np.dot(np.dot(Q[:k + 1], v), Q[:k + 1])
-        if k + 1 < m:
-            b[k + 1] = np.sqrt(np.dot(v, v))
-            Q[k + 1] = v / b[k + 1]
+def _gauss_rule(a: np.ndarray, b: np.ndarray, mu0):
+    """Nodes and weights (longdouble) of the m-node Gauss rule, exact to
+    degree 2m - 1, of the measure of mass mu0 whose orthonormal p_k obey
+    x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}, given a_0..a_{m-1} and
+    b_1..b_{m-1} in longdouble.  The Jacobi matrix's eigenvalues (Golub &
+    Welsch, Math. Comp. 23, 1969), computed in double, are polished by 3
+    Newton steps on the recurrence; the weights are the Christoffel
+    numbers mu0 / sum_{k<m} p_k(x_j)^2."""
+    m = a.size
+    b = np.concatenate([[LD(0.0)], b, [LD(1.0)]])   # b[m] = 1
 
     def recurrence(x):
-        # row k+1: p_k for k < m, then beta_m p_m (zero at the nodes);
+        # row k+1: p_k for k < m, then b_m p_m (zero at the nodes);
         # D: their derivatives
         P = np.zeros((m + 2, x.size), dtype=LD)
         D = np.zeros_like(P)
@@ -195,7 +167,32 @@ def _gauss_rule(u: np.ndarray, mu: np.ndarray, m: int):
         P, D = recurrence(x)
         x = x - P[m + 1] / D[m + 1]
     P, _ = recurrence(x)
-    return x, mu0 / np.sum(P[1:m + 1] ** 2, axis=0)
+    return x, LD(mu0) / np.sum(P[1:m + 1] ** 2, axis=0)
+
+
+@cache
+def _legendre_rule(m: int):
+    """The m-node Gauss-Legendre rule on [-1, 1] in long double, read-only:
+    a_k = 0, b_k = k / sqrt(4k^2 - 1), mass 2."""
+    k = np.arange(1, m, dtype=LD)
+    x, w = _gauss_rule(np.zeros(m, dtype=LD), k / np.sqrt(4 * k * k - 1), 2)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _laguerre_rule(p: PerturbedPotential, m: int):
+    """The m-node Gauss rule of pi u^s exp(-N*alpha*u) du, u > 0,
+    s = N*beta_0/2: a_k = (2k + s + 1)/(N*alpha), b_k = sqrt(k(k + s))/
+    (N*alpha), mass pi Gamma(s + 1)/(N*alpha)^(s + 1), with Gamma(s + 1) =
+    Gamma(1 + f) (1 + f) ... (s), f = s - floor(s): exact for integer s,
+    else with the double rounding of Gamma(1 + f)."""
+    s = LD(0.5 * p.N * sum(b for a, b in p.nu.charges if a == 0))
+    na = LD(p.N) * LD(p.alpha)
+    k = np.arange(m, dtype=LD)
+    f = s % 1
+    gamma = LD(math.gamma(1 + f)) * np.prod(f + np.arange(1, s - f + 1))
+    return _gauss_rule((2 * k + s + 1) / na, np.sqrt(k[1:] * (k[1:] + s)) / na,
+                       _PI * gamma / na ** (s + 1))
 
 
 def mirror_axis(p: PerturbedPotential) -> float | None:
@@ -292,9 +289,7 @@ def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
             edges = np.linspace(a_, b_, pieces + 1)
             panels.extend(zip(edges[:-1], edges[1:]))
 
-    xs, ws = leggauss(n_r)
-    xs = xs.astype(LD)
-    ws = ws.astype(LD)
+    xs, ws = _legendre_rule(n_r)
     r_list, wr_list = [], []
     for lo, hi in panels:
         half = LD(0.5) * LD(hi - lo)
@@ -389,7 +384,7 @@ def cauchy_transform(grid: QuadGrid, values, z) -> np.ndarray:
     r, a = np.abs(grid.nodes[::T]), grid.areas[::T]
 
     # panels are consecutive groups of n rings on Gauss-Legendre nodes
-    xs, ws = (v.astype(LD) for v in leggauss(n))
+    xs, ws = _legendre_rule(n)
     rp = r.reshape(-1, n)
     half = (rp[:, -1] - rp[:, 0]) / (xs[-1] - xs[0])
     mid = LD(0.5) * (rp[:, -1] + rp[:, 0])

@@ -1,3 +1,4 @@
+import mpmath as mp
 import pytest
 
 import chargedgauss as cg
@@ -37,3 +38,38 @@ def radial_grid(radial_potential):
 @pytest.fixture(scope="session")
 def exterior_map():
     return cg.solve_exterior_map(0.5, 0.5, 2.0)
+
+
+def _exact_gram(p, n, dps=60):
+    """Gram matrix G[j, k] = <z^j, z^k>, j, k <= n, in mpmath at dps digits,
+    of a weight in the exact-moment class: w = |A(z)|^2 |z|^(2s)
+    exp(-na |z|^2), A = prod (z - a)^(c_a) over the charges off 0 with
+    c_a = N*beta_a/2 an integer, s = N*beta_0/2 for a charge at 0 and
+    na = N*alpha.  With A = sum_q A_q z^q and the radial moments
+    M_m = pi Gamma(m + s + 1)/na^(m + s + 1), G[j, k] is
+    sum_q A_q conj(A_(q + j - k)) M_(j + q) for j >= k; it vanishes for
+    j - k > deg A."""
+    with mp.workdps(dps):
+        A = [mp.mpc(1)]
+        for a, b in p.nu.charges:
+            if a != 0:
+                for _ in range(int(0.5 * p.N * b)):
+                    A = [x - mp.mpc(a) * y for x, y in zip([0] + A, A + [0])]
+        c = len(A) - 1
+        s = mp.mpf(0.5 * p.N * sum(b for a, b in p.nu.charges if a == 0))
+        na = mp.mpf(p.N * p.alpha)
+        M = [mp.pi * mp.gamma(m + s + 1) / na ** (m + s + 1)
+             for m in range(n + c + 1)]
+        G = mp.zeros(n + 1, n + 1)
+        for j in range(n + 1):
+            for k in range(max(0, j - c), j + 1):
+                d = j - k
+                G[j, k] = mp.fsum(A[q] * mp.conj(A[q + d]) * M[j + q]
+                                  for q in range(c + 1 - d))
+                G[k, j] = mp.conj(G[j, k])
+        return G
+
+
+@pytest.fixture(scope="session")
+def exact_gram():
+    return _exact_gram

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chargedgauss import dbar, fekete
+from chargedgauss import dbar, fekete, orthopoly
 from chargedgauss.orthopoly import build_orthopolys
 from chargedgauss.planarquad import build_grid
 from chargedgauss.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_UNSUPPORTED,
@@ -84,6 +84,21 @@ def test_unsupported_configuration_exit_code(tmp_path):
                                            {"re": 3.0, "beta": 0.5}]}))
     rc = main(["--config", str(cfg), "--out", str(tmp_path), "support"])
     assert rc == EXIT_UNSUPPORTED
+
+
+@pytest.mark.parametrize("error", [orthopoly.NonConvergence,
+                                   orthopoly.LossOfOrthogonality])
+def test_orthopoly_failure_exit_code(tmp_path, monkeypatch, capsys, error):
+    # criterion 03's exterior charge at --degree 40 raises NonConvergence:
+    # its zeros are too ill-conditioned for long double
+    def fail(*args, **kwargs):
+        raise error("zero residual 1.32e-02 above 1e-10 at n=40")
+
+    monkeypatch.setattr(orthopoly, "compute_zeros", fail)
+    rc = main(["--out", str(tmp_path), "--quick", "--degree", "6", "zeros"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INVARIANT
+    assert err.startswith("invariant failed:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("doc,extra", [

@@ -44,17 +44,18 @@ def test_gram_residual_small(cavity_ops):
     assert cavity_ops.gram_residual < 1e-8
 
 
-def _mgs2_hessenberg(grid, n_max):
-    """Arnoldi by modified Gram-Schmidt with a full second pass, one
-    inner product and one axpy at a time, in clongdouble."""
+def _mgs2_hessenberg(nodes, weights, n_max):
+    """Arnoldi on the rule (nodes, weights) by modified Gram-Schmidt with
+    a full second pass, one inner product and one axpy at a time, in
+    clongdouble."""
     def ip(f, g):
         return np.sum(f * np.conj(g))
 
-    sq = np.sqrt(grid.measure_weights).astype(CLD)
+    sq = np.sqrt(weights).astype(CLD)
     q = [sq / np.sqrt(np.real(ip(sq, sq)))]
     H = np.zeros((n_max + 2, n_max + 1), dtype=CLD)
     for k in range(n_max):
-        v = grid.nodes * q[k]
+        v = nodes * q[k]
         for _pass in range(2):
             for j in range(k + 1):
                 hj = ip(v, q[j])
@@ -65,8 +66,25 @@ def _mgs2_hessenberg(grid, n_max):
     return H
 
 
+def _unfolded_rule(grid, n):
+    """`grid.polynomial_rule(n)` of an exact-class weight, unfolded: on a
+    mirrored grid the folded columns and their mirror images, back in the
+    grid's frame, each doubled weight halved."""
+    x, w = grid.polynomial_rule(n)
+    if grid.axis is not None:
+        L = n + grid.potential.angular_degree() + 1
+        off = slice(1, (L + 1) // 2)
+        w = w.copy()
+        w[:, off] /= 2
+        x = np.concatenate([x, np.conj(x[:, off])], axis=1) \
+            * np.exp(CLD(1j) * LD(grid.axis))
+        w = np.concatenate([w, w[:, off]], axis=1)
+    return x.ravel(), w.ravel()
+
+
 def test_hessenberg_matches_mgs2_reference(cavity_grid, cavity_ops):
-    ref = _mgs2_hessenberg(cavity_grid, 12)
+    # the folded Arnoldi against MGS2 on the same rule, unfolded
+    ref = _mgs2_hessenberg(*_unfolded_rule(cavity_grid, 12), 12)
     assert cavity_ops.hessenberg.dtype == CLD
     assert np.max(np.abs(cavity_ops.hessenberg - ref)) < 1e-17
 
@@ -92,7 +110,7 @@ def test_mirror_grid_off_axis_charge():
         w = w.reshape(-1, T)
         assert np.array_equal(w, w[:, mirror])
     assert ops.gram_residual < 5e-17
-    ref = _mgs2_hessenberg(grid, 12)
+    ref = _mgs2_hessenberg(*_unfolded_rule(grid, 12), 12)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
@@ -101,15 +119,32 @@ def test_mirror_grid_charges_on_both_sides():
     _, grid, ops = _mirror_case(((0.3 * line, 0.5), (-0.5 * line, 0.3)))
     assert grid.axis is not None
     assert abs(np.exp(1j * grid.axis) ** 2 - line ** 2) < 1e-15
-    ref = _mgs2_hessenberg(grid, 12)
+    ref = _mgs2_hessenberg(grid.nodes, grid.measure_weights, 12)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
 def test_non_collinear_charges_use_full_grid():
     _, grid, ops = _mirror_case(((0.3, 0.5), (0.4j, 0.3), (-0.2 - 0.3j, 0.2)))
     assert grid.axis is None
-    ref = _mgs2_hessenberg(grid, 12)
+    ref = _mgs2_hessenberg(grid.nodes, grid.measure_weights, 12)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
+
+
+def _exact_norms(exact_gram, p, n):
+    """h_0..h_n of an exact-class weight, by Cholesky of its moment
+    matrix (`conftest._exact_gram`) in mpmath."""
+    with mp.workdps(60):
+        L = mp.cholesky(exact_gram(p, n))
+        return [mp.re(L[k, k]) ** 2 for k in range(n + 1)]
+
+
+def _norm_error(h, exact):
+    """Max relative error of the longdouble norms h against the oracle's;
+    each h_k enters exactly, as the sum of two doubles."""
+    lo = h - h.astype(float)
+    with mp.workdps(40):
+        return max(abs(float((mp.mpf(float(hi)) + mp.mpf(float(e))) / x - 1))
+                   for hi, e, x in zip(h, lo, exact))
 
 
 @pytest.mark.parametrize("charges,n,N,T,rule", [
@@ -126,18 +161,30 @@ def test_non_collinear_charges_use_full_grid():
     # a charge at 0 is radial: c = 0, then c = 10 with an off-axis charge
     (((0.0, 0.35),), 20, 40, 256, (11, 11)),
     (((0.0, 0.35), (0.3 * np.exp(0.7j), 0.5)), 20, 40, 256, (16, 16)),
-    # 16 Gauss nodes are no fewer than the 8 rings: the rings themselves
-    ((), 30, 60, 128, (8, 16)),
+    # 4 radii per panel on 8 rings put the grid's h_k 51 % off; the rule
+    # does not read the grid
+    ((), 30, 60, 128, (16, 16)),
     (((0.3, 0.5),), 60, 120, 384, (46, 46)),
 ])
-def test_rule_arnoldi_matches_full_grid_reference(charges, n, N, T, rule):
+def test_rule_arnoldi_matches_full_grid_reference(exact_gram, charges, n, N,
+                                                  T, rule):
+    # exact-class weights: h_k against the exact-moment oracle, and H
+    # against MGS2 on the same rule, unfolded; the others: H against MGS2
+    # on the full grid
     p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(charges), N=N,
                            gamma=2.0)
     grid = build_grid(p, orders=(4 if not charges else 24, T),
                       max_degree=2 * n)
     assert grid.polynomial_rule(n)[0].shape == rule
     ops = build_orthopolys(p, grid, n)
-    ref = _mgs2_hessenberg(grid, n)
+    if p.angular_degree() is None:
+        ref = _mgs2_hessenberg(grid.nodes, grid.measure_weights, n)
+    else:
+        # a charge only within ulps of a tilted mirror axis moves the
+        # mirrored nodes' weights, and h_k, by about 1e-16 (see planarquad)
+        err = _norm_error(ops.norms, _exact_norms(exact_gram, p, n))
+        assert err < (1e-15 if grid.axis else 1e-16)
+        ref = _mgs2_hessenberg(*_unfolded_rule(grid, n), n)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
@@ -148,42 +195,53 @@ def test_rule_arnoldi_leaves_grid_weight_unevaluated():
     assert "weight_values" not in grid.__dict__
 
 
-def _exact_norms(a, c, na, n):
-    """h_0..h_n of w = |z - a|^(2c) exp(-na |z|^2), by Cholesky of its
-    moment matrix in mpmath.  (z - a)^c is a polynomial, so
-    <z^j, z^k> = pi sum_p A_p conj(A_q) m!/na^(m+1), m = j + p = k + q,
-    with A_p = C(c, p) (-a)^(c - p); it vanishes for |j - k| > c."""
-    with mp.workdps(60):
-        A = [mp.binomial(c, q) * (-mp.mpmathify(a)) ** (c - q)
-             for q in range(c + 1)]
-        M = [mp.pi * mp.factorial(m) / mp.mpf(na) ** (m + 1)
-             for m in range(n + c + 1)]
-        G = mp.zeros(n + 1, n + 1)
-        for j in range(n + 1):
-            for k in range(max(0, j - c), j + 1):
-                d = j - k
-                G[j, k] = mp.fsum(A[q] * mp.conj(A[q + d]) * M[j + q]
-                                  for q in range(c + 1 - d))
-                G[k, j] = mp.conj(G[j, k])
-        L = mp.cholesky(G)
-        return [L[k, k] ** 2 for k in range(n + 1)]
+def test_rule_arnoldi_does_not_depend_on_the_grid():
+    p = PerturbedPotential(alpha=0.5, nu=DEFAULT_CHARGE, N=40.0, gamma=2.0)
+    H = [build_orthopolys(p, build_grid(p, orders=orders, max_degree=40),
+                          20).hessenberg
+         for orders in [(4, 64), (24, 384)]]
+    assert np.array_equal(*H)
 
 
 @pytest.mark.parametrize("a,n,T", [
     # the CLI default charge: its grids at n = 40 and 50 were once cut at
     # 1.3, which put h_k 20 % off
     (0.3, 40, 256), (0.3, 40, 384), (0.3, 50, 256), (0.3, 50, 384),
-    (2.0, 20, 256),   # criterion 03's exterior charge
+    # criterion 03's exterior charge: the grid's h_k were 1.6e-10 off at
+    # n = 30
+    (2.0, 20, 256), (2.0, 30, 256),
 ])
-def test_norms_match_exact_moment_oracle(a, n, T):
+def test_norms_match_exact_moment_oracle(exact_gram, a, n, T):
     # beta = 0.5 and N = 2n: w = |z - a|^n exp(-n |z|^2), so c = n/2
     p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((a, 0.5),)),
                            N=2.0 * n, gamma=2.0)
     grid = build_grid(p, orders=(24, T), max_degree=2 * n)
     h = build_orthopolys(p, grid, n).norms
-    exact = _exact_norms(a, n // 2, p.N * p.alpha, n)
-    err = max(abs(float(h[k]) / float(exact[k]) - 1) for k in range(n + 1))
-    assert err < 1e-12
+    assert _norm_error(h, _exact_norms(exact_gram, p, n)) < 1e-16
+
+
+def _exact_zeros(exact_gram, p, n, dps=300):
+    """Zeros of the monic P_n, whose coefficients solve
+    sum_k c_k <z^k, z^j> = -<z^n, z^j>, j < n, at dps digits."""
+    with mp.workdps(dps):
+        G = exact_gram(p, n, dps)
+        c = mp.lu_solve(G[:n, :n].T, -G[n, :n].T)
+        roots = mp.polyroots([1] + [c[k] for k in range(n - 1, -1, -1)],
+                             maxsteps=200, extraprec=50)
+        return np.array([complex(r) for r in roots])
+
+
+@pytest.mark.parametrize("n,tol", [(20, 1e-12), (30, 1e-8)])
+def test_exterior_zeros_match_exact_oracle(exact_gram, n, tol):
+    # criterion 03's exterior charge: the grid's H put the n = 30 zeros
+    # 1.9e-2 off
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)),
+                           N=2.0 * n, gamma=2.0)
+    grid = build_grid(p, orders=(24, 256), max_degree=2 * n)
+    zeros = compute_zeros(build_orthopolys(p, grid, n), n).zeros
+    ref = _exact_zeros(exact_gram, p, n)
+    d = np.abs(zeros[:, None] - ref[None, :])
+    assert max(d.min(axis=0).max(), d.min(axis=1).max()) < tol
 
 
 def test_gram_residual_extended_precision():

@@ -69,7 +69,7 @@ def test_weight_values_extended_precision(charges):
     (((0.3, 0.3),), 12, 256, None),      # N*beta/2 = 3.6: the grid
     (((0.3, 0.5),), 10, 30, (8, 16)),
     (((0.3, 0.5),), 10, 33, (8, 16)),    # T odd
-    (((0.3, 1.5),), 10, 24, None),       # L = 26 > T: the grid
+    (((0.3, 1.5),), 10, 24, (13, 26)),   # L = 26 > T: the rule all the same
 ])
 def test_polynomial_rule_size(charges, n, T, rule):
     # m = ceil(L/2) radii, L = n + c + 1 angles; folded to L//2 + 1
@@ -93,31 +93,29 @@ def _moments(x, w, n):
     ((0.3, 0.5), (0.4j, 0.5)),                 # c = 10, not mirrored
     ((0.0, 0.35), (0.3 * np.exp(0.7j), 0.5)),  # radial factor |z|^7
 ])
-def test_polynomial_rule_integrates_weight_exactly(charges):
-    # the rule's mass and |z|^(2k) moments are the grid's
+def test_polynomial_rule_integrates_weight_exactly(exact_gram, charges):
+    # the rule's mass and |z|^(2k) moments are the diagonal of the
+    # weight's exact Gram matrix, within the tilted mirror's 1e-16 (see
+    # planarquad) and the double rounding of Gamma(1.5) at s = 3.5
     n = 10
     p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(charges),
                               N=20.0)
     grid = build_grid(p, orders=(24, 256), max_degree=2 * n)
+    G = exact_gram(p, n)
+    exact = np.array([float(mp.re(G[k, k])) for k in range(n + 1)])
     # the rule folded where the grid has a mirror axis, and unfolded
     for g in (grid, dataclasses.replace(grid, axis=None)):
-        full = _moments(g.nodes, g.measure_weights, n)
         x, w = g.polynomial_rule(n)
         assert x.size < grid.nodes.size // 50
-        assert np.max(np.abs(_moments(x, w, n) / full - 1)) < 1e-17
+        assert np.max(np.abs(_moments(x, w, n) / exact - 1)) < 1e-15
 
 
-def test_polynomial_rule_falls_back_to_the_rings():
-    # m = 16 Gauss nodes are no fewer than the 8 rings: the rule keeps
-    # the rings, with their radial weights, on L = 31 angles
-    p = cg.PerturbedPotential(alpha=0.5, N=60.0)
-    grid = build_grid(p, orders=(4, 128), max_degree=60)
-    T = grid.angular_order
-    x, w = grid.polynomial_rule(30)
-    assert x.shape == (8, 16)
-    assert np.max(np.abs(np.abs(x[:, 0]) - np.abs(grid.nodes[::T]))) < 1e-18
-    full = _moments(grid.nodes, grid.measure_weights, 30)
-    assert np.max(np.abs(_moments(x, w, 30) / full - 1)) < 1e-17
+def test_legendre_rule_integrates_even_powers():
+    # numpy's double leggauss, cast to long double, is off by up to 2e-15
+    x, w = planarquad._legendre_rule(24)
+    assert x.dtype == w.dtype == LD
+    for k in range(24):
+        assert abs(np.sum(w * x ** (2 * k)) - LD(2) / (2 * k + 1)) < 1e-18
 
 
 def test_inner_product_conjugate_symmetry(cavity_grid):
