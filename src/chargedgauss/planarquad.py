@@ -180,17 +180,35 @@ def _legendre_rule(m: int):
     return x, w
 
 
+# B_2k / (2k (2k - 1)), k = 1..9: Stirling's series for log Gamma
+_STIRLING = (np.array([1, -1, 1, -1, 1, -691, 1, -3617, 43867], dtype=LD)
+             / np.array([12, 360, 1260, 1680, 1188, 360360, 156, 122400,
+                         244188], dtype=LD))
+
+
+def _gamma_1p(f):
+    """Gamma(1 + f) for 0 < f < 1 in long double, to about 5e-18 relative:
+    Stirling's series for log Gamma(x) at x = 17 + f, 9 Bernoulli terms
+    B_2k / (2k (2k - 1) x^(2k - 1)) (the next is below 1e-23), divided by
+    the 16 shift factors (1 + f) ... (16 + f)."""
+    x = 17 + f
+    series = np.sum(_STIRLING / x ** np.arange(1, 18, 2, dtype=LD))
+    lg = (x - 0.5) * np.log(x) - x + 0.5 * np.log(2 * _PI) + series
+    return np.exp(lg) / np.prod(1 + f + np.arange(16, dtype=LD))
+
+
 def _laguerre_rule(p: PerturbedPotential, m: int):
     """The m-node Gauss rule of pi u^s exp(-N*alpha*u) du, u > 0,
     s = N*beta_0/2: a_k = (2k + s + 1)/(N*alpha), b_k = sqrt(k(k + s))/
     (N*alpha), mass pi Gamma(s + 1)/(N*alpha)^(s + 1), with Gamma(s + 1) =
     Gamma(1 + f) (1 + f) ... (s), f = s - floor(s): exact for integer s,
-    else with the double rounding of Gamma(1 + f)."""
+    else with _gamma_1p's long-double rounding."""
     s = LD(0.5 * p.N * sum(b for a, b in p.nu.charges if a == 0))
     na = LD(p.N) * LD(p.alpha)
     k = np.arange(m, dtype=LD)
     f = s % 1
-    gamma = LD(math.gamma(1 + f)) * np.prod(f + np.arange(1, s - f + 1))
+    gamma = (_gamma_1p(f) if f else LD(1)) \
+        * np.prod(f + np.arange(1, s - f + 1))
     return _gauss_rule((2 * k + s + 1) / na, np.sqrt(k[1:] * (k[1:] + s)) / na,
                        _PI * gamma / na ** (s + 1))
 

@@ -281,8 +281,14 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
     directions solve (p+1)*psi + arg C = pi/2 (mod pi): three directions
     for a square-root branch point, four for a simple zero.  Each is
     integrated by RK4; if a returned polyline violates the residual bound
-    the step is halved and it is retraced.  A bare jump field provides
-    the integrator interface of CavityDeltaS: state, point and flow.
+    the step is halved and it is retraced.  Each curve is traced once,
+    from the end launched first: a curve that ends at another vanishing
+    point ('branch') or closes on its own ('closed') records its arrival
+    direction there, the direction to its point 4 steps before the end,
+    and a later launch within half the launch spacing, pi/(2(p+1)), of
+    a recorded arrival is skipped.  Exit rays and 'node' ends are always
+    kept.  A bare jump field provides the integrator interface of
+    CavityDeltaS: state, point and flow.
     """
     if isinstance(geom_or_field, ExteriorMap):
         field_fn = ExteriorDeltaS(geom_or_field)
@@ -305,6 +311,7 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
     starts = [complex(z) for z in starts]
 
     trajs = []
+    arrivals = {z: [] for z in starts}   # arrival angles of traced curves
     for z0 in starts:
         others = [b for b in starts if b != z0]
         p, arg_c = _local_exponent_and_phase(field_fn, z0)
@@ -312,6 +319,10 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
         psi0 = (0.5 * math.pi - arg_c) / (p + 1.0)
         for m in range(n_dir):
             psi = psi0 + m * math.pi / (p + 1.0)
+            # this direction's curve was traced from its other end
+            if any(abs(math.remainder(psi - chi, 2.0 * math.pi))
+                   < 0.5 * math.pi / (p + 1.0) for chi in arrivals[z0]):
+                continue
             zstart = z0 + offset * cmath.exp(1j * psi)
             h = step
             while True:
@@ -324,6 +335,10 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
                     raise StiffRegion(
                         f"step underflow near {z0} direction {psi:.3f}")
             trajs.append(tr)
+            if tr.end_tag in ("branch", "closed"):
+                end = z0 if tr.closed else \
+                    min(others, key=lambda b: abs(tr.points[-1] - b))
+                arrivals[end].append(cmath.phase(tr.points[-5] - end))
     return trajs
 
 
@@ -393,7 +408,8 @@ def cavity_jump_field(p: PerturbedPotential) -> CavityDeltaS:
 
 def zero_attractor_candidates(p: PerturbedPotential, step: float = 2e-3):
     """Closed critical trajectories of the cavity jump field launched from
-    its simple zeros inside the cavity; returns (field, trajectories)."""
+    its simple zeros inside the cavity, each loop traced once, from the
+    launch that leaves along it first; returns (field, trajectories)."""
     ds = cavity_jump_field(p)
     crit = [z for z in ds.critical_points()
             if abs(z - ds.a) < ds.r]

@@ -96,7 +96,7 @@ def _moments(x, w, n):
 def test_polynomial_rule_integrates_weight_exactly(exact_gram, charges):
     # the rule's mass and |z|^(2k) moments are the diagonal of the
     # weight's exact Gram matrix, within the tilted mirror's 1e-16 (see
-    # planarquad) and the double rounding of Gamma(1.5) at s = 3.5
+    # planarquad)
     n = 10
     p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(charges),
                               N=20.0)
@@ -108,6 +108,21 @@ def test_polynomial_rule_integrates_weight_exactly(exact_gram, charges):
         x, w = g.polynomial_rule(n)
         assert x.size < grid.nodes.size // 50
         assert np.max(np.abs(_moments(x, w, n) / exact - 1)) < 1e-15
+
+
+@pytest.mark.parametrize("N,beta0", [(4.0, 0.35), (2.0, 3.5), (2.0, 0.5)])
+def test_laguerre_rule_mass_matches_mpmath(N, beta0):
+    # s = N*beta_0/2 = 0.7, 3.5, 0.5: Gamma(1 + frac(s)) in long double
+    # puts the mass pi Gamma(s + 1)/(N alpha)^(s + 1) within 1e-17
+    p = cg.PerturbedPotential(alpha=0.5,
+                              nu=cg.PointChargeMeasure(((0.0, beta0),)), N=N)
+    _, w = planarquad._laguerre_rule(p, 12)
+    total = np.sum(w)
+    s = mp.mpf(0.5 * N * beta0)
+    with mp.workdps(40):
+        exact = mp.pi * mp.gamma(s + 1) / mp.mpf(0.5 * N) ** (s + 1)
+        mass = mp.mpf(float(total)) + mp.mpf(float(total - LD(float(total))))
+        assert abs(mass / exact - 1) < 1e-17
 
 
 def test_legendre_rule_integrates_even_powers():

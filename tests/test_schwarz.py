@@ -129,8 +129,10 @@ def test_circle_degenerate_branch_points():
 
 
 def test_exterior_trajectories(exterior_map):
+    # three launches per branch point, but the two curves joining the
+    # branch points are traced once each: 2 of them and 2 exit rays
     trajs = critical_trajectories(exterior_map)
-    assert len(trajs) == 6  # three per branch point
+    assert len(trajs) == 4
     assert all(t.max_residual < 1e-3 for t in trajs)
     conn = connecting_trajectories(trajs)
     assert len(conn) >= 1
@@ -184,7 +186,7 @@ def test_cavity_attractor_traced_once_per_launch(monkeypatch):
     p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.3, 0.5),)),
                            N=2.0, gamma=2.0)
     _, trajs = zero_attractor_candidates(p)
-    assert steps == [2e-3] * 4
+    assert steps == [2e-3] * 2   # two loops, each traced once
     assert all(t.end_tag == "closed" for t in trajs)
     assert max(t.max_residual for t in trajs) < 2e-4
 
@@ -379,12 +381,17 @@ def _criterion_02_draws(k):
 
 
 def _compare_to_reference(trajs, ref, pts_tol):
-    assert [t.end_tag for t in trajs] == [r[0] for r in ref]
-    assert [len(t.points) for t in trajs] == [len(r[1]) for r in ref]
-    for t, (_, pts, _) in zip(trajs, ref):
+    """Each returned curve against the reference curve of the same launch
+    (the one starting nearest to it): the reference traces every launch,
+    so a curve joining two vanishing points appears there twice."""
+    same = [ref[int(np.argmin([abs(r[1][0] - t.points[0]) for r in ref]))]
+            for t in trajs]
+    assert [t.end_tag for t in trajs] == [r[0] for r in same]
+    assert [len(t.points) for t in trajs] == [len(r[1]) for r in same]
+    for t, (_, pts, _) in zip(trajs, same):
         assert np.max(np.abs(t.points - pts)) <= pts_tol
     new = max(t.max_residual for t in trajs)
-    old = max(r[2] for r in ref)
+    old = max(r[2] for r in same)
     assert abs(new - old) <= 0.1 * old
 
 
@@ -410,6 +417,33 @@ def test_cavity_attractor_matches_z_plane_reference():
     ref = _reference_trajectories(_ReferenceCavityField(ds), crit,
                                   3.0 * outer_radius(p))
     _compare_to_reference(trajs, ref, 1e-15)
+
+
+def _traces_same_curve(t, u, tol=1e-2):
+    """u runs along t backwards: their endpoints swap and every 50th
+    point of u lies within tol of t."""
+    if abs(t.points[0] - u.points[-1]) > tol \
+            or abs(t.points[-1] - u.points[0]) > tol:
+        return False
+    d = np.abs(u.points[::50, None] - t.points[None, :])
+    return float(np.max(np.min(d, axis=1))) < tol
+
+
+def test_each_curve_traced_once(exterior_map):
+    # no returned curve is another traced in reverse: branch-to-branch
+    # curves (the a = 2 map and three criterion-02 draws) and the loops
+    # of the cavity charge
+    families = [critical_trajectories(em) for em in
+                [exterior_map] + [solve_exterior_map(*d)
+                                  for d in _criterion_02_draws(3)]]
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.3, 0.5),)),
+                           N=2.0, gamma=2.0)
+    families.append(zero_attractor_candidates(p)[1])
+    for trajs in families:
+        assert any(t.end_tag in ("branch", "closed") for t in trajs)
+        for i, t in enumerate(trajs):
+            for u in trajs[i + 1:]:
+                assert not _traces_same_curve(t, u)
 
 
 def test_tracer_solves_no_quadratic_per_step(exterior_map, monkeypatch):
