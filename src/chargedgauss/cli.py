@@ -4,7 +4,8 @@ potential comparisons and the full pipeline.
 
 Outputs are JSON reports, CSV polylines/point sets, and standalone SVG
 figures regenerable from the CSVs.  Exit codes: 0 ok, 2 invariant
-failure, 3 unsupported or malformed configuration.
+failure, 3 unsupported or malformed configuration, or one whose arrays
+would not fit in memory.
 """
 
 from __future__ import annotations
@@ -453,6 +454,10 @@ def main(argv=None) -> int:
     except (orthopoly.NonConvergence, orthopoly.LossOfOrthogonality) as e:
         print(f"invariant failed: {e}", file=sys.stderr)
         return EXIT_INVARIANT
+    except (planarquad.OverMemoryBudget, MemoryError) as e:
+        print(f"out of memory: {str(e) or 'an allocation failed'}",
+              file=sys.stderr)
+        return EXIT_UNSUPPORTED
 
 
 if __name__ == "__main__":

@@ -7,12 +7,17 @@ equilibrium conditions with the exact log potential of either support.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import DiskMeasure, PerturbedPotential
+
+
+# mesh nodes per block of whole rows in verify_equilibrium
+_BLOCK = 4096
 
 
 class UnsupportedGeometry(Exception):
@@ -359,19 +364,31 @@ class EquilibriumReport:
 def verify_equilibrium(geom, p: PerturbedPotential,
                        grid_spec: dict | None = None) -> EquilibriumReport:
     """Check U^sigma + V = F on the support and >= F off it on a cartesian
-    grid covering the support plus a margin annulus.
+    n x n mesh covering the support plus a margin annulus.
 
     U^sigma is exact for both geometries.  Points within a thin collar of
     the boundary (to 720 boundary samples for an exterior map) are skipped:
-    the analytic statement concerns the open regions.
+    the analytic statement concerns the open regions.  For an exterior map
+    F is the effective potential at the on-support node farthest from
+    every 8th boundary sample, deep inside the support, where F is
+    constant; the boundary samples' mean (= u) can lie off a support with
+    a deep bite.
+
+    The mesh is streamed in blocks of whole rows, about _BLOCK nodes each.
+    Each block's masks and potential are reduced to the minimum and
+    maximum of U^sigma + V over its on-support nodes, the minimum over its
+    off-support nodes and, for an exterior map, its farthest node.  So
+    memory grows with the block and the boundary samples, not with mesh x
+    samples.  As p -> fl(p - F) is monotone, max(pmax - F, F - pmin) is the
+    largest |U^sigma + V - F| over the on-support nodes.
     """
     spec = {"n": 200, "margin": 0.6, "collar": 0.02,
             "tol_on": 1e-8, "tol_off": 1e-8}
     if grid_spec:
         spec.update(grid_spec)
+    n, collar = spec["n"], spec["collar"]
 
     disk = isinstance(geom, DiskWithCavities)
-
     if disk:
         R = geom.outer_radius
         extent = R + spec["margin"]
@@ -379,33 +396,13 @@ def verify_equilibrium(geom, p: PerturbedPotential,
         th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         bpts = geom.boundary(th)
         extent = float(np.max(np.abs(bpts))) + spec["margin"]
-
-    n = spec["n"]
     xs = np.linspace(-extent, extent, n)
-    X, Y = np.meshgrid(xs, xs)
-    Z = (X + 1j * Y).ravel()
-    # exclude charge locations, where V = +inf
-    keep = np.ones(Z.size, dtype=bool)
-    for a, _ in p.nu.charges:
-        keep &= np.abs(Z - a) > 1e-9
-    Z = Z[keep]
 
-    if disk:
-        F = robin_constant(geom, p)
-
-        def potential(m):   # U^sigma + V on the nodes Z[m]
-            return effective_potential(geom, p, Z[m])
-
-        m_on = np.abs(Z) <= R - spec["collar"]
-        m_off = np.abs(Z) >= R + spec["collar"]
-        for c, r in geom.cavities:
-            m_on &= np.abs(Z - c) >= r + spec["collar"]
-            m_off |= np.abs(Z - c) <= r - spec["collar"]
-    else:
-        # the collar: mesh nodes within spec["collar"] of a boundary sample,
-        # all of which lie within w steps of the sample's mesh cell
+    if not disk:
+        # the collar: mesh nodes within collar of a boundary sample, all
+        # of which lie within w steps of the sample's mesh cell
         step = xs[1] - xs[0]
-        w = math.ceil(spec["collar"] / step) + 1
+        w = math.ceil(collar / step) + 1
         off = np.arange(-w, w + 1)
         i0 = np.floor((bpts.real + extent) / step).astype(int)
         j0 = np.floor((bpts.imag + extent) / step).astype(int)
@@ -413,35 +410,60 @@ def verify_equilibrium(geom, p: PerturbedPotential,
         iy = np.clip(j0[:, None, None] + off[None, :, None], 0, n - 1)
         d = np.abs(xs[ix] + 1j * xs[iy] - bpts[:, None, None])
         near = np.zeros(n * n, dtype=bool)
-        near[(iy * n + ix)[d <= spec["collar"]]] = True
-        near = near[keep]
-        # one preimage solve serves geom.contains and the potential
-        z1, z2 = geom._preimages(Z)
-        inside = (np.abs(z1) < 1.0) & (np.abs(z2) < 1.0)
+        near[(iy * n + ix)[d <= collar]] = True
+        samples = bpts[::8]
 
-        def potential(m):   # effective_potential on these preimages
-            return (2.0 * p.alpha / math.pi * _exterior_map_potential(
-                geom, Z[m], (z1[m], z2[m])) + p.value_grid(Z[m]))
+    pmin, pmax, pmin_off = np.inf, -np.inf, np.inf
+    n_on = n_off = 0
+    far, z_ref = -np.inf, None
+    rows = max(1, _BLOCK // n)
+    for r0 in range(0, n, rows):
+        z = (xs[None, :] + 1j * xs[r0:r0 + rows, None]).ravel()
+        # exclude charge locations, where V = +inf
+        keep = np.ones(z.size, dtype=bool)
+        for a, _ in p.nu.charges:
+            keep &= np.abs(z - a) > 1e-9
+        z = z[keep]
+        if disk:
+            on = np.abs(z) <= R - collar
+            out = np.abs(z) >= R + collar
+            for c, r in geom.cavities:
+                on &= np.abs(z - c) >= r + collar
+                out |= np.abs(z - c) <= r - collar
+            m = on | out
+            u = effective_potential(geom, p, z[m])
+        else:
+            # one preimage solve serves the support test and the potential
+            z1, z2 = geom._preimages(z)
+            inside = (np.abs(z1) < 1.0) & (np.abs(z2) < 1.0)
+            m = ~near[r0 * n:(r0 + rows) * n][keep]
+            on, out = inside & m, ~inside & m
+            u = (2.0 * p.alpha / math.pi * _exterior_map_potential(
+                geom, z[m], (z1[m], z2[m])) + p.value_grid(z[m]))
+            zo = z[on]
+            if zo.size:
+                dist = functools.reduce(np.minimum,
+                                        (np.abs(zo - b) for b in samples))
+                k = np.argmax(dist)
+                if dist[k] > far:   # the first farthest node of the mesh
+                    far, z_ref = dist[k], zo[k]
+        u_on, u_off = u[on[m]], u[out[m]]
+        pmin = np.minimum(pmin, np.min(u_on, initial=np.inf))
+        pmax = np.maximum(pmax, np.max(u_on, initial=-np.inf))
+        pmin_off = np.minimum(pmin_off, np.min(u_off, initial=np.inf))
+        n_on += u_on.size
+        n_off += u_off.size
 
-        m_on = inside & ~near
-        m_off = ~inside & ~near
-        # F at the support point farthest from every 8th boundary sample,
-        # deep inside the support, where F is constant; the boundary
-        # samples' mean (= u) can lie off a support with a deep bite
-        on = Z[m_on]
-        far = np.min(np.abs(on[:, None] - bpts[None, ::8]), axis=1)
-        z_ref = on[np.argmax(far)]
+    if disk:
+        F = robin_constant(geom, p)
+    elif z_ref is None:
+        raise ValueError("no mesh node lies in the support off the collar")
+    else:
         F = float(effective_potential(geom, p, z_ref)[0])
-
-    dev_on = 0.0
-    if m_on.any():
-        dev_on = float(np.max(np.abs(potential(m_on) - F)))
-    margin_off = math.inf
-    if m_off.any():
-        margin_off = float(np.min(potential(m_off) - F))
+    dev_on = float(np.maximum(pmax - F, F - pmin)) if n_on else 0.0
     return EquilibriumReport(robin_constant=F, max_dev_on=dev_on,
-                             min_margin_off=margin_off,
-                             n_on=int(m_on.sum()), n_off=int(m_off.sum()),
+                             min_margin_off=float(pmin_off - F),
+                             n_on=n_on, n_off=n_off,
                              tol_on=spec["tol_on"], tol_off=spec["tol_off"])
 
 

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .measures import PerturbedPotential
-from .planarquad import CLD, LD, QuadGrid
+from .planarquad import CLD, LD, QuadGrid, check_memory
 
 GRAM_TOL = 1e-8
 # a second Gram-Schmidt pass runs when ||v|| falls below this share of
@@ -167,6 +167,10 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     dot product of q_j and v viewed as interleaved reals), and the result
     is rotated back:
     H[j,k] e^{i(k+1-j) phi}.
+
+    Raises OverMemoryBudget, before the rule is built, when the basis Q
+    (n_max + 1 rows over the rule's nodes) would exceed
+    `planarquad.memory_budget()`.
     """
     if grid.angular_order < 2 * n_max + 2:
         raise ValueError(
@@ -177,6 +181,10 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     # coefficients in the frame of its axis: run on the half rule there,
     # with inner products the real parts of the half sums
     fold = grid.axis is not None
+    size = grid.rule_size(n_max)
+    # the basis Q dwarfs the rule's nodes and weights
+    check_memory(size * (n_max + 1) * np.dtype(CLD).itemsize,
+                 f"the Arnoldi basis of {n_max + 1} x {size} nodes")
     x, w = (a.ravel() for a in grid.polynomial_rule(n_max))
     # Q[k]: q_k at the nodes times sqrt(weight).  B is Q as the inner
     # product sees it: viewed as reals when folded, where Re<f, g> is the

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -65,6 +66,29 @@ _AXIS_ULPS = 4
 # bulk it reaches (see there)
 _RADIAL_MESH = 4096
 _MESH_DECAY = 400.0
+
+
+class OverMemoryBudget(Exception):
+    """The arrays a computation would allocate exceed `memory_budget()`."""
+
+
+def memory_budget() -> float:
+    """Bytes one grid, rule or basis may take: half the physical memory,
+    or no bound where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def check_memory(nbytes: float, what: str) -> None:
+    """Raise OverMemoryBudget, before anything is allocated, when what
+    needs more than `memory_budget()` bytes."""
+    budget = memory_budget()
+    if nbytes > budget:
+        raise OverMemoryBudget(
+            f"{what} needs {nbytes / 1e9:.3g} GB, more than half the "
+            f"physical memory ({budget / 1e9:.3g} GB)")
 
 
 @dataclass(frozen=True)
@@ -91,6 +115,18 @@ class QuadGrid:
         z = self.nodes.reshape(-1, T)[:, :cols.max() + 1]
         logw = self.potential.log_weight_grid(z)[:, cols]
         return np.where(np.isneginf(logw), LD(0.0), np.exp(logw)).ravel()
+
+    def rule_size(self, degree: int) -> int:
+        """Number of nodes of `polynomial_rule(degree)`, which is not
+        built."""
+        c = self.potential.angular_degree()
+        if c is None:
+            L = self.angular_order
+            m = self.nodes.size // L
+        else:
+            L = degree + c + 1
+            m = (L + 1) // 2
+        return m * (L if self.axis is None else L // 2 + 1)
 
     @property
     def measure_weights(self) -> np.ndarray:
@@ -273,7 +309,8 @@ def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
     radii per panel times n_t angles, cut at
     `truncation_radius(p, eps_tail, max_degree)`: beyond the cut lies at
     most eps_tail of the |z|^max_degree moment of the weight, relative to
-    that moment (max_degree = 2*n for degree-n inner products)."""
+    that moment (max_degree = 2*n for degree-n inner products).  Raises
+    OverMemoryBudget before building a grid over `memory_budget()`."""
     n_r, n_t = orders
     if n_r < 2 or n_t < 4:
         raise ValueError(f"invalid quadrature orders {orders}")
@@ -315,6 +352,9 @@ def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
         wr_list.append(half * ws)
     r = np.concatenate(r_list)
     wr = np.concatenate(wr_list)
+    # the nodes (complex) and areas (real) in long double
+    check_memory(r.size * n_t * 3 * LD(0).itemsize,
+                 f"the {r.size} x {n_t} quadrature grid")
 
     axis = mirror_axis(p)
     th = LD(2.0) * _PI * np.arange(n_t, dtype=LD) / LD(n_t)

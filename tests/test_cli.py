@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chargedgauss import dbar, fekete, orthopoly
+from chargedgauss import dbar, fekete, orthopoly, planarquad
 from chargedgauss.orthopoly import build_orthopolys
 from chargedgauss.planarquad import build_grid
 from chargedgauss.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_UNSUPPORTED,
@@ -100,6 +100,35 @@ def test_orthopoly_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     err = capsys.readouterr().err
     assert rc == EXIT_INVARIANT
     assert err.startswith("invariant failed:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags,what", [
+    # the 24 x 102 grid (0.1 MB) fits; the 51 x 1,482-node basis (2.4 MB)
+    # does not
+    (["--quad", "4,16,1e-12", "--degree", "50"], "Arnoldi basis"),
+    (["--quick", "--degree", "6"], "quadrature grid"),
+])
+def test_over_memory_budget_exit_code(tmp_path, monkeypatch, capsys, flags,
+                                      what):
+    # refused before the grid or basis is allocated, as --degree 700 zeros
+    # (a 6.2 GB basis) is on an 8 GB machine
+    monkeypatch.setattr(planarquad, "memory_budget", lambda: 1e6)
+    rc = main(["--out", str(tmp_path), *flags, "zeros"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_UNSUPPORTED
+    assert err.startswith("out of memory:") and err.count("\n") == 1
+    assert what in err
+
+
+def test_memory_error_exit_code(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(orthopoly, "compute_zeros", fail)
+    rc = main(["--out", str(tmp_path), "--quick", "--degree", "6", "zeros"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_UNSUPPORTED
+    assert err.startswith("out of memory:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("doc,extra", [

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chargedgauss as cg
+from chargedgauss import equilibrium
 from chargedgauss.equilibrium import (DiskWithCavities, ExteriorMap,
                                       NoRootError, UnsupportedGeometry,
                                       _exterior_map_potential,
@@ -214,6 +216,89 @@ def test_verify_equilibrium_collar_is_exact():
         inside = geom.contains(z)
         assert (rep.n_on, rep.n_off) == (int(np.sum(inside & (dist > 0.02))),
                                          int(np.sum(~inside & (dist > 0.02))))
+
+
+def _full_mesh_report(geom, p, n):
+    """verify_equilibrium's masks, F and deviations at its default margin
+    and collar, over the whole mesh at once: the potential at every node,
+    the collar by distances to all 720 boundary samples and z_ref from the
+    full distance matrix of on-support nodes to every 8th sample.
+    Returns (z_ref, F, max_dev_on, min_margin_off, n_on, n_off); z_ref is
+    None for a disk."""
+    if isinstance(geom, DiskWithCavities):
+        extent = geom.outer_radius + 0.6
+    else:
+        bpts = geom.boundary(np.linspace(0.0, 2.0 * np.pi, 720,
+                                         endpoint=False))
+        extent = float(np.max(np.abs(bpts))) + 0.6
+    xs = np.linspace(-extent, extent, n)
+    z = (xs[None, :] + 1j * xs[:, None]).ravel()
+    for a, _ in p.nu.charges:
+        z = z[np.abs(z - a) > 1e-9]
+    u = effective_potential(geom, p, z)
+    if isinstance(geom, DiskWithCavities):
+        R = geom.outer_radius
+        on, off = np.abs(z) <= R - 0.02, np.abs(z) >= R + 0.02
+        for c, r in geom.cavities:
+            on &= np.abs(z - c) >= r + 0.02
+            off |= np.abs(z - c) <= r - 0.02
+        z_ref, F = None, robin_constant(geom, p)
+    else:
+        dist = np.min(np.abs(z[:, None] - bpts[None, :]), axis=1)
+        inside = geom.contains(z)
+        on, off = inside & (dist > 0.02), ~inside & (dist > 0.02)
+        far = np.min(np.abs(z[on][:, None] - bpts[None, ::8]), axis=1)
+        z_ref = z[on][np.argmax(far)]
+        F = float(effective_potential(geom, p, z_ref)[0])
+    return (z_ref, F, float(np.max(np.abs(u[on] - F))),
+            float(np.min(u[off] - F)), int(on.sum()), int(off.sum()))
+
+
+@pytest.mark.parametrize("alpha, beta, a, n", [
+    (0.5, 0.5, 2.0, 200),                                 # criterion 03
+    (1.5349565601577209, 0.6497336667932423,              # a deep bite
+     -0.12961022181931692 - 0.30445041927152344j, 60),
+    (0.5, 0.5, 0.3, 80),                                  # a cavity
+])
+def test_verify_equilibrium_matches_full_mesh(monkeypatch, alpha, beta, a,
+                                              n):
+    # the row-block stream gives the whole mesh's report, and picks the
+    # same z_ref: the one point at which it evaluates effective_potential
+    p = PerturbedPotential(alpha=alpha, nu=PointChargeMeasure(((a, beta),)),
+                           N=2.0, gamma=2.0)
+    geom = classify_support(p)
+    z_ref, F, dev, margin, n_on, n_off = _full_mesh_report(geom, p, n)
+    points = []
+
+    def spy(geom, p, z):
+        points.append(z)
+        return effective_potential(geom, p, z)
+
+    monkeypatch.setattr(equilibrium, "effective_potential", spy)
+    rep = verify_equilibrium(geom, p, {"n": n})
+    if z_ref is not None:
+        assert points == [z_ref]
+    assert (rep.n_on, rep.n_off) == (n_on, n_off)
+    assert abs(rep.robin_constant - F) <= 1e-15
+    assert abs(rep.max_dev_on - dev) <= 1e-15
+    assert abs(rep.min_margin_off - margin) <= 1e-15
+    assert rep.passed
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_verify_equilibrium_memory_is_bounded(exterior_map, n):
+    # the parent's node x boundary-sample matrices peaked at 23.1 MB
+    # (n = 200) and 91.9 MB (n = 400); the row blocks stay below 3 MB
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)),
+                           N=2.0, gamma=2.0)
+    tracemalloc.start()
+    try:
+        rep = verify_equilibrium(exterior_map, p, {"n": n})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 3e6
 
 
 def region_log_potential(boundary_pts, boundary_elems, z):

@@ -80,6 +80,9 @@ def test_polynomial_rule_size(charges, n, T, rule):
     m, L = rule or (grid.nodes.size // T, T)
     x, w = grid.polynomial_rule(n)
     assert x.shape == w.shape == (m, L // 2 + 1)
+    assert grid.rule_size(n) == x.size
+    full = dataclasses.replace(grid, axis=None)
+    assert full.rule_size(n) == full.polynomial_rule(n)[0].size == m * L
 
 
 def _moments(x, w, n):
@@ -219,3 +222,10 @@ def test_cauchy_tail_split_matches_direct(cavity_potential, cavity_grid):
 def test_build_grid_validation(cavity_potential):
     with pytest.raises(ValueError):
         build_grid(cavity_potential, orders=(1, 384))
+
+
+def test_build_grid_refuses_over_memory_budget(monkeypatch, cavity_potential):
+    monkeypatch.setattr(planarquad, "memory_budget", lambda: 1e6)
+    build_grid(cavity_potential, orders=(4, 64))   # 28 x 64 nodes: 86 kB
+    with pytest.raises(planarquad.OverMemoryBudget):
+        build_grid(cavity_potential, orders=(24, 384))   # 3.1 MB
