@@ -7,7 +7,6 @@ equilibrium conditions with the exact log potential of either support.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -369,18 +368,21 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     U^sigma is exact for both geometries.  Points within a thin collar of
     the boundary (to 720 boundary samples for an exterior map) are skipped:
     the analytic statement concerns the open regions.  For an exterior map
-    F is the effective potential at the on-support node farthest from
-    every 8th boundary sample, deep inside the support, where F is
-    constant; the boundary samples' mean (= u) can lie off a support with
-    a deep bite.
+    F is the effective potential at z_ref, the on-support node off the
+    collar with the smallest |z1|, z1 the larger preimage of the node
+    (the first such node in mesh order on ties).  |z1| -> 1 on the
+    boundary, so z_ref lies deep inside the support, where F is constant,
+    and comes from the preimage solve the support test already makes; the
+    boundary samples' mean (= u) can lie off a support with a deep bite.
 
     The mesh is streamed in blocks of whole rows, about _BLOCK nodes each.
     Each block's masks and potential are reduced to the minimum and
     maximum of U^sigma + V over its on-support nodes, the minimum over its
-    off-support nodes and, for an exterior map, its farthest node.  So
-    memory grows with the block and the boundary samples, not with mesh x
-    samples.  As p -> fl(p - F) is monotone, max(pmax - F, F - pmin) is the
-    largest |U^sigma + V - F| over the on-support nodes.
+    off-support nodes and, for an exterior map, its node of smallest
+    |z1|.  So memory grows with the block and the boundary samples, not
+    with mesh x samples.  As p -> fl(p - F) is monotone,
+    max(pmax - F, F - pmin) is the largest |U^sigma + V - F| over the
+    on-support nodes.
     """
     spec = {"n": 200, "margin": 0.6, "collar": 0.02,
             "tol_on": 1e-8, "tol_off": 1e-8}
@@ -411,11 +413,10 @@ def verify_equilibrium(geom, p: PerturbedPotential,
         d = np.abs(xs[ix] + 1j * xs[iy] - bpts[:, None, None])
         near = np.zeros(n * n, dtype=bool)
         near[(iy * n + ix)[d <= collar]] = True
-        samples = bpts[::8]
 
     pmin, pmax, pmin_off = np.inf, -np.inf, np.inf
     n_on = n_off = 0
-    far, z_ref = -np.inf, None
+    deep, z_ref = np.inf, None
     rows = max(1, _BLOCK // n)
     for r0 in range(0, n, rows):
         z = (xs[None, :] + 1j * xs[r0:r0 + rows, None]).ravel()
@@ -435,18 +436,16 @@ def verify_equilibrium(geom, p: PerturbedPotential,
         else:
             # one preimage solve serves the support test and the potential
             z1, z2 = geom._preimages(z)
-            inside = (np.abs(z1) < 1.0) & (np.abs(z2) < 1.0)
+            r1 = np.abs(z1)
+            inside = (r1 < 1.0) & (np.abs(z2) < 1.0)
             m = ~near[r0 * n:(r0 + rows) * n][keep]
             on, out = inside & m, ~inside & m
             u = (2.0 * p.alpha / math.pi * _exterior_map_potential(
                 geom, z[m], (z1[m], z2[m])) + p.value_grid(z[m]))
-            zo = z[on]
-            if zo.size:
-                dist = functools.reduce(np.minimum,
-                                        (np.abs(zo - b) for b in samples))
-                k = np.argmax(dist)
-                if dist[k] > far:   # the first farthest node of the mesh
-                    far, z_ref = dist[k], zo[k]
+            if np.any(on):
+                k = np.argmin(np.where(on, r1, np.inf))
+                if r1[k] < deep:   # the first deepest node of the mesh
+                    deep, z_ref = r1[k], z[k]
         u_on, u_off = u[on[m]], u[out[m]]
         pmin = np.minimum(pmin, np.min(u_on, initial=np.inf))
         pmax = np.maximum(pmax, np.max(u_on, initial=-np.inf))

@@ -35,7 +35,6 @@ the eigenvalues of H_n.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -197,34 +196,25 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     Q[0] = v / nrm
     u = v.view(LD) if fold else v   # v as the inner product sees it
 
-    def gram_row(j):
-        # max |<q_i, q_j>| over i < j; rows of Q are final once written
-        return float(np.max(np.abs(np.dot(B[:j], np.conj(B[j])))))
-
-    # the Gram certificate costs as much as the iteration; numpy releases
-    # the GIL in the extended-precision dot, so its rows run beside it
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        rows = []
-        for k in range(n_max):
-            Bk = B[:k + 1]
-            np.multiply(x, Q[k], out=v)
-            nrm = _norm(v)
-            for _pass in range(2):
-                # conjugating v, not Q, spares a conjugated copy of the basis
-                h = np.conj(np.dot(Bk, np.conj(u)))
-                u -= np.dot(h, Bk)
-                H[:k + 1, k] += h
-                before, nrm = nrm, _norm(v)
-                if nrm >= before * _KAHAN_PARLETT:
-                    break
-            if not nrm > 0:
-                raise LossOfOrthogonality(
-                    f"vanishing norm at degree {k + 1}; grid cannot resolve it")
-            H[k + 1, k] = nrm
-            Q[k + 1] = v / nrm
-            rows.append(pool.submit(gram_row, k + 1))
-        # Gram residual of the orthonormal node vectors: max |<q_i, q_j>|, i < j
-        gram = max((row.result() for row in rows), default=0.0)
+    gram = 0.0   # Gram residual max |<q_i, q_j>|, i < j, of the final rows
+    for k in range(n_max):
+        Bk = B[:k + 1]
+        np.multiply(x, Q[k], out=v)
+        nrm = _norm(v)
+        for _pass in range(2):
+            # conjugating v, not Q, spares a conjugated copy of the basis
+            h = np.conj(np.dot(Bk, np.conj(u)))
+            u -= np.dot(h, Bk)
+            H[:k + 1, k] += h
+            before, nrm = nrm, _norm(v)
+            if nrm >= before * _KAHAN_PARLETT:
+                break
+        if not nrm > 0:
+            raise LossOfOrthogonality(
+                f"vanishing norm at degree {k + 1}; grid cannot resolve it")
+        H[k + 1, k] = nrm
+        Q[k + 1] = v / nrm
+        gram = max(gram, float(np.max(np.abs(np.dot(Bk, np.conj(B[k + 1]))))))
 
     if fold:
         # back from the axis frame: q_k(z) = e^{ik phi} q~_k(z e^{-i phi})

@@ -39,7 +39,11 @@ when it lies within a few ulps of its modulus from it, at distance d
 say.  The mirrored nodes then see the charge moved by up to 2d, which
 changes their weight by about 2*N*beta*d/|z - a| relative: 1e-16 away
 from the charge, more only where the weight itself is tiny (6e-14 where
-it is e^-99, for N = 40).
+it is e^-99, for N = 40).  So the folded norms h_k are accurate to the
+exact-moment oracle's few 1e-18 only on an axis a charge lies exactly on
+(the real axis); on a tilted axis, for the charge 0.3 e^(2 pi i 0.37),
+they are 1.4e-15 off at n = 40 and 1.7e-15 at n = 50, against 1.1e-18
+and 1.9e-18 unfolded.
 """
 
 from __future__ import annotations

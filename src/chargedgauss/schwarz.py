@@ -8,7 +8,9 @@ Exterior-map boundaries have a genuinely two-sheeted Schwarz function
 single-valued analytic jump field with simple zeros.  Both are traced by
 the same integrator, whose state is the sheet parameter zeta for the
 exterior map (where the jump is single-valued and the branch points are
-regular) and z for the cavity field.
+regular) and z for the cavity field.  A single charge's jump field is
+symmetric across the line through 0 and the charge, so the curves of a
+vanishing point's mirror twin are reflected instead of traced.
 """
 
 from __future__ import annotations
@@ -100,7 +102,15 @@ class ExteriorDeltaS:
     ExteriorMap.is_univalent), so on the sheet parameter the jump
     S(zeta) - S(partner) is single-valued, with the square-root branch
     points of the z-plane unfolded into simple zeros at the critical
-    points of f, where zeta and its partner coincide."""
+    points of f, where zeta and its partner coincide.
+
+    axis is the angle phi = arg A of the field's mirror line when f
+    commutes with the reflection z -> e^{2i phi} conj(z): rho is real, so
+    that holds when u e^{-i phi} and v e^{-2i phi} are real, as the map
+    equations give (v = s e^{2i phi}, u = v/A).  The jump field then has
+    dS(e^{2i phi} conj z) = e^{-2i phi} conj(dS(z)), and its critical
+    trajectories are symmetric across the line.  axis is None for a map
+    without the symmetry (to a relative 1e-12)."""
 
     def __init__(self, geom: ExteriorMap):
         self.geom = geom
@@ -108,6 +118,10 @@ class ExteriorDeltaS:
         self.u, self.v, self.A = (complex(c) for c in (geom.u, geom.v, geom.A))
         self._w = self.v / self.rho
         self._cv, self._cA = self.v.conjugate(), self.A.conjugate()
+        e = self._cA / abs(self.A)   # e^{-i phi}
+        symmetric = (abs((self.u * e).imag) <= 1e-12 * abs(self.u)
+                     and abs((self.v * e * e).imag) <= 1e-12 * abs(self.v))
+        self.axis = cmath.phase(self.A) if symmetric else None
 
     def _jump(self, z1, z2):
         """S(z1) - S(z2) for two preimages of one point; the conj(u) terms
@@ -144,10 +158,12 @@ class ExteriorDeltaS:
 
 class CavityDeltaS:
     """Single-valued jump field for a disk-with-one-cavity boundary:
-    dS(z) = R^2/z - conj(a) - r^2/(z - a)."""
+    dS(z) = R^2/z - conj(a) - r^2/(z - a), symmetric across the line
+    through 0 and a, at angle axis = arg a."""
 
     def __init__(self, R: float, a: complex, r: float):
         self.R, self.a, self.r = float(R), complex(a), float(r)
+        self.axis = cmath.phase(self.a)
 
     def __call__(self, z):
         a = self.a
@@ -287,8 +303,17 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
     direction there, the direction to its point 4 steps before the end,
     and a later launch within half the launch spacing, pi/(2(p+1)), of
     a recorded arrival is skipped.  Exit rays and 'node' ends are always
-    kept.  A bare jump field provides the integrator interface of
-    CavityDeltaS: state, point and flow.
+    kept.
+
+    The field is symmetric across the line at angle axis through 0 (None
+    if it is not), so a vanishing point that is the mirror image of one
+    launched from before, its twin, has the twin's curves reflected: a
+    direction whose mirror image the twin launched along takes that
+    curve's reflection, with its end tag and the residual of the
+    reflected points, and records its arrival like a traced curve.  Only
+    directions the twin did not launch along are traced.  A bare jump
+    field provides the integrator interface of CavityDeltaS: state,
+    point, flow and axis.
     """
     if isinstance(geom_or_field, ExteriorMap):
         field_fn = ExteriorDeltaS(geom_or_field)
@@ -310,30 +335,54 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
     # numpy scalars would carry numpy arithmetic through every RK4 step
     starts = [complex(z) for z in starts]
 
+    axis = field_fn.axis
+    if axis is not None:
+        turn = cmath.exp(2j * axis)   # the mirror is z -> turn * conj(z)
+
     trajs = []
     arrivals = {z: [] for z in starts}   # arrival angles of traced curves
+    launched = {}   # start point -> (launch angle, curve) of each trace
     for z0 in starts:
         others = [b for b in starts if b != z0]
         p, arg_c = _local_exponent_and_phase(field_fn, z0)
         n_dir = int(round(2 * (p + 1)))  # 3 for p=1/2, 4 for p=1
+        half = 0.5 * math.pi / (p + 1.0)   # half the launch spacing
         psi0 = (0.5 * math.pi - arg_c) / (p + 1.0)
+        # a point launched from before whose mirror image is z0
+        twin = None if axis is None else next(
+            (b for b in launched
+             if abs(turn * b.conjugate() - z0) < 1e-3 * offset), None)
+        launched[z0] = []
         for m in range(n_dir):
-            psi = psi0 + m * math.pi / (p + 1.0)
+            psi = psi0 + 2.0 * m * half
             # this direction's curve was traced from its other end
-            if any(abs(math.remainder(psi - chi, 2.0 * math.pi))
-                   < 0.5 * math.pi / (p + 1.0) for chi in arrivals[z0]):
+            if any(abs(math.remainder(psi - chi, 2.0 * math.pi)) < half
+                   for chi in arrivals[z0]):
                 continue
-            zstart = z0 + offset * cmath.exp(1j * psi)
-            h = step
-            while True:
-                tr = _trace(field_fn, zstart, z0, cmath.exp(1j * psi), h,
-                            others, escape_radius, ds_tol)
-                if tr.max_residual < tol or tr.end_tag == "node":
-                    break
-                h *= 0.5
-                if h < 1e-9:
-                    raise StiffRegion(
-                        f"step underflow near {z0} direction {psi:.3f}")
+            # the twin's curve launched along the mirror image of psi,
+            # reflected, is this direction's curve
+            mirrored = None if twin is None else next(
+                (tr for chi, tr in launched[twin]
+                 if abs(math.remainder(2.0 * axis - psi - chi, 2.0 * math.pi))
+                 < half), None)
+            if mirrored is not None:
+                pts = turn * np.conj(mirrored.points)
+                tr = Trajectory(points=pts, start_tag="branch",
+                                end_tag=mirrored.end_tag,
+                                max_residual=trajectory_residual(pts, field_fn))
+            else:
+                zstart = z0 + offset * cmath.exp(1j * psi)
+                h = step
+                while True:
+                    tr = _trace(field_fn, zstart, z0, cmath.exp(1j * psi), h,
+                                others, escape_radius, ds_tol)
+                    if tr.max_residual < tol or tr.end_tag == "node":
+                        break
+                    h *= 0.5
+                    if h < 1e-9:
+                        raise StiffRegion(
+                            f"step underflow near {z0} direction {psi:.3f}")
+                launched[z0].append((psi, tr))
             trajs.append(tr)
             if tr.end_tag in ("branch", "closed"):
                 end = z0 if tr.closed else \

@@ -221,10 +221,12 @@ def test_verify_equilibrium_collar_is_exact():
 def _full_mesh_report(geom, p, n):
     """verify_equilibrium's masks, F and deviations at its default margin
     and collar, over the whole mesh at once: the potential at every node,
-    the collar by distances to all 720 boundary samples and z_ref from the
-    full distance matrix of on-support nodes to every 8th sample.
-    Returns (z_ref, F, max_dev_on, min_margin_off, n_on, n_off); z_ref is
-    None for a disk."""
+    the collar by distances to all 720 boundary samples and z_ref the
+    first on-support node of smallest |z1|, z1 the larger preimage.
+    F_far is the effective potential at the on-support node farthest from
+    every 8th sample, by the full distance matrix (the rule z_ref had
+    before).  Returns (z_ref, F, max_dev_on, min_margin_off, n_on, n_off,
+    F_far); z_ref and F_far are None for a disk."""
     if isinstance(geom, DiskWithCavities):
         extent = geom.outer_radius + 0.6
     else:
@@ -242,16 +244,17 @@ def _full_mesh_report(geom, p, n):
         for c, r in geom.cavities:
             on &= np.abs(z - c) >= r + 0.02
             off |= np.abs(z - c) <= r - 0.02
-        z_ref, F = None, robin_constant(geom, p)
+        z_ref, F, F_far = None, robin_constant(geom, p), None
     else:
         dist = np.min(np.abs(z[:, None] - bpts[None, :]), axis=1)
         inside = geom.contains(z)
         on, off = inside & (dist > 0.02), ~inside & (dist > 0.02)
-        far = np.min(np.abs(z[on][:, None] - bpts[None, ::8]), axis=1)
-        z_ref = z[on][np.argmax(far)]
+        z_ref = z[on][np.argmin(np.abs(geom._preimages(z[on])[0]))]
         F = float(effective_potential(geom, p, z_ref)[0])
+        far = np.min(np.abs(z[on][:, None] - bpts[None, ::8]), axis=1)
+        F_far = float(effective_potential(geom, p, z[on][np.argmax(far)])[0])
     return (z_ref, F, float(np.max(np.abs(u[on] - F))),
-            float(np.min(u[off] - F)), int(on.sum()), int(off.sum()))
+            float(np.min(u[off] - F)), int(on.sum()), int(off.sum()), F_far)
 
 
 @pytest.mark.parametrize("alpha, beta, a, n", [
@@ -263,11 +266,12 @@ def _full_mesh_report(geom, p, n):
 def test_verify_equilibrium_matches_full_mesh(monkeypatch, alpha, beta, a,
                                               n):
     # the row-block stream gives the whole mesh's report, and picks the
-    # same z_ref: the one point at which it evaluates effective_potential
+    # same z_ref: the one point at which it evaluates effective_potential.
+    # F there is F at the node farthest from the boundary samples
     p = PerturbedPotential(alpha=alpha, nu=PointChargeMeasure(((a, beta),)),
                            N=2.0, gamma=2.0)
     geom = classify_support(p)
-    z_ref, F, dev, margin, n_on, n_off = _full_mesh_report(geom, p, n)
+    z_ref, F, dev, margin, n_on, n_off, F_far = _full_mesh_report(geom, p, n)
     points = []
 
     def spy(geom, p, z):
@@ -278,6 +282,7 @@ def test_verify_equilibrium_matches_full_mesh(monkeypatch, alpha, beta, a,
     rep = verify_equilibrium(geom, p, {"n": n})
     if z_ref is not None:
         assert points == [z_ref]
+        assert abs(F - F_far) <= 1e-15
     assert (rep.n_on, rep.n_off) == (n_on, n_off)
     assert abs(rep.robin_constant - F) <= 1e-15
     assert abs(rep.max_dev_on - dev) <= 1e-15

@@ -459,6 +459,35 @@ def test_tracer_solves_no_quadratic_per_step(exterior_map, monkeypatch):
     assert len(calls) <= 3 * len(trajs)
 
 
+def test_twin_branch_point_curves_are_reflected(exterior_map, monkeypatch):
+    # the second branch point is the first's mirror image across the line
+    # through 0 and the charge: only the first one's three launches are
+    # traced, and the second's exit ray is the first's, reflected
+    origins = []
+    trace = schwarz._trace
+
+    def counted(*args, **kwargs):
+        origins.append(args[2])
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(schwarz, "_trace", counted)
+    for em in [exterior_map] + [solve_exterior_map(*d)
+                                for d in _criterion_02_draws(3)]:
+        origins.clear()
+        trajs = critical_trajectories(em)
+        assert origins == [complex(branch_points(em)[0])] * 3
+        exits = [t for t in trajs if t.end_tag == "exit"]
+        assert len(trajs) == 4 and len(exits) == 2
+        ds = ExteriorDeltaS(em)
+        twin = exits[1].points
+        assert np.array_equal(twin,
+                              cmath.exp(2j * ds.axis) * np.conj(exits[0].points))
+        assert exits[1].max_residual == schwarz.trajectory_residual(twin, ds)
+    # u off the line through 0 and A: no mirror, every direction is traced
+    assert ExteriorDeltaS(ExteriorMap(rho=1.3, u=0.2j, v=0.1, A=0.4)).axis \
+        is None
+
+
 @pytest.mark.parametrize("alpha,beta,a", [(0.5, 0.5, 2.0),
                                           (1.2, 0.4, 0.9 + 0.3j)])
 def test_exterior_density_matches_scalar_continuity(alpha, beta, a):
