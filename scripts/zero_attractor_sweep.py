@@ -36,8 +36,7 @@ def run(cfg: ExperimentConfig, degrees, out: Path) -> int:
     for n in degrees:
         t0 = time.perf_counter()
         p = cfg.potential(n=n)
-        grid = build_grid(p, orders=(24, max(256, 2 * n + 2)),
-                          max_degree=2 * n)
+        grid = build_grid(p, orders=(24, 256), max_degree=2 * n)
         zs = compute_zeros(build_orthopolys(p, grid, n), n)
         d = np.min(np.abs(zs.zeros[:, None] - attractor[None, :]), axis=1)
         rows.append((n, p.N, float(np.mean(d)), float(np.max(d)),

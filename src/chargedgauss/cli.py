@@ -36,7 +36,6 @@ class ExperimentConfig:
     N: float | None = None
     charges: tuple = ((0.3 + 0.0j, 0.5),)
     seed: int = 0
-    quad: tuple = (24, 384, 1e-12)
 
     def potential(self, n: int | None = None) -> PerturbedPotential:
         """N from config if fixed, else tied to the degree by N = gamma*n."""
@@ -102,38 +101,34 @@ def _json_default(x):
 
 
 class SvgCanvas:
-    """Minimal SVG writer with a math-coordinate viewBox (y up)."""
+    """Minimal SVG writer: a 640 x 640 picture of the square [-lim, lim]^2,
+    y up."""
 
-    def __init__(self, xmin, xmax, ymin, ymax, size=640):
-        self.parts = []
-        self.sc = size / (xmax - xmin)
-        self.xmin, self.ymax = xmin, ymax
-        w = size
-        h = size * (ymax - ymin) / (xmax - xmin)
-        self.parts.append(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" '
-            f'height="{h:.0f}" viewBox="0 0 {w:.0f} {h:.0f}">')
-        self.parts.append(f'<rect width="{w:.0f}" height="{h:.0f}" fill="white"/>')
+    def __init__(self, lim):
+        self.lim, self.sc = lim, 320.0 / lim
+        self.parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+                      'height="640" viewBox="0 0 640 640">',
+                      '<rect width="640" height="640" fill="white"/>']
 
     def _xy(self, z):
-        return ((z.real - self.xmin) * self.sc, (self.ymax - z.imag) * self.sc)
+        return ((z.real + self.lim) * self.sc, (self.lim - z.imag) * self.sc)
 
-    def polyline(self, zs, color="black", width=1.5, fill="none", close=False):
+    def polyline(self, zs, color="black", fill="none", close=False):
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(self._xy, zs))
         tag = "polygon" if close else "polyline"
         self.parts.append(f'<{tag} points="{pts}" stroke="{color}" '
-                          f'stroke-width="{width}" fill="{fill}"/>')
+                          f'stroke-width="1.5" fill="{fill}"/>')
 
-    def circle(self, center, radius, color="black", width=1.5, fill="none"):
+    def circle(self, center, radius, fill):
         x, y = self._xy(center)
         self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" '
-                          f'r="{radius * self.sc:.2f}" stroke="{color}" '
-                          f'stroke-width="{width}" fill="{fill}"/>')
+                          f'r="{radius * self.sc:.2f}" stroke="black" '
+                          f'stroke-width="1.5" fill="{fill}"/>')
 
-    def dots(self, zs, color="blue", r=2.5):
+    def dots(self, zs, color):
         for z in zs:
             x, y = self._xy(z)
-            self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" '
+            self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
                               f'fill="{color}"/>')
 
     def save(self, path: Path):
@@ -143,15 +138,14 @@ class SvgCanvas:
 def _support_svg(geom, extras, path: Path):
     if isinstance(geom, DiskWithCavities):
         R = geom.outer_radius
-        cv = SvgCanvas(-1.3 * R, 1.3 * R, -1.3 * R, 1.3 * R)
+        cv = SvgCanvas(1.3 * R)
         cv.circle(0j, R, fill="#cfe0f5")
         for c, r in geom.cavities:
             cv.circle(c, r, fill="white")
     else:
         th = 2 * np.pi * np.arange(720) / 720
         b = geom.boundary(th)
-        lim = 1.3 * float(np.max(np.abs(b)))
-        cv = SvgCanvas(-lim, lim, -lim, lim)
+        cv = SvgCanvas(1.3 * float(np.max(np.abs(b))))
         cv.polyline(b, close=True, fill="#cfe0f5")
     for kind, data, color in extras:
         if kind == "dots":
@@ -197,10 +191,8 @@ def cmd_support(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def _build_polys(cfg: ExperimentConfig, n: int, quad=None):
     p = cfg.potential(n=n)
-    nr, nt, eps = quad or cfg.quad
-    nt = max(nt, 2 * n + 2)
-    grid = planarquad.build_grid(p, eps_tail=eps, orders=(nr, nt),
-                                 max_degree=2 * n)
+    kw = {} if quad is None else {"orders": quad[:2], "eps_tail": quad[2]}
+    grid = planarquad.build_grid(p, max_degree=2 * n, **kw)
     return p, grid, orthopoly.build_orthopolys(p, grid, n)
 
 
@@ -271,7 +263,7 @@ def cmd_trajectory(cfg: ExperimentConfig, out: Path, args) -> int:
                  out / "trajectories.svg")
     worst = max((t.max_residual for t in trajs), default=0.0)
     print(f"trajectory: {len(trajs)} curves, max residual {worst:.2e}")
-    return EXIT_OK if worst < 1e-3 else EXIT_INVARIANT
+    return EXIT_OK if worst < schwarz.TRAJECTORY_TOL else EXIT_INVARIANT
 
 
 def cmd_fekete(cfg: ExperimentConfig, out: Path, args) -> int:
@@ -358,9 +350,9 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
 
     n = 8 if args.quick else 20
     p2, grid, ops = _build_polys(cfg, n, args.quad)
-    check("gram residual", ops.gram_residual < 1e-8)
+    check("gram residual", ops.gram_residual <= orthopoly.GRAM_TOL)
     zs = orthopoly.compute_zeros(ops, n)
-    check("zero residual", zs.max_residual < 1e-10)
+    check("zero residual", zs.max_residual <= orthopoly.ZERO_RESIDUAL_TOL)
     rec = orthopoly.reconstruct_coeffs(zs)
     ref = np.asarray(ops.monic_coeffs[n], dtype=complex)
     check("zero product form",
@@ -371,8 +363,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
           and uniq["normalization_deviation"] < 1e-8)
     if isinstance(geom, DiskWithCavities) and len(geom.cavities) == 1:
         ds, trajs = schwarz.zero_attractor_candidates(p)
-        check("trajectory residual",
-              all(t.max_residual < 1e-3 for t in trajs) and len(trajs) > 0)
+        check("trajectory residual", len(trajs) > 0 and all(
+            t.max_residual < schwarz.TRAJECTORY_TOL for t in trajs))
     write_json(out / "verify.json", {"failures": failures,
                                      "passed": not failures})
     print(f"verify: {'PASS' if not failures else 'FAIL'}")

@@ -4,7 +4,8 @@ Cauchy transforms, with numerical checks that it solves the d-bar problem
     dY/d(conj z) = conj(Y) [[0, -exp(-N*V)], [0, 0]],
     Y(z) = (I + O(1/z)) diag(z^k, z^-k),
 
-plus the moment identities underlying its uniqueness.
+plus the moment identities underlying its uniqueness.  fd_order takes
+finite differences at the steps FD_STEPS.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 from .measures import PerturbedPotential
 from .orthopoly import OrthoPolySet
 from .planarquad import QuadGrid, cauchy_tail_split, cauchy_transform, inner_product
+
+FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 
 
 @dataclass(frozen=True)
@@ -63,12 +66,16 @@ class DbarMatrix:
                          [self.Y21(z), self.Y22(z)]])
 
 
+def _same_potential(ops: OrthoPolySet, p: PerturbedPotential) -> None:
+    if ops.potential is not p:
+        raise ValueError("polynomial set was built for a different potential")
+
+
 def assemble_Y(ops: OrthoPolySet, p: PerturbedPotential, grid: QuadGrid,
                k: int) -> DbarMatrix:
     if not 1 <= k <= ops.n_max:
         raise ValueError(f"degree k={k} outside 1..{ops.n_max}")
-    if ops.potential is not p:
-        raise ValueError("polynomial set was built for a different potential")
+    _same_potential(ops, p)
     return DbarMatrix(k=k, ops=ops, grid=grid)
 
 
@@ -89,6 +96,7 @@ def dbar_residual(Y: DbarMatrix, p: PerturbedPotential, z: complex,
     """
     if h_step <= 0:
         raise ValueError("h_step must be positive")
+    _same_potential(Y.ops, p)
     z = complex(z)
     w = p.weight(z)
     r11 = abs(wirtinger_dbar(Y.Y11, z, h_step))
@@ -98,25 +106,24 @@ def dbar_residual(Y: DbarMatrix, p: PerturbedPotential, z: complex,
     return np.array([[r11, r12], [r21, r22]])
 
 
-def fd_order(Y: DbarMatrix, p: PerturbedPotential, z: complex,
-             steps=(1e-2, 5e-3, 2.5e-3)) -> dict:
-    """Observed Richardson order of the column-2 residuals across steps.
+def fd_order(Y: DbarMatrix, p: PerturbedPotential, z: complex) -> dict:
+    """Observed Richardson order of the column-2 residuals over FD_STEPS.
 
     The residual at step h is the FD truncation error of a smooth
     function, so it should scale like h^2; non-monotone residuals signal
     a step small enough for roundoff to dominate.
     """
-    res = [dbar_residual(Y, p, z, h) for h in steps]
+    res = [dbar_residual(Y, p, z, h) for h in FD_STEPS]
     r12 = np.array([r[0, 1] for r in res])
     r22 = np.array([r[1, 1] for r in res])
-    hs = np.asarray(steps, dtype=float)
+    hs = np.asarray(FD_STEPS, dtype=float)
 
     def slope(r):
         if np.any(r <= 0):
             return math.inf  # residual at machine floor: better than any order
         return float(np.polyfit(np.log(hs), np.log(r), 1)[0])
 
-    return {"steps": list(steps), "residuals_12": r12.tolist(),
+    return {"steps": list(FD_STEPS), "residuals_12": r12.tolist(),
             "residuals_22": r22.tolist(),
             "order_12": slope(r12), "order_22": slope(r22),
             "monotone": bool(np.all(np.diff(r12) < 0) and np.all(np.diff(r22) < 0))}
@@ -172,6 +179,7 @@ def uniqueness_crosscheck(ops: OrthoPolySet, p: PerturbedPotential,
     """
     if not 1 <= k <= ops.n_max:
         raise ValueError(f"k={k} outside 1..{ops.n_max}")
+    _same_potential(ops, p)
     pk = ops.evaluate(k, grid.nodes)
     hk = float(ops.norms[k])
     max_orth = 0.0

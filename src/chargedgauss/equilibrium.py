@@ -2,6 +2,8 @@
 potential: disk-with-cavities classification, the rational exterior
 conformal map in the non-contained case, and verification of the
 equilibrium conditions with the exact log potential of either support.
+Constants: the cavity gap _GAP, and verify_equilibrium's mesh margin
+_MESH_MARGIN, boundary collar _COLLAR and off-support tolerance TOL_OFF.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ import numpy as np
 from .measures import DiskMeasure, PerturbedPotential
 
 
+_GAP = 1e-9
+_MESH_MARGIN = 0.6
+_COLLAR = 0.02
+TOL_OFF = 1e-8
 # mesh nodes per block of whole rows in verify_equilibrium
 _BLOCK = 4096
 
@@ -142,24 +148,24 @@ def cavity_radius(p: PerturbedPotential, beta: float) -> float:
     return math.sqrt(beta / (2.0 * p.alpha))
 
 
-def classify_support(p: PerturbedPotential, delta: float = 1e-9):
+def classify_support(p: PerturbedPotential):
     """Return the support geometry, or raise UnsupportedGeometry.
 
     Cavities must be pairwise disjoint and strictly inside B(0, R) with
-    margin delta; the single-charge non-contained case is handed to the
+    margin _GAP; the single-charge non-contained case is handed to the
     conformal-map solver.  Everything else is out of reach of the
     closed-form constructions.
     """
     R = outer_radius(p)
     cavities = [(a, cavity_radius(p, b)) for a, b in p.nu.charges]
 
-    contained = all(abs(a) + r < R - delta for a, r in cavities)
+    contained = all(abs(a) + r < R - _GAP for a, r in cavities)
     if contained:
         for i in range(len(cavities)):
             for j in range(i + 1, len(cavities)):
                 ai, ri = cavities[i]
                 aj, rj = cavities[j]
-                if abs(ai - aj) < ri + rj + delta:
+                if abs(ai - aj) < ri + rj + _GAP:
                     raise UnsupportedGeometry(
                         f"cavities {i} and {j} overlap or touch")
         return DiskWithCavities(outer_radius=R, cavities=tuple(cavities))
@@ -352,7 +358,7 @@ class EquilibriumReport:
     n_on: int
     n_off: int
     tol_on: float
-    tol_off: float
+    tol_off: float = TOL_OFF
 
     @property
     def passed(self) -> bool:
@@ -363,7 +369,8 @@ class EquilibriumReport:
 def verify_equilibrium(geom, p: PerturbedPotential,
                        grid_spec: dict | None = None) -> EquilibriumReport:
     """Check U^sigma + V = F on the support and >= F off it on a cartesian
-    n x n mesh covering the support plus a margin annulus.
+    n x n mesh covering the support plus a margin annulus.  grid_spec may
+    set n (200) and tol_on (1e-8), and no other key.
 
     U^sigma is exact for both geometries.  Points within a thin collar of
     the boundary (to 720 boundary samples for an exterior map) are skipped:
@@ -384,27 +391,27 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     max(pmax - F, F - pmin) is the largest |U^sigma + V - F| over the
     on-support nodes.
     """
-    spec = {"n": 200, "margin": 0.6, "collar": 0.02,
-            "tol_on": 1e-8, "tol_off": 1e-8}
-    if grid_spec:
-        spec.update(grid_spec)
-    n, collar = spec["n"], spec["collar"]
+    spec = {"n": 200, "tol_on": 1e-8, **(grid_spec or {})}
+    unknown = sorted(spec.keys() - {"n", "tol_on"})
+    if unknown:
+        raise ValueError(f"grid_spec keys {unknown}: only n and tol_on")
+    n = spec["n"]
 
     disk = isinstance(geom, DiskWithCavities)
     if disk:
         R = geom.outer_radius
-        extent = R + spec["margin"]
+        extent = R + _MESH_MARGIN
     else:
         th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         bpts = geom.boundary(th)
-        extent = float(np.max(np.abs(bpts))) + spec["margin"]
+        extent = float(np.max(np.abs(bpts))) + _MESH_MARGIN
     xs = np.linspace(-extent, extent, n)
 
     if not disk:
-        # the collar: mesh nodes within collar of a boundary sample, all
+        # the collar: mesh nodes within _COLLAR of a boundary sample, all
         # of which lie within w steps of the sample's mesh cell
         step = xs[1] - xs[0]
-        w = math.ceil(collar / step) + 1
+        w = math.ceil(_COLLAR / step) + 1
         off = np.arange(-w, w + 1)
         i0 = np.floor((bpts.real + extent) / step).astype(int)
         j0 = np.floor((bpts.imag + extent) / step).astype(int)
@@ -412,7 +419,7 @@ def verify_equilibrium(geom, p: PerturbedPotential,
         iy = np.clip(j0[:, None, None] + off[None, :, None], 0, n - 1)
         d = np.abs(xs[ix] + 1j * xs[iy] - bpts[:, None, None])
         near = np.zeros(n * n, dtype=bool)
-        near[(iy * n + ix)[d <= collar]] = True
+        near[(iy * n + ix)[d <= _COLLAR]] = True
 
     pmin, pmax, pmin_off = np.inf, -np.inf, np.inf
     n_on = n_off = 0
@@ -426,11 +433,11 @@ def verify_equilibrium(geom, p: PerturbedPotential,
             keep &= np.abs(z - a) > 1e-9
         z = z[keep]
         if disk:
-            on = np.abs(z) <= R - collar
-            out = np.abs(z) >= R + collar
+            on = np.abs(z) <= R - _COLLAR
+            out = np.abs(z) >= R + _COLLAR
             for c, r in geom.cavities:
-                on &= np.abs(z - c) >= r + collar
-                out |= np.abs(z - c) <= r - collar
+                on &= np.abs(z - c) >= r + _COLLAR
+                out |= np.abs(z - c) <= r - _COLLAR
             m = on | out
             u = effective_potential(geom, p, z[m])
         else:
@@ -462,8 +469,7 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     dev_on = float(np.maximum(pmax - F, F - pmin)) if n_on else 0.0
     return EquilibriumReport(robin_constant=F, max_dev_on=dev_on,
                              min_margin_off=float(pmin_off - F),
-                             n_on=n_on, n_off=n_off,
-                             tol_on=spec["tol_on"], tol_off=spec["tol_off"])
+                             n_on=n_on, n_off=n_off, tol_on=spec["tol_on"])
 
 
 def radius_bound_check(p: PerturbedPotential, zeros: np.ndarray,

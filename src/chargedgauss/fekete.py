@@ -8,7 +8,9 @@ and 7), and compare the counting measure with the equilibrium measure.
 L-BFGS stalls where double precision no longer resolves decreases of E
 (grad about 5e-6 at n = 200, where E is about 2e4); Newton works on the
 gradient alone and takes it to roundoff in two steps.  A positive
-definite Hessian there certifies a strict local minimum.
+definite Hessian there certifies a strict local minimum, converged when
+max |g| < GRAD_TOL.  gradient_fd_check steps by _FD_STEP; discrepancy
+counts points on _ANNULI annuli.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import numpy as np
 from .equilibrium import DiskWithCavities, outer_radius
 from .measures import PerturbedPotential
 
+GRAD_TOL = 1e-8
+_FD_STEP = 1e-6
+_ANNULI = 8
 # Newton steps after L-BFGS; two reach roundoff at n = 200
 _NEWTON_STEPS = 4
 
@@ -98,9 +103,7 @@ def hessian(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
     """
     z = np.asarray(points, dtype=complex)
     n, zc = len(z), np.conj(z)
-    diff = zc[:, None] - zc[None, :]
-    np.fill_diagonal(diff, 1.0)
-    B = -0.5 / diff ** 2
+    B = -0.5 / _conj_differences(z) ** 2
     np.fill_diagonal(B, 0.0)
     dq = sum(b / (zc - np.conj(a)) ** 2 for a, b in p.nu.charges)
     np.fill_diagonal(B, n * (p.gamma / 4.0) * dq - np.sum(B, axis=1))
@@ -109,7 +112,7 @@ def hessian(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
                   + np.kron(B.imag, [[0, 1], [1, 0]]) + c * np.eye(2 * n))
 
 
-def _solve(z0: np.ndarray, p: PerturbedPotential, grad_tol: float) -> tuple:
+def _solve(z0: np.ndarray, p: PerturbedPotential) -> tuple:
     """L-BFGS to its floor, then Newton steps while they shrink max |g|.
     Both run on z.view(float), where the gradient of E is 2 g.view(float)."""
     from scipy import optimize  # here, so the package loads numpy alone
@@ -124,7 +127,7 @@ def _solve(z0: np.ndarray, p: PerturbedPotential, grad_tol: float) -> tuple:
     g = gradient(z, p)
     gnorm = float(np.max(np.abs(g)))
     for _ in range(_NEWTON_STEPS):
-        if gnorm < grad_tol:
+        if gnorm < GRAD_TOL:
             break
         step = np.linalg.solve(hessian(z, p), 2.0 * g.view(float))
         z_new = z - step.view(complex)
@@ -148,10 +151,10 @@ def _min_eigenvalue(z: np.ndarray, p: PerturbedPotential) -> float:
     return float(eigh(H, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
-def minimize(n: int, p: PerturbedPotential, seed: int = 0, n_starts: int = 5,
-             grad_tol: float = 1e-8) -> FeketeConfig:
+def minimize(n: int, p: PerturbedPotential, seed: int = 0,
+             n_starts: int = 5) -> FeketeConfig:
     """Lowest energy over n_starts uniform random starts in
-    B(0, outer_radius); converged when max |g_i| < grad_tol and the
+    B(0, outer_radius); converged when max |g_i| < GRAD_TOL and the
     Hessian there is positive definite."""
     if n < 1:
         raise ValueError("need n >= 1")
@@ -162,21 +165,21 @@ def minimize(n: int, p: PerturbedPotential, seed: int = 0, n_starts: int = 5,
         r = R * np.sqrt(rng.uniform(0.0, 1.0, n))
         return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
 
-    runs = [(*_solve(start(s), p, grad_tol), s)
+    runs = [(*_solve(start(s), p), s)
             for s in range(seed, seed + n_starts)]
     z, e, gnorm, used = min(runs, key=lambda run: run[1])
     lam = _min_eigenvalue(z, p)
     return FeketeConfig(n=n, points=z, energy=e, grad_norm=gnorm,
-                        converged=gnorm < grad_tol and lam > 0, seed=used,
+                        converged=gnorm < GRAD_TOL and lam > 0, seed=used,
                         min_eigenvalue=lam)
 
 
-def gradient_fd_check(points: np.ndarray, p: PerturbedPotential,
-                      h: float = 1e-6) -> float:
+def gradient_fd_check(points: np.ndarray, p: PerturbedPotential) -> float:
     """Max relative error between the analytic gradient and central finite
     differences of the energy (dE = 2 Re[g_i d(conj z_i)] per point)."""
     z = np.asarray(points, dtype=complex)
     g = gradient(z, p)
+    h = _FD_STEP
     worst = 0.0
     for i, d in itertools.product(range(len(z)), (h, 1j * h)):
         dz = np.zeros_like(z)
@@ -212,14 +215,13 @@ def _annulus_mass(geom: DiskWithCavities, r_lo: float, r_hi: float) -> float:
     return max(area, 0.0) / geom.area()
 
 
-def discrepancy(cfg: FeketeConfig, geom: DiskWithCavities,
-                n_annuli: int = 8) -> dict:
+def discrepancy(cfg: FeketeConfig, geom: DiskWithCavities) -> dict:
     """Fraction of points inside the support, and the worst deviation of
     annulus counts from the uniform equilibrium prediction."""
     z = cfg.points
     inside = geom.contains(z)
     R = geom.outer_radius
-    edges = R * np.sqrt(np.linspace(0.0, 1.0, n_annuli + 1))
+    edges = R * np.sqrt(np.linspace(0.0, 1.0, _ANNULI + 1))
     worst = 0.0
     rows = []
     for lo, hi in zip(edges[:-1], edges[1:]):

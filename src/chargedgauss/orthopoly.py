@@ -29,7 +29,8 @@ Polynomials are evaluated and root-found through the Hessenberg matrix H
 alone: values by the recurrence
 p_{k+1} = (z p_k - sum_{j<=k} H[j,k] p_j) / H[k+1,k], the zeros of
 P_n = det(zI - H_n) by Aberth iteration on that recurrence, started from
-the eigenvalues of H_n.
+the eigenvalues of H_n.  Gram residuals above GRAM_TOL and zero residuals
+above ZERO_RESIDUAL_TOL raise.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .measures import PerturbedPotential
 from .planarquad import CLD, LD, QuadGrid, check_memory
 
 GRAM_TOL = 1e-8
+ZERO_RESIDUAL_TOL = 1e-10
 # a second Gram-Schmidt pass runs when ||v|| falls below this share of
 # its value before the pass
 _KAHAN_PARLETT = 1.0 / math.sqrt(2.0)
@@ -171,11 +173,6 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     (n_max + 1 rows over the rule's nodes) would exceed
     `planarquad.memory_budget()`.
     """
-    if grid.angular_order < 2 * n_max + 2:
-        raise ValueError(
-            f"angular order {grid.angular_order} cannot resolve degree "
-            f"{2 * n_max} moments; need at least {2 * n_max + 2}")
-
     # a mirror-symmetric weight has orthonormal polynomials with real
     # coefficients in the frame of its axis: run on the half rule there,
     # with inner products the real parts of the half sums
@@ -254,14 +251,14 @@ class ZeroSet:
     max_residual: float  # max_j |P_n(z_j)| / prod_{k != j} |z_j - z_k|
 
 
-def compute_zeros(ops: OrthoPolySet, n: int,
-                  residual_tol: float = 1e-10) -> ZeroSet:
+def compute_zeros(ops: OrthoPolySet, n: int) -> ZeroSet:
     """All roots of P_n = det(zI - H_n) by Aberth-Ehrlich simultaneous
     iteration in clongdouble (Bini 1996), started from the eigenvalues of
     H_n, with p_n and p_n' from the Hessenberg recurrence over all n
     iterates.  The certified quantity is the product-form residual
     |P_n(z_j)| / prod_{k != j} |z_j - z_k| of the returned zeros, through
-    the same recurrence.  When H_n is a shift matrix (a rotation-invariant
+    the same recurrence, at most ZERO_RESIDUAL_TOL.  When H_n is a shift
+    matrix (a rotation-invariant
     weight), P_n = z^n and the zeros are exactly 0.
     """
     if not 1 <= n <= ops.n_max:
@@ -292,9 +289,9 @@ def compute_zeros(ops: OrthoPolySet, n: int,
     np.fill_diagonal(diff, 1.0)
     resid = float(np.max(np.abs(ops.evaluate(n, zeros))
                          / np.prod(diff, axis=1)))
-    if not resid <= residual_tol:
-        raise NonConvergence(
-            f"zero residual {resid:.2e} above {residual_tol:.0e} at n={n}")
+    if not resid <= ZERO_RESIDUAL_TOL:
+        raise NonConvergence(f"zero residual {resid:.2e} above "
+                             f"{ZERO_RESIDUAL_TOL:.0e} at n={n}")
     return ZeroSet(n=n, zeros=zeros, max_residual=resid)
 
 

@@ -146,7 +146,8 @@ class QuadGrid:
         Gauss-Laguerre rule (u_j, W_j) of the radial measure
         pi u^s exp(-N*alpha*u) du, u = r^2, s = N*beta_0/2 (see above),
         whatever the grid's orders; each carries L angles, and node z
-        weighs W_j/L * h(z).  Otherwise it is the grid.
+        weighs W_j/L * h(z).  Otherwise it is the grid, which needs
+        2*degree + 2 angles or raises ValueError.
 
         On a grid with a mirror axis the rule is folded: columns
         0 <= j <= L/2 only, rotated by -axis into the closed upper half
@@ -157,6 +158,9 @@ class QuadGrid:
         p = self.potential
         c = p.angular_degree()
         if c is None:
+            if self.angular_order < 2 * degree + 2:
+                raise ValueError(f"{self.angular_order} angles cannot resolve "
+                                 f"degree-{2 * degree} moments")
             x = self.nodes.reshape(-1, self.angular_order)
             w = self.measure_weights.reshape(x.shape)
         else:
@@ -310,29 +314,25 @@ def truncation_radius(p: PerturbedPotential, eps_tail: float,
 def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
                orders: tuple = (24, 384), max_degree: int = 0) -> QuadGrid:
     """Polar tensor grid for integrals against exp(-N*V), n_r Gauss-Legendre
-    radii per panel times n_t angles, cut at
+    radii per panel times T = max(n_t, max_degree + 2) angles, cut at
     `truncation_radius(p, eps_tail, max_degree)`: beyond the cut lies at
     most eps_tail of the |z|^max_degree moment of the weight, relative to
-    that moment (max_degree = 2*n for degree-n inner products).  Raises
-    OverMemoryBudget before building a grid over `memory_budget()`."""
+    that moment (max_degree = 2*n for degree-n inner products, which
+    2n + 2 angles resolve).  Raises OverMemoryBudget before building a
+    grid over `memory_budget()`."""
     n_r, n_t = orders
     if n_r < 2 or n_t < 4:
         raise ValueError(f"invalid quadrature orders {orders}")
+    n_t = max(n_t, max_degree + 2)
     rt = truncation_radius(p, eps_tail, max_degree)
 
     # panel boundaries on circles where the integrand kinks or vanishes
-    breaks = {0.0, rt}
     two_a = 2.0 * p.alpha
-    r_outer = math.sqrt((1.0 + p.nu.total_mass) / two_a)
-    if r_outer < rt:
-        breaks.add(r_outer)
+    radii = [math.sqrt((1.0 + p.nu.total_mass) / two_a)]   # the outer circle
     for a, b in p.nu.charges:
-        t = abs(a)
         rc = math.sqrt(b / two_a)
-        for x in (t, t - rc, t + rc):
-            if 1e-12 < x < rt:
-                breaks.add(x)
-    breaks = sorted(breaks)
+        radii += [abs(a), abs(a) - rc, abs(a) + rc]
+    breaks = sorted({0.0, rt} | {x for x in radii if 1e-12 < x < rt})
 
     # refine panels adjacent to each charge modulus, cap panel length
     charge_moduli = {abs(a) for a, _ in p.nu.charges}

@@ -8,9 +8,12 @@ Exterior-map boundaries have a genuinely two-sheeted Schwarz function
 single-valued analytic jump field with simple zeros.  Both are traced by
 the same integrator, whose state is the sheet parameter zeta for the
 exterior map (where the jump is single-valued and the branch points are
-regular) and z for the cavity field.  A single charge's jump field is
+regular) and z for the cavity field; each field carries its launch
+points, local exponent and escape radius.  A single charge's jump field is
 symmetric across the line through 0 and the charge, so the curves of a
-vanishing point's mirror twin are reflected instead of traced.
+vanishing point's mirror twin are reflected instead of traced.  The RK4
+step _STEP, residual bound TRAJECTORY_TOL, launch offset _OFFSET and node
+threshold _DS_TOL are module constants.
 """
 
 from __future__ import annotations
@@ -22,10 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (DiskWithCavities, ExteriorMap, classify_support,
-                          outer_radius, support_potential)
+                          support_potential)
 from .measures import PerturbedPotential, PointChargeMeasure
 from .orthopoly import ZeroSet, zero_potential_grid
 
+_STEP = 2e-3
+TRAJECTORY_TOL = 1e-3
+_OFFSET = 1e-6
+_DS_TOL = 1e-9
 
 class SelfIntersection(Exception):
     """Map not univalent on |zeta| >= 1: its boundary curve crosses
@@ -110,7 +117,11 @@ class ExteriorDeltaS:
     equations give (v = s e^{2i phi}, u = v/A).  The jump field then has
     dS(e^{2i phi} conj z) = e^{-2i phi} conj(dS(z)), and its critical
     trajectories are symmetric across the line.  axis is None for a map
-    without the symmetry (to a relative 1e-12)."""
+    without the symmetry (to a relative 1e-12).  Its trajectories launch
+    from the branch points (exponent 1/2) and exit at twice the largest
+    modulus of 256 boundary samples."""
+
+    exponent = 0.5
 
     def __init__(self, geom: ExteriorMap):
         self.geom = geom
@@ -122,6 +133,11 @@ class ExteriorDeltaS:
         symmetric = (abs((self.u * e).imag) <= 1e-12 * abs(self.u)
                      and abs((self.v * e * e).imag) <= 1e-12 * abs(self.v))
         self.axis = cmath.phase(self.A) if symmetric else None
+        th = 2.0 * np.pi * np.arange(256) / 256
+        self.escape_radius = 2.0 * float(np.max(np.abs(geom.boundary(th))))
+
+    def launch_points(self) -> list:
+        return branch_points(self.geom)
 
     def _jump(self, z1, z2):
         """S(z1) - S(z2) for two preimages of one point; the conj(u) terms
@@ -159,11 +175,15 @@ class ExteriorDeltaS:
 class CavityDeltaS:
     """Single-valued jump field for a disk-with-one-cavity boundary:
     dS(z) = R^2/z - conj(a) - r^2/(z - a), symmetric across the line
-    through 0 and a, at angle axis = arg a."""
+    through 0 and a, at angle axis = arg a.  Its trajectories launch from
+    its simple zeros (exponent 1) inside the cavity and exit at 3R."""
+
+    exponent = 1.0
 
     def __init__(self, R: float, a: complex, r: float):
         self.R, self.a, self.r = float(R), complex(a), float(r)
         self.axis = cmath.phase(self.a)
+        self.escape_radius = 3.0 * self.R
 
     def __call__(self, z):
         a = self.a
@@ -186,6 +206,9 @@ class CavityDeltaS:
         poly = np.polynomial.Polynomial(
             [-R2 * a, R2 + a.conjugate() * a - r2, -a.conjugate()])
         return poly.roots()
+
+    def launch_points(self) -> list:
+        return [z for z in self.critical_points() if abs(z - self.a) < self.r]
 
 
 @dataclass(frozen=True)
@@ -210,8 +233,7 @@ def trajectory_residual(points: np.ndarray, ds_field) -> float:
 
 
 def _trace(ds_field, z0: complex, origin: complex, init_dir: complex,
-           step: float, stop_points, escape_radius: float, ds_tol: float,
-           max_steps: int = 100000) -> Trajectory:
+           step: float, stop_points, max_steps: int = 100000) -> Trajectory:
     """RK4 for the unit-speed z-velocity sign * i * conj(dS)/|dS|, carried
     over to the field's state x by dx/dt = (dz/dt) / (dz/dx).  The sign is
     fixed once, from the launch direction init_dir; on the state the jump
@@ -253,10 +275,10 @@ def _trace(ds_field, z0: complex, origin: complex, init_dir: complex,
         z = z_new
         pts.append(z)
         d, dz_dx = flow(x)
-        if abs(d) < ds_tol:
+        if abs(d) < _DS_TOL:
             end = "node"
             break
-        if abs(z) > escape_radius:
+        if abs(z) > ds_field.escape_radius:
             end = "exit"
             break
         if travelled > 20.0 * step:
@@ -274,36 +296,22 @@ def _trace(ds_field, z0: complex, origin: complex, init_dir: complex,
                       max_residual=trajectory_residual(points, ds_field))
 
 
-def _local_exponent_and_phase(ds_field, z0: complex, eps: float = 1e-5):
-    """Probe dS ~ C (z - z0)^p near a vanishing point: p from a two-radius
-    ratio, arg(C) from the probe value (mod pi, enough to seed the comb
-    of critical directions)."""
-    v1, v2 = ds_field(z0 + eps * np.array([1.0, 2.0]))
-    p = math.log2(abs(v2) / abs(v1))
-    p = 0.5 if abs(p - 0.5) < 0.25 else 1.0
-    # probe offset is real positive, so phase(v1) = arg C (mod the sheet sign)
-    return p, cmath.phase(v1)
-
-
-def critical_trajectories(geom_or_field, step: float = 2e-3,
-                          tol: float = 1e-3, offset: float = 1e-6,
-                          start_points=None, escape_radius: float | None = None,
-                          ds_tol: float = 1e-9) -> list:
+def critical_trajectories(geom_or_field) -> list:
     """Integral curves of Re[dS * dz] = 0 seeded at each point where dS
-    vanishes (branch points of the exterior map, or simple zeros of the
-    cavity jump field).
+    vanishes, the launch points of the jump field (an exterior map is
+    wrapped in its ExteriorDeltaS).
 
-    Near a vanishing point dS ~ C (z-z0)^p, and the admissible launch
-    directions solve (p+1)*psi + arg C = pi/2 (mod pi): three directions
-    for a square-root branch point, four for a simple zero.  Each is
-    integrated by RK4; if a returned polyline violates the residual bound
-    the step is halved and it is retraced.  Each curve is traced once,
-    from the end launched first: a curve that ends at another vanishing
-    point ('branch') or closes on its own ('closed') records its arrival
-    direction there, the direction to its point 4 steps before the end,
-    and a later launch within half the launch spacing, pi/(2(p+1)), of
-    a recorded arrival is skipped.  Exit rays and 'node' ends are always
-    kept.
+    Near a vanishing point dS ~ C (z-z0)^p, p the field's exponent, and
+    the admissible launch directions solve (p+1)*psi + arg C = pi/2
+    (mod pi): three directions for a square-root branch point, four for a
+    simple zero.  Each is integrated by RK4; if a returned polyline
+    violates TRAJECTORY_TOL the step is halved and it is retraced.  Each
+    curve is traced once, from the end launched first: a curve that ends
+    at another vanishing point ('branch') or closes on its own ('closed')
+    records its arrival direction there, the direction to its point 4
+    steps before the end, and a later launch within half the launch
+    spacing, pi/(2(p+1)), of a recorded arrival is skipped.  Exit rays
+    and 'node' ends are always kept.
 
     The field is symmetric across the line at angle axis through 0 (None
     if it is not), so a vanishing point that is the mirror image of one
@@ -311,29 +319,19 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
     direction whose mirror image the twin launched along takes that
     curve's reflection, with its end tag and the residual of the
     reflected points, and records its arrival like a traced curve.  Only
-    directions the twin did not launch along are traced.  A bare jump
-    field provides the integrator interface of CavityDeltaS: state,
-    point, flow and axis.
+    directions the twin did not launch along are traced.  A jump field
+    provides launch_points, exponent, escape_radius, state, point, flow
+    and axis, as CavityDeltaS does.
     """
-    if isinstance(geom_or_field, ExteriorMap):
-        field_fn = ExteriorDeltaS(geom_or_field)
-        starts = branch_points(geom_or_field) if start_points is None \
-            else list(start_points)
-        if escape_radius is None:
-            th = 2.0 * np.pi * np.arange(256) / 256
-            escape_radius = 2.0 * float(np.max(np.abs(geom_or_field.boundary(th))))
-    else:
-        field_fn = geom_or_field
-        if start_points is None:
-            raise ValueError("start_points required for a bare jump field")
-        starts = list(start_points)
-        if escape_radius is None:
-            escape_radius = 4.0 * max(abs(z) for z in starts) + 4.0
-
+    field_fn = ExteriorDeltaS(geom_or_field) \
+        if isinstance(geom_or_field, ExteriorMap) else geom_or_field
+    # numpy scalars would carry numpy arithmetic through every RK4 step
+    starts = [complex(z) for z in field_fn.launch_points()]
     if not starts:
         raise ValueError("no vanishing points of dS to launch from")
-    # numpy scalars would carry numpy arithmetic through every RK4 step
-    starts = [complex(z) for z in starts]
+    p = field_fn.exponent
+    n_dir = int(round(2 * (p + 1)))  # 3 for p=1/2, 4 for p=1
+    half = 0.5 * math.pi / (p + 1.0)   # half the launch spacing
 
     axis = field_fn.axis
     if axis is not None:
@@ -344,14 +342,13 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
     launched = {}   # start point -> (launch angle, curve) of each trace
     for z0 in starts:
         others = [b for b in starts if b != z0]
-        p, arg_c = _local_exponent_and_phase(field_fn, z0)
-        n_dir = int(round(2 * (p + 1)))  # 3 for p=1/2, 4 for p=1
-        half = 0.5 * math.pi / (p + 1.0)   # half the launch spacing
+        # a probe at a real positive offset: its phase is arg C (mod pi)
+        arg_c = cmath.phase(field_fn(np.array([z0 + 1e-5]))[0])
         psi0 = (0.5 * math.pi - arg_c) / (p + 1.0)
         # a point launched from before whose mirror image is z0
         twin = None if axis is None else next(
             (b for b in launched
-             if abs(turn * b.conjugate() - z0) < 1e-3 * offset), None)
+             if abs(turn * b.conjugate() - z0) < 1e-3 * _OFFSET), None)
         launched[z0] = []
         for m in range(n_dir):
             psi = psi0 + 2.0 * m * half
@@ -371,12 +368,12 @@ def critical_trajectories(geom_or_field, step: float = 2e-3,
                                 end_tag=mirrored.end_tag,
                                 max_residual=trajectory_residual(pts, field_fn))
             else:
-                zstart = z0 + offset * cmath.exp(1j * psi)
-                h = step
+                zstart = z0 + _OFFSET * cmath.exp(1j * psi)
+                h = _STEP
                 while True:
                     tr = _trace(field_fn, zstart, z0, cmath.exp(1j * psi), h,
-                                others, escape_radius, ds_tol)
-                    if tr.max_residual < tol or tr.end_tag == "node":
+                                others)
+                    if tr.max_residual < TRAJECTORY_TOL or tr.end_tag == "node":
                         break
                     h *= 0.5
                     if h < 1e-9:
@@ -455,13 +452,9 @@ def cavity_jump_field(p: PerturbedPotential) -> CavityDeltaS:
     return CavityDeltaS(R=geom.outer_radius, a=a, r=r)
 
 
-def zero_attractor_candidates(p: PerturbedPotential, step: float = 2e-3):
+def zero_attractor_candidates(p: PerturbedPotential):
     """Closed critical trajectories of the cavity jump field launched from
     its simple zeros inside the cavity, each loop traced once, from the
     launch that leaves along it first; returns (field, trajectories)."""
     ds = cavity_jump_field(p)
-    crit = [z for z in ds.critical_points()
-            if abs(z - ds.a) < ds.r]
-    trajs = critical_trajectories(ds, step=step, start_points=crit,
-                                  escape_radius=3.0 * outer_radius(p))
-    return ds, connecting_trajectories(trajs)
+    return ds, connecting_trajectories(critical_trajectories(ds))

@@ -104,3 +104,14 @@ def test_uniqueness_cavity(cavity_potential, cavity_grid, cavity_ops):
 def test_assemble_validation(cavity_ops, cavity_potential, cavity_grid):
     with pytest.raises(ValueError):
         assemble_Y(cavity_ops, cavity_potential, cavity_grid, 0)
+
+
+def test_potential_mismatch_rejected(cavity_Y, cavity_ops, cavity_grid,
+                                     radial_potential):
+    # the polynomials weigh with their own potential, not the one passed
+    with pytest.raises(ValueError):
+        dbar_residual(cavity_Y, radial_potential, 0.5 + 0.5j, 1e-2)
+    with pytest.raises(ValueError):
+        fd_order(cavity_Y, radial_potential, 0.5 + 0.5j)
+    with pytest.raises(ValueError):
+        uniqueness_crosscheck(cavity_ops, radial_potential, cavity_grid, 2)

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -152,6 +153,15 @@ def test_verify_equilibrium_exterior(exterior_map):
     p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)))
     rep = verify_equilibrium(exterior_map, p, {"n": 80})
     assert rep.passed
+
+
+@pytest.mark.parametrize("spec", [{"N": 200}, {"tol": 1e-4},
+                                  {"n": 40, "margin": 1.0}])
+def test_verify_equilibrium_rejects_unknown_keys(exterior_map, spec):
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)))
+    unknown = sorted(set(spec) - {"n"})
+    with pytest.raises(ValueError, match=re.escape(str(unknown))):
+        verify_equilibrium(exterior_map, p, spec)
 
 
 @pytest.mark.parametrize("alpha, beta, a", [

@@ -203,6 +203,17 @@ def test_rule_arnoldi_does_not_depend_on_the_grid():
     assert np.array_equal(*H)
 
 
+def test_rule_arnoldi_ignores_the_grids_degree():
+    # a grid built for degree 0 has 16 angles, too few for the grid's own
+    # degree-40 moments; the exact class never reads them
+    p = PerturbedPotential(alpha=0.5, nu=DEFAULT_CHARGE, N=40.0, gamma=2.0)
+    coarse = build_grid(p, orders=(4, 16))
+    assert coarse.angular_order == 16
+    H = [build_orthopolys(p, grid, 20).hessenberg
+         for grid in (coarse, build_grid(p, orders=(24, 384)))]
+    assert np.array_equal(*H)
+
+
 @pytest.mark.parametrize("a,n,T", [
     # the CLI default charge: its grids at n = 40 and 50 were once cut at
     # 1.3, which put h_k 20 % off
@@ -291,9 +302,14 @@ def test_recurrence_matches_horner(cavity_potential, cavity_grid, cavity_ops):
     assert np.max(np.abs(got - rho)) <= 1e-12 * np.max(rho)
 
 
-def test_angular_order_precondition(radial_potential, radial_grid):
+def test_angular_order_precondition():
+    # N*beta/2 = 0.33: the Arnoldi runs on the grid, whose 64 angles
+    # cannot resolve the degree-200 moments
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.3, 0.33),)),
+                           N=2.0, gamma=2.0)
+    grid = build_grid(p, orders=(24, 64), max_degree=24)
     with pytest.raises(ValueError):
-        build_orthopolys(radial_potential, radial_grid, 100)
+        build_orthopolys(p, grid, 100)
 
 
 def test_monomial_zeros(radial_potential, radial_grid):

@@ -224,6 +224,15 @@ def test_build_grid_validation(cavity_potential):
         build_grid(cavity_potential, orders=(1, 384))
 
 
+def test_build_grid_resolves_its_degree(cavity_potential):
+    # T = max(n_t, max_degree + 2): the degree-100 moments need 102 angles
+    grid = build_grid(cavity_potential, orders=(24, 64), max_degree=100)
+    assert grid.angular_order == 102
+    assert grid.nodes.size % 102 == 0
+    assert build_grid(cavity_potential, orders=(24, 64),
+                      max_degree=24).angular_order == 64
+
+
 def test_build_grid_refuses_over_memory_budget(monkeypatch, cavity_potential):
     monkeypatch.setattr(planarquad, "memory_budget", lambda: 1e6)
     build_grid(cavity_potential, orders=(4, 64))   # 28 x 64 nodes: 86 kB

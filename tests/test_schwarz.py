@@ -191,6 +191,20 @@ def test_cavity_attractor_traced_once_per_launch(monkeypatch):
     assert max(t.max_residual for t in trajs) < 2e-4
 
 
+def test_cavity_field_carries_its_launch_data(cavity_potential):
+    # the field alone gives zero_attractor_candidates' loops
+    ds = cavity_jump_field(cavity_potential)
+    assert ds.launch_points() == [z for z in ds.critical_points()
+                                  if abs(z - ds.a) < ds.r]
+    assert ds.escape_radius == 3.0 * outer_radius(cavity_potential)
+    got = connecting_trajectories(critical_trajectories(ds))
+    want = zero_attractor_candidates(cavity_potential)[1]
+    assert len(got) == len(want) > 0
+    for t, u in zip(got, want):
+        assert np.array_equal(t.points, u.points)
+        assert t.end_tag == u.end_tag
+
+
 def test_effective_zero_density(cavity_potential):
     ds, trajs = zero_attractor_candidates(cavity_potential)
     mids, w = effective_zero_density(trajs[0], ds)
