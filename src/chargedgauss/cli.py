@@ -349,10 +349,10 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     check("equilibrium conditions", rep.passed)
 
     n = 8 if args.quick else 20
+    # build_orthopolys and compute_zeros raise above GRAM_TOL and
+    # ZERO_RESIDUAL_TOL, which main reports with exit 2
     p2, grid, ops = _build_polys(cfg, n, args.quad)
-    check("gram residual", ops.gram_residual <= orthopoly.GRAM_TOL)
     zs = orthopoly.compute_zeros(ops, n)
-    check("zero residual", zs.max_residual <= orthopoly.ZERO_RESIDUAL_TOL)
     rec = orthopoly.reconstruct_coeffs(zs)
     ref = np.asarray(ops.monic_coeffs[n], dtype=complex)
     check("zero product form",

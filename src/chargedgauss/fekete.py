@@ -23,12 +23,17 @@ import numpy as np
 
 from .equilibrium import DiskWithCavities, outer_radius
 from .measures import PerturbedPotential
+from .planarquad import check_memory
 
 GRAD_TOL = 1e-8
 _FD_STEP = 1e-6
 _ANNULI = 8
 # Newton steps after L-BFGS; two reach roundoff at n = 200
 _NEWTON_STEPS = 4
+# peak bytes per point pair of `hessian` and `_min_eigenvalue`: the n x n
+# complex differences and the 2n x 2n real Hessian with its kron and
+# projection temporaries, 160 n^2 traced by tracemalloc at n = 400
+_PEAK_BYTES_PER_PAIR = 160
 
 
 @dataclass(frozen=True)
@@ -155,9 +160,13 @@ def minimize(n: int, p: PerturbedPotential, seed: int = 0,
              n_starts: int = 5) -> FeketeConfig:
     """Lowest energy over n_starts uniform random starts in
     B(0, outer_radius); converged when max |g_i| < GRAD_TOL and the
-    Hessian there is positive definite."""
+    Hessian there is positive definite.  Raises
+    planarquad.OverMemoryBudget, before any solver runs, when the Hessian
+    would not fit in `planarquad.memory_budget()`."""
     if n < 1:
         raise ValueError("need n >= 1")
+    check_memory(_PEAK_BYTES_PER_PAIR * n * n,
+                 f"the {2 * n} x {2 * n} Hessian of {n} Fekete points")
     R = outer_radius(p)
 
     def start(s):

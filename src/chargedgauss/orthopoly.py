@@ -9,14 +9,16 @@ with a second pass only when the first cancelled most of the vector.  All
 accumulations are in 80-bit extended precision: the Cauchy-tail decay of
 P_n (criterion 06) is not resolved in complex double.
 
-On a grid with a mirror axis phi (all charges on one line through 0, see
-`planarquad`) the orthonormal polynomials have real coefficients in the
-rotated frame x = z e^{-i phi}.  There the same loop runs on the upper
-half of its rule only: nodes on the axis rays count once, every other
-node also stands for its mirror image, and inner products, norms and Gram
-rows are the real parts of the half sums, so H is real; H is rotated
-back at the end.  This halves the extended-precision work and the stored
-basis.
+The loop runs on `planarquad.polynomial_rule`, laid out in the frame
+x = z e^{-i phi} of the weight's mirror line when it has one exactly (all
+charges on one line through 0, or in conjugate pairs of equal mass).
+There the orthonormal polynomials have real coefficients, and the loop
+runs on the upper half of the rule only: nodes on the real axis count
+once, every other node also stands for its mirror image, and inner
+products, norms and Gram rows are the real parts of the half sums, so H
+is real.  Rotation covariance, q_k(z) = e^{ik phi} q~_k(z e^{-i phi}),
+rotates H back at the end.  This halves the extended-precision work and
+the stored basis.
 
 When the weight is a trigonometric polynomial of degree c on circles
 (N*beta/2 an integer for every charge off 0, see `planarquad`), the loop
@@ -42,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .measures import PerturbedPotential
-from .planarquad import CLD, LD, QuadGrid, check_memory
+from .planarquad import CLD, LD, QuadGrid, polynomial_rule
 
 GRAM_TOL = 1e-8
 ZERO_RESIDUAL_TOL = 1e-10
@@ -151,37 +153,34 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     Rozloznik 2005).  The squared norms are h_k = h_0 s_k^2 with
     h_0 = sum of the weights and s_k = prod_{i<k} H[i+1,i].
 
-    The loop runs on `grid.polynomial_rule(n_max)`.  Exactness: with the
-    weight g(|z|) h(z), h a trigonometric polynomial of degree c on every
-    circle, every integrand the loop forms (z q_k conj(q_j) h, k < n_max,
-    j <= n_max) has degree <= n_max + c in angle, so L = n_max + c + 1
-    angles integrate it exactly; its ring integral is g(r) P(r^2) with
-    deg P <= n_max + c, which the ceil(L/2)-node Gauss-Laguerre rule of
-    the radial measure pi u^s exp(-N*alpha*u) du integrates exactly.  The
-    Gram certificate is computed on the same rule, so it certifies the
-    weight's inner product, not the grid's.  Weights that are not
-    trigonometric polynomials on circles keep the whole grid, and the
-    certificate is the grid's.
+    The loop runs on `planarquad.polynomial_rule(grid, n_max)`.
+    Exactness: with the weight g(|z|) h(z), h a trigonometric polynomial
+    of degree c on every circle, every integrand the loop forms
+    (z q_k conj(q_j) h, k < n_max, j <= n_max) has degree <= n_max + c in
+    angle, so L = n_max + c + 1 angles integrate it exactly; its ring
+    integral is g(r) P(r^2) with deg P <= n_max + c, which the
+    ceil(L/2)-node Gauss-Laguerre rule of the radial measure
+    pi u^s exp(-N*alpha*u) du integrates exactly.  The Gram certificate is
+    computed on the same rule, so it certifies the weight's inner product,
+    not the grid's.  Weights that are not trigonometric polynomials on
+    circles keep the grid's rings and angles, and the certificate is the
+    grid's.
 
-    On a grid with a mirror axis phi the rule is folded onto the upper
-    half plane of the axis frame, the loop runs with real h_j (the real
-    dot product of q_j and v viewed as interleaved reals), and the result
-    is rotated back:
-    H[j,k] e^{i(k+1-j) phi}.
+    When the weight has a mirror line at angle phi the rule is folded onto
+    the upper half plane of its frame, the loop runs with real h_j (the
+    real dot product of q_j and v viewed as interleaved reals), and the
+    result is rotated back: H[j,k] e^{i(k+1-j) phi}.
 
     Raises OverMemoryBudget, before the rule is built, when the basis Q
     (n_max + 1 rows over the rule's nodes) would exceed
     `planarquad.memory_budget()`.
     """
     # a mirror-symmetric weight has orthonormal polynomials with real
-    # coefficients in the frame of its axis: run on the half rule there,
-    # with inner products the real parts of the half sums
-    fold = grid.axis is not None
-    size = grid.rule_size(n_max)
-    # the basis Q dwarfs the rule's nodes and weights
-    check_memory(size * (n_max + 1) * np.dtype(CLD).itemsize,
-                 f"the Arnoldi basis of {n_max + 1} x {size} nodes")
-    x, w = (a.ravel() for a in grid.polynomial_rule(n_max))
+    # coefficients in the frame of its mirror line: run on the half rule
+    # there, with inner products the real parts of the half sums
+    x, w, phi = polynomial_rule(grid, n_max)
+    x, w = x.ravel(), w.ravel()
+    fold = phi is not None
     # Q[k]: q_k at the nodes times sqrt(weight).  B is Q as the inner
     # product sees it: viewed as reals when folded, where Re<f, g> is the
     # real dot product of the interleaved real and imaginary parts
@@ -214,10 +213,10 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
         gram = max(gram, float(np.max(np.abs(np.dot(Bk, np.conj(B[k + 1]))))))
 
     if fold:
-        # back from the axis frame: q_k(z) = e^{ik phi} q~_k(z e^{-i phi})
+        # back from the rule's frame: q_k(z) = e^{ik phi} q~_k(z e^{-i phi})
         # gives H[j, k] e^{i(k+1-j) phi}
         e = np.arange(n_max + 2)
-        turn = np.exp(CLD(1j) * LD(grid.axis) * e)
+        turn = np.exp(CLD(1j) * LD(phi) * e)
         H = H * turn[np.maximum(e[:n_max + 1] + 1 - e[:, None], 0)]
 
     sub = np.diagonal(H, -1)[:n_max].real
@@ -228,18 +227,6 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
             f"Gram residual {gram:.2e} exceeds {GRAM_TOL:.0e} at n_max={n_max}")
     return OrthoPolySet(n_max=n_max, norms=hs,
                         hessenberg=H, gram_residual=gram, potential=p)
-
-
-def radial_norm_oracle(p: PerturbedPotential, k: int) -> float:
-    """Closed-form h_k for radial weights: pi*Gamma(k + N*beta/2 + 1) /
-    (N*alpha)^(k + N*beta/2 + 1), with beta = 0 for the empty measure."""
-    beta = 0.0
-    if p.nu.charges:
-        if len(p.nu.charges) != 1 or p.nu.charges[0][0] != 0:
-            raise ValueError("oracle only valid for the radial cases")
-        beta = p.nu.charges[0][1]
-    s = k + p.N * beta / 2.0 + 1.0
-    return math.pi * math.exp(math.lgamma(s) - s * math.log(p.N * p.alpha))
 
 
 @dataclass(frozen=True)

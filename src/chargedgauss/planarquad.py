@@ -23,27 +23,24 @@ more nodes integrates it exactly, and the ring integral is P(r^2) times
 g(r), with P a polynomial of degree <= n + c, to be integrated against
 2*pi*r g(r) dr = pi u^s exp(-N*alpha*u) du, u = r^2, s = N*beta_0/2.  That
 generalized Laguerre weight's ceil(L/2)-node Gauss rule does so exactly.
-`QuadGrid.polynomial_rule` gives it, radii times L angles, for the
-Arnoldi in `orthopoly`, which so sees the weight itself, not the grid.
+`polynomial_rule` gives it, radii times L angles, for the Arnoldi in
+`orthopoly`, which so sees the weight itself, not the grid.
 
-When every charge lies on one line through 0 (the paper's single charge,
-or any collinear configuration), the weight is symmetric under reflection
-across that line.  The angular nodes then start on the line, at angle
-phi + 2*pi*j/T, so node T-j is the mirror image of node j; the weight is
-evaluated on 0 <= j <= T/2 only and copied to the mirrored nodes, which
-therefore carry exactly equal weights.  phi is kept as `QuadGrid.axis`
-(None for charges not collinear with 0), and `QuadGrid.polynomial_rule`
-then gives the upper half of its rule in the axis frame, on which
-`orthopoly` folds its inner products.  A charge counts as on the line
-when it lies within a few ulps of its modulus from it, at distance d
-say.  The mirrored nodes then see the charge moved by up to 2d, which
-changes their weight by about 2*N*beta*d/|z - a| relative: 1e-16 away
-from the charge, more only where the weight itself is tiny (6e-14 where
-it is e^-99, for N = 40).  So the folded norms h_k are accurate to the
-exact-moment oracle's few 1e-18 only on an axis a charge lies exactly on
-(the real axis); on a tilted axis, for the charge 0.3 e^(2 pi i 0.37),
-they are 1.4e-15 off at n = 40 and 1.7e-15 at n = 50, against 1.1e-18
-and 1.9e-18 unfolded.
+The problem is rotation covariant: for charges a e^{i phi},
+P_n(z) = e^{in phi} P~_n(z e^{-i phi}), with P~_n the polynomial for the
+charges a.  `polynomial_rule` therefore lays its nodes out in the frame
+of the weight's mirror line, the line through 0 that carries every
+charge exactly; each charge sits there at its long-double signed
+modulus, exactly real.  Charges in conjugate pairs of equal mass are
+mirrored by the real axis itself.  The weight is then exactly even under
+conjugation in that frame, and the rule keeps only the closed upper half
+plane, each node off the real axis weighted for its mirror image too, on
+which `orthopoly` folds its inner products.  The decision is exact, with
+no tolerance: charges on a line only to within rounding are not folded,
+since mirrored nodes would then see a moved charge.  For the charge
+0.3 e^(2 pi i 0.37) the folded norms h_k are 1.2e-18 (n = 30) and
+1.6e-18 (n = 50) off the exact-moment oracle.  The grid itself is a
+plain polar grid, with angles 2*pi*j/T.
 """
 
 from __future__ import annotations
@@ -51,21 +48,20 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .measures import PerturbedPotential, PointChargeMeasure
+from .measures import PerturbedPotential
 
 LD = np.longdouble
 CLD = np.clongdouble
-# pi to extended precision: with the double pi, node T-j sits 2.4e-16 rad
-# off the mirror image of node j
+# pi to extended precision: the double pi would put node angles up to
+# 2.4e-16 rad off
 _PI = np.arccos(LD(-1.0))
-# a charge is on the mirror axis within this many ulps of its modulus
-_AXIS_ULPS = 4
 # `truncation_radius`'s mesh: its nodes, and how far past the weight's
 # bulk it reaches (see there)
 _RADIAL_MESH = 4096
@@ -105,81 +101,18 @@ class QuadGrid:
     radial_order: int
     angular_order: int
     potential: PerturbedPotential = field(repr=False)
-    axis: float | None = None  # angle of the mirror line; None: no mirror
 
     @cached_property
     def weight_values(self) -> np.ndarray:
         """exp(-N*V) at the nodes (longdouble), evaluated on first use in
-        extended precision.  On a mirrored grid column j takes the value
-        of column min(j, T-j), its mirror image."""
-        T = self.angular_order
-        cols = np.arange(T)
-        if self.axis is not None:
-            cols = np.minimum(cols, T - cols)
-        z = self.nodes.reshape(-1, T)[:, :cols.max() + 1]
-        logw = self.potential.log_weight_grid(z)[:, cols]
-        return np.where(np.isneginf(logw), LD(0.0), np.exp(logw)).ravel()
-
-    def rule_size(self, degree: int) -> int:
-        """Number of nodes of `polynomial_rule(degree)`, which is not
-        built."""
-        c = self.potential.angular_degree()
-        if c is None:
-            L = self.angular_order
-            m = self.nodes.size // L
-        else:
-            L = degree + c + 1
-            m = (L + 1) // 2
-        return m * (L if self.axis is None else L // 2 + 1)
+        extended precision."""
+        logw = self.potential.log_weight_grid(self.nodes)
+        return np.where(np.isneginf(logw), LD(0.0), np.exp(logw))
 
     @property
     def measure_weights(self) -> np.ndarray:
         """Combined weights w_i * exp(-N*V(z_i)) for d(lambda) integrals."""
         return self.areas * self.weight_values
-
-    def polynomial_rule(self, degree: int):
-        """Nodes and weights, as (radii, columns) arrays, of a rule exact
-        for the weight's inner product of polynomials of degree <= degree.
-
-        With c = `PerturbedPotential.angular_degree()` not None and
-        L = degree + c + 1, the radii are those of the ceil(L/2)-node
-        Gauss-Laguerre rule (u_j, W_j) of the radial measure
-        pi u^s exp(-N*alpha*u) du, u = r^2, s = N*beta_0/2 (see above),
-        whatever the grid's orders; each carries L angles, and node z
-        weighs W_j/L * h(z).  Otherwise it is the grid, which needs
-        2*degree + 2 angles or raises ValueError.
-
-        On a grid with a mirror axis the rule is folded: columns
-        0 <= j <= L/2 only, rotated by -axis into the closed upper half
-        plane, each off-axis column also carrying the weight of its
-        mirror image.  For polynomials f, g with real coefficients in that
-        frame the inner product is then Re sum_i w_i f(x_i) conj(g(x_i)).
-        """
-        p = self.potential
-        c = p.angular_degree()
-        if c is None:
-            if self.angular_order < 2 * degree + 2:
-                raise ValueError(f"{self.angular_order} angles cannot resolve "
-                                 f"degree-{2 * degree} moments")
-            x = self.nodes.reshape(-1, self.angular_order)
-            w = self.measure_weights.reshape(x.shape)
-        else:
-            L = degree + c + 1
-            u, W = _laguerre_rule(p, (L + 1) // 2)
-            th = LD(2.0) * _PI * np.arange(L, dtype=LD) / LD(L)
-            if self.axis is not None:
-                th += LD(self.axis)
-            x = np.sqrt(u).astype(CLD)[:, None] * np.exp(1j * th.astype(CLD))
-            off = PointChargeMeasure(
-                tuple(q for q in p.nu.charges if q[0] != 0))
-            w = (W / LD(L))[:, None] * np.exp(-p.N * off.log_potential_grid(x))
-        if self.axis is None:
-            return x, w
-        L = x.shape[1]
-        x = x[:, :L // 2 + 1] * np.exp(CLD(-1j) * LD(self.axis))
-        w = w[:, :L // 2 + 1].copy()
-        w[:, 1:(L + 1) // 2] *= 2
-        return x, w
 
 
 def _gauss_rule(a: np.ndarray, b: np.ndarray, mu0):
@@ -257,21 +190,91 @@ def _laguerre_rule(p: PerturbedPotential, m: int):
                        _PI * gamma / na ** (s + 1))
 
 
-def mirror_axis(p: PerturbedPotential) -> float | None:
-    """Angle in [-pi/2, pi/2] of a line through 0 that carries every
-    charge, or None.  The line through the charge of largest modulus is
-    tried; the others must lie within _AXIS_ULPS ulps of their modulus
-    from it.  Without a charge off the origin the weight is radial and
-    the real axis is returned."""
-    locs = [a for a in p.nu.locations if a != 0]
-    if not locs:
-        return 0.0
-    phi = math.remainder(cmath.phase(max(locs, key=abs)), math.pi)
-    turn = cmath.exp(-1j * phi)
-    tol = _AXIS_ULPS * np.finfo(float).eps
-    if all(abs((a * turn).imag) <= tol * abs(a) for a in locs):
-        return phi
-    return None
+def _on_line(a: complex, b: complex) -> bool:
+    """Whether a lies exactly on the line through 0 and b: the cross
+    product of their doubles, each p/q as integers, vanishes."""
+    (p, q), (r, s), (t, u), (v, w) = (x.as_integer_ratio() for x in
+                                      (a.real, b.imag, a.imag, b.real))
+    return p * r * u * w == t * v * q * s
+
+
+def polynomial_rule(grid: QuadGrid, degree: int):
+    """(x, w, phi): nodes and weights, as (radii, columns) arrays, of a
+    rule exact for the weight's inner product of polynomials of degree
+    <= degree, in the frame x = z e^{-i phi} of the weight's mirror line;
+    phi is None when the weight has none, and the frame is then the plane.
+
+    The frame: when every charge off 0 lies exactly on one line through 0
+    (the cross product of its doubles with those of the largest charge is
+    0), phi = arg of the largest charge, reduced to [-pi/2, pi/2], and each
+    charge a sits at its signed modulus +-|a| in long double, exactly real;
+    otherwise phi = 0 and the charges stay put.  When the frame's charges
+    are their own conjugates, with equal masses, the weight is even under
+    x -> conj(x) and the rule is folded: columns 0 <= j <= L/2 only, the
+    closed upper half plane, each off-axis column also carrying the weight
+    of its mirror image.  For polynomials f, g with real coefficients in
+    the frame the inner product is then Re sum_i w_i f(x_i) conj(g(x_i)).
+    A weight symmetric only up to rounding is not folded.
+
+    With c = `PerturbedPotential.angular_degree()` not None and
+    L = degree + c + 1, the radii are those of the ceil(L/2)-node
+    Gauss-Laguerre rule (u_j, W_j) of the radial measure
+    pi u^s exp(-N*alpha*u) du, u = r^2, s = N*beta_0/2 (see above),
+    whatever the grid's orders; each carries L angles, and node x weighs
+    W_j/L * h(x).  Otherwise the rings, radial weights and L = T angles
+    are the grid's, which needs 2*degree + 2 angles or raises ValueError,
+    and node x weighs its area times exp(-N*V(x)), V in the frame.  Either
+    way the weight is evaluated in long double at the frame's nodes.
+
+    Raises OverMemoryBudget, before the rule is built, when the Arnoldi
+    basis over it (degree + 1 rows of clongdouble) would exceed
+    `memory_budget()`.
+    """
+    p = grid.potential
+    locs = [a for a, _ in p.nu.charges if a != 0]
+    top = max(locs, key=abs, default=0j)
+    if all(_on_line(a, top) for a in locs):
+        phi = math.remainder(cmath.phase(top), math.pi)
+        ray = cmath.rect(1.0, -phi)
+        charges = [(math.copysign(1.0, (a * ray).real)
+                    * np.hypot(LD(a.real), LD(a.imag)), b)
+                   for a, b in p.nu.charges]
+        fold = True
+    else:
+        phi, charges = 0.0, p.nu.charges
+        fold = Counter(charges) == Counter((a.conjugate(), b)
+                                           for a, b in charges)
+    c = p.angular_degree()
+    if c is None:
+        L = grid.angular_order
+        if L < 2 * degree + 2:
+            raise ValueError(f"{L} angles cannot resolve "
+                             f"degree-{2 * degree} moments")
+        r, wr = np.abs(grid.nodes[::L]), grid.areas[::L]
+        m = r.size
+    else:
+        L = degree + c + 1
+        m = (L + 1) // 2
+    cols = L // 2 + 1 if fold else L
+    check_memory(m * cols * (degree + 1) * np.dtype(CLD).itemsize,
+                 f"the Arnoldi basis of {degree + 1} x {m * cols} nodes")
+
+    if c is not None:
+        u, W = _laguerre_rule(p, m)
+        r, wr = np.sqrt(u), W / LD(L)
+        charges = [q for q in charges if q[0] != 0]   # in the radial measure
+    th = LD(2.0) * _PI * np.arange(cols, dtype=LD) / LD(L)
+    x = r.astype(CLD)[:, None] * np.exp(1j * th.astype(CLD))
+    with np.errstate(divide="ignore"):
+        U = sum((-b * np.log(np.abs(x - a)) for a, b in charges),
+                np.zeros(x.shape, dtype=LD))
+    if c is None:
+        U = p.alpha * np.abs(x) ** 2 + U
+    w = wr[:, None] * np.exp(-p.N * U)
+    if not fold:
+        return x, w, None
+    w[:, 1:(L + 1) // 2] *= 2
+    return x, w, phi
 
 
 def truncation_radius(p: PerturbedPotential, eps_tail: float,
@@ -360,17 +363,14 @@ def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
     check_memory(r.size * n_t * 3 * LD(0).itemsize,
                  f"the {r.size} x {n_t} quadrature grid")
 
-    axis = mirror_axis(p)
     th = LD(2.0) * _PI * np.arange(n_t, dtype=LD) / LD(n_t)
-    if axis is not None:
-        th += LD(axis)
     e = np.exp(1j * th.astype(CLD))
     nodes = r.astype(CLD)[:, None] * e[None, :]
     dth = LD(2.0) * _PI / LD(n_t)
     areas = (wr[:, None] * r[:, None] * dth * np.ones(n_t, dtype=LD)[None, :]).ravel()
 
     return QuadGrid(nodes=nodes.ravel(), areas=areas, r_trunc=float(rt),
-                    radial_order=n_r, angular_order=n_t, potential=p, axis=axis)
+                    radial_order=n_r, angular_order=n_t, potential=p)
 
 
 def _values(grid: QuadGrid, f):
@@ -389,33 +389,26 @@ def inner_product(grid: QuadGrid, f, g) -> complex:
     return complex(np.sum(grid.measure_weights * fv * np.conj(gv)))
 
 
-def absolute_moment(grid: QuadGrid, k: int) -> float:
-    """int |z|^k exp(-N*V) dm."""
-    if k < 0 or k != int(k):
-        raise ValueError("moment order must be a nonnegative integer")
-    return float(np.sum(grid.measure_weights * np.abs(grid.nodes) ** LD(k)))
-
-
 def total_mass(grid: QuadGrid) -> float:
     return float(np.sum(grid.measure_weights))
 
 
-def _ring_sums(F, r, a, z, rot):
+def _ring_sums(F, r, a, z):
     """sum_i a_i (T/2pi) int f_i(t) dt / (z - r_i e^{it}) over rings
     carrying trigonometric polynomials with DFT coefficients F[..., K+m]
-    (mode m, t from the grid axis, rot = exp(-i axis)); r and a broadcast
-    against z[:, None].  With z' = rot*z a ring inside |z| gives
-    (1/z) sum_k F_{-k} (r/z')^k, one outside -(rot/r) sum_k F_{k+1} (z'/r)^k,
-    both by Horner in a ratio of modulus <= 1, so nothing overflows."""
+    (mode m); r and a broadcast against z[:, None].  A ring inside |z|
+    gives (1/z) sum_k F_{-k} (r/z)^k, one outside -(1/r) sum_k F_{k+1}
+    (z/r)^k, both by Horner in a ratio of modulus <= 1, so nothing
+    overflows."""
     K = (F.shape[-1] - 1) // 2
     z = z[:, None]
     inner = r < np.abs(z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(inner, r / (rot * z), rot * z / r)
+        q = np.where(inner, r / z, z / r)
         acc = np.where(inner, F[..., 0], CLD(0))
         for k in range(K - 1, -1, -1):
             acc = acc * q + np.where(inner, F[..., K - k], F[..., K + k + 1])
-        return np.sum(a * np.where(inner, acc / z, -rot * acc / r), axis=-1)
+        return np.sum(a * np.where(inner, acc / z, -acc / r), axis=-1)
 
 
 def cauchy_transform(grid: QuadGrid, values, z) -> np.ndarray:
@@ -442,7 +435,6 @@ def cauchy_transform(grid: QuadGrid, values, z) -> np.ndarray:
     if T % 2 == 0:
         F = np.concatenate([F, F[:, :1]], axis=1)
         F[:, [0, -1]] *= LD(0.5)
-    rot = CLD(1) if grid.axis is None else np.exp(CLD(-1j) * LD(grid.axis))
     r, a = np.abs(grid.nodes[::T]), grid.areas[::T]
 
     # panels are consecutive groups of n rings on Gauss-Legendre nodes
@@ -466,7 +458,7 @@ def cauchy_transform(grid: QuadGrid, values, z) -> np.ndarray:
         c = slice(i, i + chunk)
         sp = split[c]
         skip = sp[:, None] & (np.arange(r.size) // n == p[c, None])
-        out[c] = _ring_sums(F, r, np.where(skip, LD(0), a), zf[c], rot)
+        out[c] = _ring_sums(F, r, np.where(skip, LD(0), a), zf[c])
         ps, ts = p[c][sp], tau[c][sp]
         # Gauss rules on [-1, tau] and [tau, 1], the parts of the panel
         u = LD(0.5) * (1 - sides * ts)[..., None]    # (2, points, 1)
@@ -476,7 +468,7 @@ def cauchy_transform(grid: QuadGrid, values, z) -> np.ndarray:
         Fs = (legvander(t, n - 1) @ to_leg).astype(CLD) \
             @ F.reshape(-1, n, F.shape[1])[ps]
         a_s = half[ps, None] * wt * rho * (LD(2.0) * _PI / LD(T))
-        out[c][sp] += _ring_sums(Fs, rho, a_s, zf[c][sp], rot)
+        out[c][sp] += _ring_sums(Fs, rho, a_s, zf[c][sp])
     return out.reshape(z.shape)
 
 

@@ -1,4 +1,7 @@
+import math
+
 import mpmath as mp
+import numpy as np
 import pytest
 
 import chargedgauss as cg
@@ -73,3 +76,33 @@ def _exact_gram(p, n, dps=60):
 @pytest.fixture(scope="session")
 def exact_gram():
     return _exact_gram
+
+
+def _absolute_moment(grid, k):
+    """int |z|^k exp(-N*V) dm on the grid."""
+    if k < 0 or k != int(k):
+        raise ValueError("moment order must be a nonnegative integer")
+    return float(np.sum(grid.measure_weights
+                        * np.abs(grid.nodes) ** planarquad.LD(k)))
+
+
+@pytest.fixture(scope="session")
+def absolute_moment():
+    return _absolute_moment
+
+
+def _radial_norm_oracle(p, k):
+    """Closed-form h_k for radial weights: pi*Gamma(k + N*beta/2 + 1) /
+    (N*alpha)^(k + N*beta/2 + 1), with beta = 0 for the empty measure."""
+    beta = 0.0
+    if p.nu.charges:
+        if len(p.nu.charges) != 1 or p.nu.charges[0][0] != 0:
+            raise ValueError("oracle only valid for the radial cases")
+        beta = p.nu.charges[0][1]
+    s = k + p.N * beta / 2.0 + 1.0
+    return math.pi * math.exp(math.lgamma(s) - s * math.log(p.N * p.alpha))
+
+
+@pytest.fixture(scope="session")
+def radial_norm_oracle():
+    return _radial_norm_oracle

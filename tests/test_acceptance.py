@@ -23,8 +23,7 @@ from chargedgauss.equilibrium import (DiskWithCavities, _cubic,
                                       system_residuals, verify_equilibrium)
 from chargedgauss.fekete import discrepancy, gradient_fd_check, minimize
 from chargedgauss.measures import PerturbedPotential, PointChargeMeasure
-from chargedgauss.orthopoly import (build_orthopolys, compute_zeros,
-                                    radial_norm_oracle)
+from chargedgauss.orthopoly import build_orthopolys, compute_zeros
 from chargedgauss.planarquad import build_grid, cauchy_tail_split, inner_product
 from chargedgauss.schwarz import (boundary_curve, branch_points,
                                   critical_trajectories,
@@ -154,7 +153,7 @@ def test_criterion_03_numerical_equilibrium_exterior():
             f"{rep.n_on}/{rep.n_off} on/off points, runtime {dt:.1f}s (< 2min)")
 
 
-def test_criterion_04_radial_oracle():
+def test_criterion_04_radial_oracle(radial_norm_oracle):
     worst_norm = 0.0
     worst_mass = 0.0
     for nu in (PointChargeMeasure(()),

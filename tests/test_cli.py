@@ -105,15 +105,18 @@ def test_orthopoly_failure_exit_code(tmp_path, monkeypatch, capsys, error):
 @pytest.mark.parametrize("flags,what", [
     # the 24 x 102 grid (0.1 MB) fits; the 51 x 1,482-node basis (2.4 MB)
     # does not
-    (["--quad", "4,16,1e-12", "--degree", "50"], "Arnoldi basis"),
-    (["--quick", "--degree", "6"], "quadrature grid"),
+    (["--quad", "4,16,1e-12", "--degree", "50", "zeros"], "Arnoldi basis"),
+    (["--quick", "--degree", "6", "zeros"], "quadrature grid"),
+    # the 800 x 800 Hessian and its temporaries (26 MB)
+    (["--degree", "400", "fekete"], "Hessian"),
 ])
 def test_over_memory_budget_exit_code(tmp_path, monkeypatch, capsys, flags,
                                       what):
-    # refused before the grid or basis is allocated, as --degree 700 zeros
-    # (a 6.2 GB basis) is on an 8 GB machine
+    # refused before the grid, basis or Hessian is allocated, as
+    # --degree 700 zeros (a 6.2 GB basis) is on an 8 GB machine; flags
+    # end with the command
     monkeypatch.setattr(planarquad, "memory_budget", lambda: 1e6)
-    rc = main(["--out", str(tmp_path), *flags, "zeros"])
+    rc = main(["--out", str(tmp_path), *flags])
     err = capsys.readouterr().err
     assert rc == EXIT_UNSUPPORTED
     assert err.startswith("out of memory:") and err.count("\n") == 1
@@ -209,6 +212,17 @@ def test_verify_quick(tmp_path):
     assert rc == EXIT_OK
     rep = json.loads((tmp_path / "verify.json").read_text())
     assert rep["passed"]
+
+
+def test_verify_gram_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # the Arnoldi raises above GRAM_TOL, so verify fails through main's
+    # handler: exit 2 with one line
+    monkeypatch.setattr(orthopoly, "GRAM_TOL", 0.0)
+    rc = main(["--out", str(tmp_path), "--quick", "verify"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INVARIANT
+    assert err.startswith("invariant failed: Gram residual")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("converged, code", [(True, EXIT_OK),

@@ -10,22 +10,26 @@ import pytest
 import chargedgauss as cg
 from chargedgauss.measures import PerturbedPotential, PointChargeMeasure
 from chargedgauss.orthopoly import (build_orthopolys, compute_zeros,
-                                    one_point_function, radial_norm_oracle,
-                                    reconstruct_coeffs, zero_potential,
-                                    zero_potential_grid)
-from chargedgauss.planarquad import CLD, LD, build_grid, inner_product
+                                    one_point_function, reconstruct_coeffs,
+                                    zero_potential, zero_potential_grid)
+from chargedgauss.planarquad import (CLD, LD, build_grid, inner_product,
+                                     polynomial_rule)
 
 DEFAULT_CHARGE = PointChargeMeasure(((0.3 + 0.0j, 0.5),))
+# a tilted direction: 0.3 TILT and -0.5 TILT are on one line through 0
+# only to within rounding
+TILT = np.exp(2j * np.pi * 0.37)
 
 
-def test_radial_norms_match_oracle(radial_potential, radial_grid):
+def test_radial_norms_match_oracle(radial_potential, radial_grid,
+                                   radial_norm_oracle):
     ops = build_orthopolys(radial_potential, radial_grid, 10)
     for k in range(11):
         assert np.isclose(float(ops.norms[k]),
                           radial_norm_oracle(radial_potential, k), rtol=1e-10)
 
 
-def test_charge_at_origin_norms():
+def test_charge_at_origin_norms(radial_norm_oracle):
     p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.0, 0.5),)),
                            N=2.0)
     g = build_grid(p, orders=(24, 64), max_degree=20)
@@ -67,17 +71,17 @@ def _mgs2_hessenberg(nodes, weights, n_max):
 
 
 def _unfolded_rule(grid, n):
-    """`grid.polynomial_rule(n)` of an exact-class weight, unfolded: on a
-    mirrored grid the folded columns and their mirror images, back in the
-    grid's frame, each doubled weight halved."""
-    x, w = grid.polynomial_rule(n)
-    if grid.axis is not None:
-        L = n + grid.potential.angular_degree() + 1
+    """`polynomial_rule(grid, n)` unfolded: when folded, its columns and
+    their mirror images, back in the plane's frame, each doubled weight
+    halved."""
+    x, w, phi = polynomial_rule(grid, n)
+    if phi is not None:
+        c = grid.potential.angular_degree()
+        L = grid.angular_order if c is None else n + c + 1
         off = slice(1, (L + 1) // 2)
-        w = w.copy()
         w[:, off] /= 2
         x = np.concatenate([x, np.conj(x[:, off])], axis=1) \
-            * np.exp(CLD(1j) * LD(grid.axis))
+            * np.exp(CLD(1j) * LD(phi))
         w = np.concatenate([w, w[:, off]], axis=1)
     return x.ravel(), w.ravel()
 
@@ -99,33 +103,41 @@ def _mirror_case(charges, n=12):
 def test_mirror_grid_off_axis_charge():
     phi = 0.7
     _, grid, ops = _mirror_case(((0.3 * np.exp(1j * phi), 0.5),))
-    assert abs(grid.axis - phi) < 1e-15
-    T = grid.angular_order
-    mirror = (-np.arange(T)) % T
-    z = grid.nodes.reshape(-1, T)
-    image = np.exp(CLD(2j) * LD(grid.axis)) * np.conj(z)[:, mirror]
-    tol = 10 * np.finfo(LD).eps * np.max(np.abs(z))
-    assert np.max(np.abs(image - z)) < tol
-    for w in (grid.weight_values, grid.areas):
-        w = w.reshape(-1, T)
-        assert np.array_equal(w, w[:, mirror])
+    assert abs(polynomial_rule(grid, 12)[2] - phi) < 1e-15
     assert ops.gram_residual < 5e-17
     ref = _mgs2_hessenberg(*_unfolded_rule(grid, 12), 12)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
 def test_mirror_grid_charges_on_both_sides():
-    line = np.exp(0.7j)
-    _, grid, ops = _mirror_case(((0.3 * line, 0.5), (-0.5 * line, 0.3)))
-    assert grid.axis is not None
-    assert abs(np.exp(1j * grid.axis) ** 2 - line ** 2) < 1e-15
-    ref = _mgs2_hessenberg(grid.nodes, grid.measure_weights, 12)
+    # -2a is exactly on the line through 0 and a
+    a = 0.3 * np.exp(0.7j)
+    _, grid, ops = _mirror_case(((a, 0.5), (-2 * a, 0.3)))
+    phi = polynomial_rule(grid, 12)[2]
+    assert abs(np.exp(2j * phi) - np.exp(1.4j)) < 1e-15
+    ref = _mgs2_hessenberg(*_unfolded_rule(grid, 12), 12)
+    assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
+
+
+@pytest.mark.parametrize("charges,phi", [
+    # a conjugate pair of equal masses: the real axis is a mirror line
+    (((0.3 + 0.2j, 0.25), (0.3 - 0.2j, 0.25)), 0.0),
+    (((0.3 + 0.2j, 0.5), (0.3 - 0.2j, 0.5)), 0.0),
+    # unequal masses, or charges on a line only to within rounding
+    (((0.3 + 0.2j, 0.25), (0.3 - 0.2j, 0.5)), None),
+    (((0.3 * TILT, 0.5), (-0.5 * TILT, 0.3)), None),
+])
+def test_mirror_decision(charges, phi):
+    # folded or not, the Arnoldi runs on its rule exactly as MGS2 does
+    _, grid, ops = _mirror_case(charges)
+    assert polynomial_rule(grid, 12)[2] == phi
+    ref = _mgs2_hessenberg(*_unfolded_rule(grid, 12), 12)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
 def test_non_collinear_charges_use_full_grid():
     _, grid, ops = _mirror_case(((0.3, 0.5), (0.4j, 0.3), (-0.2 - 0.3j, 0.2)))
-    assert grid.axis is None
+    assert polynomial_rule(grid, 12)[2] is None
     ref = _mgs2_hessenberg(grid.nodes, grid.measure_weights, 12)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
@@ -165,26 +177,24 @@ def _norm_error(h, exact):
     # does not read the grid
     ((), 30, 60, 128, (16, 16)),
     (((0.3, 0.5),), 60, 120, 384, (46, 46)),
+    # a charge on a tilted line: folded in its own frame, where it is
+    # exactly real
+    (((0.3 * TILT, 0.5),), 50, 100, 256, (38, 39)),
 ])
 def test_rule_arnoldi_matches_full_grid_reference(exact_gram, charges, n, N,
                                                   T, rule):
-    # exact-class weights: h_k against the exact-moment oracle, and H
-    # against MGS2 on the same rule, unfolded; the others: H against MGS2
-    # on the full grid
+    # H against MGS2 on the same rule, unfolded; for exact-class weights
+    # also h_k against the exact-moment oracle
     p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(charges), N=N,
                            gamma=2.0)
     grid = build_grid(p, orders=(4 if not charges else 24, T),
                       max_degree=2 * n)
-    assert grid.polynomial_rule(n)[0].shape == rule
+    assert polynomial_rule(grid, n)[0].shape == rule
     ops = build_orthopolys(p, grid, n)
-    if p.angular_degree() is None:
-        ref = _mgs2_hessenberg(grid.nodes, grid.measure_weights, n)
-    else:
-        # a charge only within ulps of a tilted mirror axis moves the
-        # mirrored nodes' weights, and h_k, by about 1e-16 (see planarquad)
+    if p.angular_degree() is not None:
         err = _norm_error(ops.norms, _exact_norms(exact_gram, p, n))
-        assert err < (1e-15 if grid.axis else 1e-16)
-        ref = _mgs2_hessenberg(*_unfolded_rule(grid, n), n)
+        assert err < 1e-16
+    ref = _mgs2_hessenberg(*_unfolded_rule(grid, n), n)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
@@ -242,11 +252,17 @@ def _exact_zeros(exact_gram, p, n, dps=300):
         return np.array([complex(r) for r in roots])
 
 
-@pytest.mark.parametrize("n,tol", [(20, 1e-12), (30, 1e-8)])
-def test_exterior_zeros_match_exact_oracle(exact_gram, n, tol):
-    # criterion 03's exterior charge: the grid's H put the n = 30 zeros
-    # 1.9e-2 off
-    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)),
+@pytest.mark.parametrize("turn,n,tol", [
+    (0.0, 20, 1e-12), (0.0, 30, 1e-8),
+    # on a tilted line, folded in the charge's own frame: a fold that took
+    # the charge as on the line put them 1.0e-12 and 8.7e-10 off
+    (0.37, 20, 1e-13), (0.37, 30, 1e-10),
+])
+def test_exterior_zeros_match_exact_oracle(exact_gram, turn, n, tol):
+    # criterion 03's exterior charge 2 e^{2 pi i turn}: the grid's H put
+    # the n = 30 zeros 1.9e-2 off
+    a = 2.0 * np.exp(2j * np.pi * turn)
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((a, 0.5),)),
                            N=2.0 * n, gamma=2.0)
     grid = build_grid(p, orders=(24, 256), max_degree=2 * n)
     zeros = compute_zeros(build_orthopolys(p, grid, n), n).zeros

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath as mp
@@ -7,9 +6,9 @@ import pytest
 
 import chargedgauss as cg
 from chargedgauss import planarquad
-from chargedgauss.planarquad import (LD, absolute_moment, build_grid,
-                                     cauchy_tail_split, cauchy_transform,
-                                     inner_product, total_mass,
+from chargedgauss.planarquad import (LD, build_grid, cauchy_tail_split,
+                                     cauchy_transform, inner_product,
+                                     polynomial_rule, total_mass,
                                      truncation_radius)
 
 
@@ -20,13 +19,14 @@ def test_total_mass_radial(radial_potential, radial_grid):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 8])
-def test_absolute_moments_radial(radial_potential, radial_grid, k):
+def test_absolute_moments_radial(radial_potential, radial_grid, k,
+                                 absolute_moment):
     na = radial_potential.N * radial_potential.alpha
     exact = math.pi * math.gamma(k / 2 + 1) / na ** (k / 2 + 1)
     assert np.isclose(absolute_moment(radial_grid, k), exact, rtol=1e-10)
 
 
-def test_moment_validation(radial_grid):
+def test_moment_validation(radial_grid, absolute_moment):
     with pytest.raises(ValueError):
         absolute_moment(radial_grid, -1)
 
@@ -48,9 +48,8 @@ def test_weight_values_extended_precision(charges):
     T = grid.angular_order
     rings = grid.nodes.size // T
     with mp.workdps(40):
-        # columns up to T/2: the weight is evaluated there, not mirrored
         for i in [0, 3, rings // 2, rings - 1]:
-            for j in [0, 5, 17, T // 2]:
+            for j in [0, 5, 17, T // 2, T - 5]:
                 z = grid.nodes[i * T + j]
                 x, y = _mp(z.real), _mp(z.imag)
                 V = p.alpha * (x * x + y * y) - mp.fsum(
@@ -71,18 +70,24 @@ def test_weight_values_extended_precision(charges):
     (((0.3, 0.5),), 10, 33, (8, 16)),    # T odd
     (((0.3, 1.5),), 10, 24, (13, 26)),   # L = 26 > T: the rule all the same
 ])
-def test_polynomial_rule_size(charges, n, T, rule):
+def test_polynomial_rule_size(monkeypatch, charges, n, T, rule):
     # m = ceil(L/2) radii, L = n + c + 1 angles; folded to L//2 + 1
-    # columns on these mirrored grids
+    # columns for these real charges
     p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(charges),
                               N=2.0 * n)
     grid = build_grid(p, orders=(8, T), max_degree=2 * n)
     m, L = rule or (grid.nodes.size // T, T)
-    x, w = grid.polynomial_rule(n)
+    x, w, phi = polynomial_rule(grid, n)
     assert x.shape == w.shape == (m, L // 2 + 1)
-    assert grid.rule_size(n) == x.size
-    full = dataclasses.replace(grid, axis=None)
-    assert full.rule_size(n) == full.polynomial_rule(n)[0].size == m * L
+    assert phi == 0.0
+    # the memory check counts the rule's nodes before building it: the
+    # basis of n + 1 rows over them fits a budget of its size exactly
+    basis = x.size * (n + 1) * np.dtype(planarquad.CLD).itemsize
+    monkeypatch.setattr(planarquad, "memory_budget", lambda: basis)
+    polynomial_rule(grid, n)
+    monkeypatch.setattr(planarquad, "memory_budget", lambda: basis - 1)
+    with pytest.raises(planarquad.OverMemoryBudget):
+        polynomial_rule(grid, n)
 
 
 def _moments(x, w, n):
@@ -92,25 +97,22 @@ def _moments(x, w, n):
 
 
 @pytest.mark.parametrize("charges", [
-    ((0.3 * np.exp(0.7j), 0.5),),              # c = 5, mirrored
-    ((0.3, 0.5), (0.4j, 0.5)),                 # c = 10, not mirrored
+    ((0.3 * np.exp(0.7j), 0.5),),              # c = 5, folded
+    ((0.3, 0.5), (0.4j, 0.5)),                 # c = 10, not folded
     ((0.0, 0.35), (0.3 * np.exp(0.7j), 0.5)),  # radial factor |z|^7
 ])
 def test_polynomial_rule_integrates_weight_exactly(exact_gram, charges):
     # the rule's mass and |z|^(2k) moments are the diagonal of the
-    # weight's exact Gram matrix, within the tilted mirror's 1e-16 (see
-    # planarquad)
+    # weight's exact Gram matrix
     n = 10
     p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(charges),
                               N=20.0)
     grid = build_grid(p, orders=(24, 256), max_degree=2 * n)
     G = exact_gram(p, n)
     exact = np.array([float(mp.re(G[k, k])) for k in range(n + 1)])
-    # the rule folded where the grid has a mirror axis, and unfolded
-    for g in (grid, dataclasses.replace(grid, axis=None)):
-        x, w = g.polynomial_rule(n)
-        assert x.size < grid.nodes.size // 50
-        assert np.max(np.abs(_moments(x, w, n) / exact - 1)) < 1e-15
+    x, w, _ = polynomial_rule(grid, n)
+    assert x.size < grid.nodes.size // 50
+    assert np.max(np.abs(_moments(x, w, n) / exact - 1)) < 1e-15
 
 
 @pytest.mark.parametrize("N,beta0", [(4.0, 0.35), (2.0, 3.5), (2.0, 0.5)])
@@ -160,7 +162,8 @@ def test_truncation_radius_grows_with_degree(cavity_potential):
     ((2.0, 0.5),),                   # criterion 03's exterior charge
     ((0.3, 0.5), (0.4j, 0.3)),
 ])
-def test_truncation_radius_bounds_the_moment_tail(monkeypatch, charges):
+def test_truncation_radius_bounds_the_moment_tail(monkeypatch, charges,
+                                                  absolute_moment):
     # the |z|^(2n) moment beyond r_trunc is below 1e-12 of the moment:
     # cutting at 1.5 r_trunc instead does not change it by more.  48
     # radii per panel: with 24, the wider grid's last panel, 1.8 long,
