@@ -15,6 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def charge_potential_grid(charges, z: np.ndarray) -> np.ndarray:
+    """sum_k beta_k log(1/|z - a_k|) over the (a_k, beta_k) pairs, in the
+    precision of z and the a_k; +inf entries mark charge locations."""
+    z = np.asarray(z)
+    with np.errstate(divide="ignore"):
+        return sum((-b * np.log(np.abs(z - a)) for a, b in charges),
+                   np.zeros(z.shape, dtype=z.real.dtype))
+
+
 @dataclass(frozen=True)
 class PointChargeMeasure:
     """Finite positive combination of point masses sum_k beta_k * delta(a_k)."""
@@ -47,10 +56,7 @@ class PointChargeMeasure:
 
     def log_potential_grid(self, z: np.ndarray) -> np.ndarray:
         """Vectorized potential; +inf entries mark charge locations."""
-        z = np.asarray(z)
-        with np.errstate(divide="ignore"):
-            return sum((-b * np.log(np.abs(z - a)) for a, b in self.charges),
-                       np.zeros(z.shape, dtype=z.real.dtype))
+        return charge_potential_grid(self.charges, z)
 
 
 EMPTY_MEASURE = PointChargeMeasure(charges=())

@@ -55,7 +55,7 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .measures import PerturbedPotential
+from .measures import PerturbedPotential, charge_potential_grid
 
 LD = np.longdouble
 CLD = np.clongdouble
@@ -265,9 +265,7 @@ def polynomial_rule(grid: QuadGrid, degree: int):
         charges = [q for q in charges if q[0] != 0]   # in the radial measure
     th = LD(2.0) * _PI * np.arange(cols, dtype=LD) / LD(L)
     x = r.astype(CLD)[:, None] * np.exp(1j * th.astype(CLD))
-    with np.errstate(divide="ignore"):
-        U = sum((-b * np.log(np.abs(x - a)) for a, b in charges),
-                np.zeros(x.shape, dtype=LD))
+    U = charge_potential_grid(charges, x)
     if c is None:
         U = p.alpha * np.abs(x) ** 2 + U
     w = wr[:, None] * np.exp(-p.N * U)

@@ -183,18 +183,22 @@ def _norm_error(h, exact):
 ])
 def test_rule_arnoldi_matches_full_grid_reference(exact_gram, charges, n, N,
                                                   T, rule):
-    # H against MGS2 on the same rule, unfolded; for exact-class weights
-    # also h_k against the exact-moment oracle
+    # exact-class weights: h_k against the exact-moment oracle, and H
+    # against MGS2 on the same rule, unfolded; the others, on the real
+    # axis: H against MGS2 on the full grid, whose nodes the rule keeps
     p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(charges), N=N,
                            gamma=2.0)
     grid = build_grid(p, orders=(4 if not charges else 24, T),
                       max_degree=2 * n)
     assert polynomial_rule(grid, n)[0].shape == rule
     ops = build_orthopolys(p, grid, n)
-    if p.angular_degree() is not None:
+    if p.angular_degree() is None:
+        assert all(a.imag == 0 for a, _ in p.nu.charges)
+        ref = _mgs2_hessenberg(grid.nodes, grid.measure_weights, n)
+    else:
         err = _norm_error(ops.norms, _exact_norms(exact_gram, p, n))
         assert err < 1e-16
-    ref = _mgs2_hessenberg(*_unfolded_rule(grid, n), n)
+        ref = _mgs2_hessenberg(*_unfolded_rule(grid, n), n)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 

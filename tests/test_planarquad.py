@@ -115,6 +115,35 @@ def test_polynomial_rule_integrates_weight_exactly(exact_gram, charges):
     assert np.max(np.abs(_moments(x, w, n) / exact - 1)) < 1e-15
 
 
+@pytest.mark.parametrize("charges,folded", [
+    (((0.3 * np.exp(0.7j), 0.5),), True),               # in its own frame
+    (((0.3 + 0.2j, 0.25), (0.3 - 0.2j, 0.25)), True),   # a conjugate pair
+    (((-0.5, 0.5), (0.3 * np.exp(0.7j), 0.5)), False),
+])
+def test_polynomial_rule_outside_exact_class_is_the_grids(charges, folded):
+    # N*beta/2 = 1.75 and 0.875: the rule's nodes, in the frame, are the
+    # grid's, and each weighs its area times exp(-N*V) of the charges as
+    # given, at its image back in the plane
+    n = 10
+    p = cg.PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(charges),
+                              N=7.0)
+    assert p.angular_degree() is None
+    grid = build_grid(p, orders=(24, 64), max_degree=2 * n)
+    T = grid.angular_order
+    x, w, phi = polynomial_rule(grid, n)
+    assert (phi is not None) == folded
+    cols = T // 2 + 1 if folded else T
+    nodes = grid.nodes.reshape(-1, T)[:, :cols]
+    areas = grid.areas.reshape(-1, T)[:, :cols].copy()
+    if folded:
+        areas[:, 1:(T + 1) // 2] *= 2
+    assert x.shape == nodes.shape
+    assert np.max(np.abs(x - nodes) / np.abs(nodes)) < 1e-18
+    plane = x * np.exp(1j * LD(phi or 0.0)).astype(planarquad.CLD)
+    ref = areas * p.weight_grid(plane)
+    assert np.max(np.abs(w / ref - 1)) < 1e-12
+
+
 @pytest.mark.parametrize("N,beta0", [(4.0, 0.35), (2.0, 3.5), (2.0, 0.5)])
 def test_laguerre_rule_mass_matches_mpmath(N, beta0):
     # s = N*beta_0/2 = 0.7, 3.5, 0.5: Gamma(1 + frac(s)) in long double
