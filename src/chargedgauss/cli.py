@@ -215,6 +215,12 @@ def cmd_zeros(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK
 
 
+def _moments_hold(uniq: dict) -> bool:
+    """Both moment identities of dbar.uniqueness_crosscheck (criterion 08)."""
+    return (uniq["max_orthogonality_residual"] < dbar.MOMENT_TOL
+            and uniq["normalization_deviation"] < dbar.MOMENT_TOL)
+
+
 def cmd_dbar_check(cfg: ExperimentConfig, out: Path, args) -> int:
     k = args.degree or 3
     p, grid, ops = _build_polys(cfg, max(k, 2), args.quad)
@@ -233,12 +239,12 @@ def cmd_dbar_check(cfg: ExperimentConfig, out: Path, args) -> int:
               "uniqueness": uniq}
     write_json(out / f"dbar_k{k}.json", report)
     # criteria 07 and 08
-    ok = (order["order_12"] >= 1.8 and order["order_22"] >= 1.8
-          and abs(asym.slope_Y12 + (k + 1)) < 0.2
-          and abs(asym.slope_Y22_dev + 1.0) < 0.2
-          and abs(asym.slope_Y21_ratio + 1.0) < 0.2
-          and uniq["max_orthogonality_residual"] < 1e-8
-          and uniq["normalization_deviation"] < 1e-8)
+    ok = (order["order_12"] >= dbar.FD_ORDER_MIN
+          and order["order_22"] >= dbar.FD_ORDER_MIN
+          and abs(asym.slope_Y12 + (k + 1)) < dbar.SLOPE_TOL
+          and abs(asym.slope_Y22_dev + 1.0) < dbar.SLOPE_TOL
+          and abs(asym.slope_Y21_ratio + 1.0) < dbar.SLOPE_TOL
+          and _moments_hold(uniq))
     print(f"dbar-check: k={k} orders=({order['order_12']:.2f},"
           f"{order['order_22']:.2f}) slopes Y12={asym.slope_Y12:.2f} "
           f"Y22_dev={asym.slope_Y22_dev:.3f} Y21={asym.slope_Y21_ratio:.3f} "
@@ -358,9 +364,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     check("zero product form",
           float(np.max(np.abs(rec - ref))) / max(np.max(np.abs(ref)), 1.0) < 1e-8)
     uniq = dbar.uniqueness_crosscheck(ops, p2, grid, min(3, n))
-    check("moment identities",
-          uniq["max_orthogonality_residual"] < 1e-8
-          and uniq["normalization_deviation"] < 1e-8)
+    check("moment identities", _moments_hold(uniq))
     if isinstance(geom, DiskWithCavities) and len(geom.cavities) == 1:
         ds, trajs = schwarz.zero_attractor_candidates(p)
         check("trajectory residual", len(trajs) > 0 and all(

@@ -5,7 +5,9 @@ Cauchy transforms, with numerical checks that it solves the d-bar problem
     Y(z) = (I + O(1/z)) diag(z^k, z^-k),
 
 plus the moment identities underlying its uniqueness.  fd_order takes
-finite differences at the steps FD_STEPS.
+finite differences at the steps FD_STEPS.  Criteria 07 and 08 hold when
+both FD orders reach FD_ORDER_MIN, the three far-field slopes lie within
+SLOPE_TOL of theirs and both moment identities hold to MOMENT_TOL.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from .orthopoly import OrthoPolySet
 from .planarquad import QuadGrid, cauchy_tail_split, cauchy_transform, inner_product
 
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
+FD_ORDER_MIN = 1.8
+SLOPE_TOL = 0.2
+MOMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -83,11 +83,6 @@ class ExteriorMap:
     def boundary(self, theta):
         return self.map(np.exp(1j * np.asarray(theta, dtype=float)))
 
-    def boundary_element(self, theta):
-        """d f(e^{i theta}) / d theta = f'(zeta) * i * zeta."""
-        zeta = np.exp(1j * np.asarray(theta, dtype=float))
-        return self.map_derivative(zeta) * 1j * zeta
-
     def area(self) -> float:
         return math.pi * (self.rho**2 - abs(self.v) ** 2
                           / (1.0 - abs(self.A) ** 2) ** 2)
@@ -470,14 +465,3 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     return EquilibriumReport(robin_constant=F, max_dev_on=dev_on,
                              min_margin_off=float(pmin_off - F),
                              n_on=n_on, n_off=n_off, tol_on=spec["tol_on"])
-
-
-def radius_bound_check(p: PerturbedPotential, zeros: np.ndarray,
-                       eps: float = 0.1) -> dict:
-    """Fraction of polynomial zeros inside the closed disk B(0, R + eps)."""
-    R = outer_radius(p)
-    zeros = np.asarray(zeros, dtype=complex)
-    inside = np.abs(zeros) <= R + eps
-    return {"outer_radius": R, "eps": eps,
-            "fraction_inside": float(np.mean(inside)) if zeros.size else 1.0,
-            "n_zeros": int(zeros.size)}

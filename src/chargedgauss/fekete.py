@@ -31,9 +31,9 @@ _ANNULI = 8
 # Newton steps after L-BFGS; two reach roundoff at n = 200
 _NEWTON_STEPS = 4
 # peak bytes per point pair of `hessian` and `_min_eigenvalue`: the n x n
-# complex differences and the 2n x 2n real Hessian with its kron and
-# projection temporaries, 160 n^2 traced by tracemalloc at n = 400
-_PEAK_BYTES_PER_PAIR = 160
+# complex differences and the 2n x 2n real Hessian with its kron
+# temporaries, 112 n^2 traced by tracemalloc at n = 400
+_PEAK_BYTES_PER_PAIR = 112
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,14 @@ def _min_eigenvalue(z: np.ndarray, p: PerturbedPotential) -> float:
     H = hessian(z, p)
     if all(a == 0 for a, _ in p.nu.charges) and np.any(z):
         t = (1j * z).view(float) / np.linalg.norm(z)
-        P = np.eye(t.size) - np.outer(t, t)
-        # the rotation moves above the spectrum, bounded by the row sums
-        H = P @ H @ P + np.max(np.sum(np.abs(H), axis=1)) * np.outer(t, t)
+        # P H P + c t t^T with P = I - t t^T, as the rank-two update
+        # H - t w^T - w t^T, w = H t - (t^T H t + c)/2 t: the rotation
+        # moves above the spectrum, bounded by the row sums c
+        c = np.max(np.sum(np.abs(H), axis=1))
+        Ht = H @ t
+        w = Ht - 0.5 * (t @ Ht + c) * t
+        H -= np.outer(t, w)
+        H -= np.outer(w, t)
     return float(eigh(H, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 

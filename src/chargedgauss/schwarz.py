@@ -11,9 +11,16 @@ exterior map (where the jump is single-valued and the branch points are
 regular) and z for the cavity field; each field carries its launch
 points, local exponent and escape radius.  A single charge's jump field is
 symmetric across the line through 0 and the charge, so the curves of a
-vanishing point's mirror twin are reflected instead of traced.  The RK4
-step _STEP, residual bound TRAJECTORY_TOL, launch offset _OFFSET and node
-threshold _DS_TOL are module constants.
+vanishing point's mirror twin are reflected instead of traced.
+
+RK4 steps follow the curve's turning: each is sized so that the unit
+z-velocity turns by about _TURN radians, capped at 10 _STEP and at a
+tenth of the distance to the nearest vanishing point.  The returned
+polyline samples each step's cubic Hermite interpolant (dense output,
+Hairer, Norsett & Wanner, Solving ODEs I, II.6) at spacing at most _STEP,
+from the end values the integrator already has.  The output spacing
+_STEP, turning target _TURN, residual bound TRAJECTORY_TOL, launch offset
+_OFFSET and node threshold _DS_TOL are module constants.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .measures import PerturbedPotential, PointChargeMeasure
 from .orthopoly import ZeroSet, zero_potential_grid
 
 _STEP = 2e-3
+_TURN = 0.02
 TRAJECTORY_TOL = 1e-3
 _OFFSET = 1e-6
 _DS_TOL = 1e-9
@@ -57,10 +65,6 @@ class BoundaryCurve:
     theta: np.ndarray
     points: np.ndarray
 
-    def enclosed_area(self) -> float:
-        x, y = self.points.real, self.points.imag
-        return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
-
 
 def boundary_curve(geom: ExteriorMap, n_samples: int = 720) -> BoundaryCurve:
     if not geom.is_univalent():
@@ -68,14 +72,6 @@ def boundary_curve(geom: ExteriorMap, n_samples: int = 720) -> BoundaryCurve:
                                "outside the unit circle")
     th = 2.0 * np.pi * np.arange(n_samples) / n_samples
     return BoundaryCurve(geom=geom, theta=th, points=geom.boundary(th))
-
-
-def schwarz_value(geom: ExteriorMap, zeta):
-    """S at the sheet parameter zeta: rho/zeta + conj(u)
-    + conj(v)*zeta/(1 - conj(A)*zeta); equals conj(f(zeta)) on |zeta|=1.
-    zeta is an array or a Python complex."""
-    u, v, A = (complex(c).conjugate() for c in (geom.u, geom.v, geom.A))
-    return float(geom.rho) / zeta + u + v * zeta / (1.0 - A * zeta)
 
 
 def branch_points(geom: ExteriorMap) -> list:
@@ -237,11 +233,19 @@ def _trace(ds_field, z0: complex, origin: complex, init_dir: complex,
     """RK4 for the unit-speed z-velocity sign * i * conj(dS)/|dS|, carried
     over to the field's state x by dx/dt = (dz/dt) / (dz/dx).  The sign is
     fixed once, from the launch direction init_dir; on the state the jump
-    is single-valued, so the field never flips sign along the way.  Steps
-    are in z arc length, capped at a tenth of the distance to the nearest
-    singular point: near a vanishing point of dS the direction field
-    rotates on that length scale, so a fixed step would violate the
-    tangency residual there."""
+    is single-valued, so the field never flips sign along the way.
+
+    Steps h are in z arc length, the smallest of three bounds: the length
+    over which the unit z-velocity turns by _TURN * step/_STEP radians at
+    the previous step's curvature, growing at most 2x per step; 10 * step;
+    and a tenth of the distance to the nearest singular point, where the
+    direction field rotates on that length scale.  Halving step so scales
+    the first two.  The stop tests run at step ends; 'branch' and
+    'closed' fire within 1.5 step of a singular point, where the last
+    bound keeps h below step.  The returned polyline is each step's cubic
+    Hermite interpolant in z from its end points and end z-velocities, at
+    ceil(h/step) points per step, so its spacing stays at most step and
+    no field evaluation is added."""
     flow, point = ds_field.flow, ds_field.point
     x = ds_field.state(z0)
     d, dz_dx = flow(x)
@@ -255,14 +259,18 @@ def _trace(ds_field, z0: complex, origin: complex, init_dir: complex,
         return sign * 1j * d.conjugate() / (m * dz_dx)
 
     singular = [origin] + list(stop_points)
+    turn = _TURN * step / _STEP
+    k1 = velocity(d, dz_dx)
+    # per step: its length, and the z-velocity at its end
+    hs, vel = [], [k1 * dz_dx]
     pts = [z0]
     z = z0
     end = "maxsteps"
     travelled = 0.0
+    h_turn = math.inf
     for i in range(max_steps):
         dmin = min(abs(z - s) for s in singular)
-        h = min(step, max(0.1 * dmin, 1e-7))
-        k1 = velocity(d, dz_dx)
+        h = min(h_turn, 10.0 * step, max(0.1 * dmin, 1e-7))
         if k1 == 0.0:
             end = "node"
             break
@@ -274,7 +282,13 @@ def _trace(ds_field, z0: complex, origin: complex, init_dir: complex,
         travelled += abs(z_new - z)
         z = z_new
         pts.append(z)
+        hs.append(h)
         d, dz_dx = flow(x)
+        k1 = velocity(d, dz_dx)
+        v = k1 * dz_dx
+        theta = abs(cmath.phase(v * vel[-1].conjugate())) if v else 0.0
+        h_turn = h * (2.0 if 2.0 * theta <= turn else turn / theta)
+        vel.append(v)
         if abs(d) < _DS_TOL:
             end = "node"
             break
@@ -291,9 +305,33 @@ def _trace(ds_field, z0: complex, origin: complex, init_dir: complex,
             if abs(z - z0) < 1.5 * step:
                 end = "closed"
                 break
-    points = np.array(pts)
+    points = _hermite(np.array(pts), np.array(vel), np.array(hs), step)
     return Trajectory(points=points, start_tag="branch", end_tag=end,
                       max_residual=trajectory_residual(points, ds_field))
+
+
+def _hermite(knots: np.ndarray, vel: np.ndarray, hs: np.ndarray,
+             step: float) -> np.ndarray:
+    """The cubic Hermite interpolant of each step between knots k and k+1
+    (length hs[k], end z-velocities vel[k] and vel[k+1]) at
+    m = ceil(hs[k]/step) equal parameter spacings, ending at each knot."""
+    dz, hv0, hv1 = np.diff(knots), hs * vel[:-1], hs * vel[1:]
+    # z0 + s (h v0 + s (3 dz - 2 h v0 - h v1 + s (h v0 + h v1 - 2 dz)))
+    coeffs = (hv0 + hv1 - 2.0 * dz, 3.0 * dz - 2.0 * hv0 - hv1, hv0,
+              knots[:-1])
+    m = np.ceil(hs / step).astype(np.intp)
+    ends = np.cumsum(m)
+    k = np.repeat(np.arange(len(hs)), m)
+    s = np.arange(1.0, len(k) + 1.0)
+    s -= np.repeat(ends - m, m)
+    s /= m[k]
+    out = np.zeros(len(k) + 1, dtype=complex)
+    for c in coeffs:   # Horner, in place on out[1:]
+        out[1:] *= s
+        out[1:] += c[k]
+    out[0] = knots[0]
+    out[ends] = knots[1:]
+    return out
 
 
 def critical_trajectories(geom_or_field) -> list:

@@ -91,6 +91,19 @@ def absolute_moment():
     return _absolute_moment
 
 
+def _schwarz_value(geom, zeta):
+    """S of an exterior map at the sheet parameter zeta: rho/zeta + conj(u)
+    + conj(v)*zeta/(1 - conj(A)*zeta); equals conj(f(zeta)) on |zeta|=1.
+    zeta is an array or a Python complex."""
+    u, v, A = (complex(c).conjugate() for c in (geom.u, geom.v, geom.A))
+    return float(geom.rho) / zeta + u + v * zeta / (1.0 - A * zeta)
+
+
+@pytest.fixture(scope="session")
+def schwarz_value():
+    return _schwarz_value
+
+
 def _radial_norm_oracle(p, k):
     """Closed-form h_k for radial weights: pi*Gamma(k + N*beta/2 + 1) /
     (N*alpha)^(k + N*beta/2 + 1), with beta = 0 for the empty measure."""

@@ -27,7 +27,7 @@ from chargedgauss.orthopoly import build_orthopolys, compute_zeros
 from chargedgauss.planarquad import build_grid, cauchy_tail_split, inner_product
 from chargedgauss.schwarz import (boundary_curve, branch_points,
                                   critical_trajectories,
-                                  external_potential_compare, schwarz_value,
+                                  external_potential_compare,
                                   zero_attractor_candidates)
 
 DEFAULT_CHARGE = PointChargeMeasure(((0.3 + 0.0j, 0.5),))
@@ -237,7 +237,7 @@ def test_criterion_08_uniqueness_relations(cavity_potential, cavity_grid,
             f"max normalization deviation {worst_norm:.2e} (< 1e-8)")
 
 
-def test_criterion_09_schwarz_identity(exterior_map):
+def test_criterion_09_schwarz_identity(exterior_map, schwarz_value):
     bc = boundary_curve(exterior_map, 720)
     zc = np.conj(bc.points)
     s1, s2 = (schwarz_value(exterior_map, zeta)

@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chargedgauss as cg
-from chargedgauss import equilibrium
+from chargedgauss import equilibrium, orthopoly
 from chargedgauss.equilibrium import (DiskWithCavities, ExteriorMap,
                                       NoRootError, UnsupportedGeometry,
                                       _exterior_map_potential,
                                       classify_support, effective_potential,
-                                      outer_radius, radius_bound_check,
-                                      robin_constant, solve_exterior_map,
-                                      support_area, system_residuals,
-                                      verify_equilibrium)
+                                      outer_radius, robin_constant,
+                                      solve_exterior_map, support_area,
+                                      system_residuals, verify_equilibrium)
 from chargedgauss.measures import PerturbedPotential, PointChargeMeasure
 
 
@@ -381,8 +380,11 @@ def test_exterior_potential_matches_contour_quadrature():
         z = np.concatenate([z[inside][:4], z[~inside][:4]])
         n_in += int(inside.sum() > 0)
         n_out += int((~inside).sum() > 0)
-        ref = region_log_potential(em.boundary(th),
-                                   em.boundary_element(th) * (2 * np.pi / n), z)
+        # boundary element d f(e^{i theta}) / d theta = f'(zeta) i zeta
+        zeta = np.exp(1j * th)
+        ref = region_log_potential(
+            em.boundary(th),
+            em.map_derivative(zeta) * 1j * zeta * (2 * np.pi / n), z)
         assert np.max(np.abs(_exterior_map_potential(em, z) - ref)) < 1e-12
     assert n_in == n_out == 100
 
@@ -425,6 +427,9 @@ def test_exterior_potential_far_field(exterior_map):
     assert abs(u - dens * exterior_map.area() * math.log(1 / abs(z))) < 1e-3
 
 
-def test_radius_bound_check(cavity_potential):
-    rep = radius_bound_check(cavity_potential, np.array([0.5, 1.0, 5.0]))
-    assert rep["fraction_inside"] == pytest.approx(2 / 3)
+def test_radius_bound_check(cavity_potential, cavity_ops):
+    # the zeros of P_1 .. P_12 lie in the closed disk B(0, R + 0.1)
+    R = outer_radius(cavity_potential)
+    for n in range(1, 13):
+        zeros = orthopoly.compute_zeros(cavity_ops, n).zeros
+        assert np.all(np.abs(zeros) <= R + 0.1)

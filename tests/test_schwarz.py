@@ -17,11 +17,11 @@ from chargedgauss.schwarz import (CavityDeltaS, DegenerateMap, ExteriorDeltaS,
                                   critical_trajectories,
                                   effective_zero_density,
                                   equilibrium_measure_potential,
-                                  external_potential_compare, schwarz_value,
+                                  external_potential_compare,
                                   zero_attractor_candidates)
 
 
-def test_boundary_identity(exterior_map):
+def test_boundary_identity(exterior_map, schwarz_value):
     bc = boundary_curve(exterior_map, 720)
     zc = np.conj(bc.points)
     s1, s2 = (schwarz_value(exterior_map, zeta)
@@ -31,7 +31,7 @@ def test_boundary_identity(exterior_map):
 
 def test_boundary_area(exterior_map):
     bc = boundary_curve(exterior_map, 8192)
-    assert abs(bc.enclosed_area() - math.pi) < 1e-6
+    assert abs(_signed_area(bc.points) - math.pi) < 1e-6
 
 
 def _segments_intersect(p):
@@ -97,7 +97,7 @@ def test_boundary_curve_rejects_reversed_orientation():
         boundary_curve(em)
 
 
-def test_circle_schwarz_function():
+def test_circle_schwarz_function(schwarz_value):
     # v -> 0 limit: boundary is a circle of radius rho around u
     em = ExteriorMap(rho=1.3, u=0.2, v=1e-14, A=0.4)
     z = 2.0 + 1.0j
@@ -258,8 +258,8 @@ def test_density_sign_flip_detection(cavity_potential):
 
 
 class _ReferenceExteriorField:
-    def __init__(self, geom):
-        self.geom, self.prev = geom, None
+    def __init__(self, geom, schwarz_value):
+        self.geom, self.S, self.prev = geom, schwarz_value, None
 
     def reset(self):
         self.prev = None
@@ -273,7 +273,7 @@ class _ReferenceExteriorField:
         elif abs(z1) < abs(z2):
             z1, z2 = z2, z1
         self.prev = (z1, z2)
-        return schwarz_value(self.geom, z1) - schwarz_value(self.geom, z2)
+        return self.S(self.geom, z1) - self.S(self.geom, z2)
 
 
 class _ReferenceCavityField:
@@ -394,22 +394,52 @@ def _criterion_02_draws(k):
     return draws
 
 
-def _compare_to_reference(trajs, ref, pts_tol):
+def _segment_distance(points, poly):
+    """Distance of each point to the nearest segment of the polyline poly,
+    in blocks of 256 points."""
+    a, ab = poly[:-1], np.diff(poly)
+    out = np.empty(len(points))
+    for i in range(0, len(points), 256):
+        z = points[i:i + 256, None]
+        t = np.clip(((z - a) * ab.conj()).real / np.abs(ab) ** 2, 0.0, 1.0)
+        out[i:i + 256] = np.min(np.abs(z - a - t * ab), axis=1)
+    return out
+
+
+def _chord_sagitta(poly):
+    """The largest chord sagitta of a polyline, L * theta / 8 for a
+    segment of length L that turns by theta from the one before it."""
+    d = np.diff(poly)
+    return float(np.max(np.abs(d[1:]) * np.abs(np.angle(d[1:] / d[:-1])))
+                 / 8.0)
+
+
+def _compare_to_reference(trajs, ref, starts, escape):
     """Each returned curve against the reference curve of the same launch
     (the one starting nearest to it): the reference traces every launch,
-    so a curve joining two vanishing points appears there twice."""
+    so a curve joining two vanishing points appears there twice.  The
+    tags agree, every returned point inside escape lies within twice the
+    reference polyline's chord sagitta of it (a 'branch' or 'closed'
+    reference extended to the vanishing point it ends at), and the
+    residual is at most 10 % above the reference's."""
     same = [ref[int(np.argmin([abs(r[1][0] - t.points[0]) for r in ref]))]
             for t in trajs]
     assert [t.end_tag for t in trajs] == [r[0] for r in same]
-    assert [len(t.points) for t in trajs] == [len(r[1]) for r in same]
-    for t, (_, pts, _) in zip(trajs, same):
-        assert np.max(np.abs(t.points - pts)) <= pts_tol
+    for t, (end, pts, _) in zip(trajs, same):
+        if end in ("branch", "closed"):
+            pts = np.append(pts, min(starts, key=lambda b: abs(b - pts[-1])))
+        # only an exit ray's last step, at most 10 points, runs past escape
+        inside = np.abs(t.points) <= escape
+        n = int(np.sum(inside))
+        assert np.all(inside[:n]) and len(t.points) - n <= 10
+        assert np.max(_segment_distance(t.points[:n], pts)) \
+            <= 2.0 * _chord_sagitta(pts)
     new = max(t.max_residual for t in trajs)
     old = max(r[2] for r in same)
-    assert abs(new - old) <= 0.1 * old
+    assert new <= 1.1 * old
 
 
-def test_zeta_tracer_matches_z_plane_reference(exterior_map):
+def test_zeta_tracer_matches_z_plane_reference(exterior_map, schwarz_value):
     draws = _criterion_02_draws(3)
     assert any(abs(a.imag) > 0.1 for _, _, a in draws)  # an off-axis charge
     maps = [exterior_map] + [solve_exterior_map(*d) for d in draws]
@@ -417,10 +447,10 @@ def test_zeta_tracer_matches_z_plane_reference(exterior_map):
     for em in maps:
         trajs = critical_trajectories(em)
         escape = 2.0 * float(np.max(np.abs(em.boundary(th))))
-        ref = _reference_trajectories(_ReferenceExteriorField(em),
-                                      [complex(z) for z in branch_points(em)],
-                                      escape)
-        _compare_to_reference(trajs, ref, 1e-7)
+        starts = [complex(z) for z in branch_points(em)]
+        ref = _reference_trajectories(
+            _ReferenceExteriorField(em, schwarz_value), starts, escape)
+        _compare_to_reference(trajs, ref, starts, escape)
 
 
 def test_cavity_attractor_matches_z_plane_reference():
@@ -428,9 +458,43 @@ def test_cavity_attractor_matches_z_plane_reference():
                            N=2.0, gamma=2.0)
     ds, trajs = zero_attractor_candidates(p)
     crit = [complex(z) for z in ds.critical_points() if abs(z - ds.a) < ds.r]
-    ref = _reference_trajectories(_ReferenceCavityField(ds), crit,
-                                  3.0 * outer_radius(p))
-    _compare_to_reference(trajs, ref, 1e-15)
+    escape = 3.0 * outer_radius(p)
+    ref = _reference_trajectories(_ReferenceCavityField(ds), crit, escape)
+    _compare_to_reference(trajs, ref, crit, escape)
+
+
+def test_cavity_loops_conserve_the_harmonic_potential():
+    # Re[dS dz] = 0 is dF = 0 for F = R^2 log|z| - Re(conj(a) z)
+    # - r^2 log|z - a|, whose z-derivative is dS/2: each loop is a level
+    # line of F through its launch zero, Hermite points included
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.3, 0.5),)),
+                           N=2.0, gamma=2.0)
+    ds, trajs = zero_attractor_candidates(p)
+
+    def F(z):
+        return (ds.R ** 2 * np.log(np.abs(z)) - (np.conj(ds.a) * z).real
+                - ds.r ** 2 * np.log(np.abs(z - ds.a)))
+
+    assert len(trajs) == 2
+    for t in trajs:
+        z0 = min(ds.launch_points(), key=lambda b: abs(b - t.points[0]))
+        assert np.max(np.abs(F(t.points) - F(z0))) < 1e-7
+
+
+def test_exterior_trajectories_cost(exterior_map, monkeypatch):
+    # steps sized by the curve's turning: the a = 2 map's three traced
+    # curves take under 4,000 field evaluations (11,091 at fixed steps)
+    calls = []
+    flow = ExteriorDeltaS.flow
+
+    def counted(self, zeta):
+        calls.append(zeta)
+        return flow(self, zeta)
+
+    monkeypatch.setattr(ExteriorDeltaS, "flow", counted)
+    trajs = critical_trajectories(exterior_map)
+    assert len(trajs) == 4
+    assert 0 < len(calls) <= 4000
 
 
 def _traces_same_curve(t, u, tol=1e-2):
@@ -504,14 +568,16 @@ def test_twin_branch_point_curves_are_reflected(exterior_map, monkeypatch):
 
 @pytest.mark.parametrize("alpha,beta,a", [(0.5, 0.5, 2.0),
                                           (1.2, 0.4, 0.9 + 0.3j)])
-def test_exterior_density_matches_scalar_continuity(alpha, beta, a):
+def test_exterior_density_matches_scalar_continuity(alpha, beta, a,
+                                                   schwarz_value):
     em = solve_exterior_map(alpha, beta, complex(a))
     ds = ExteriorDeltaS(em)
     conn = connecting_trajectories(critical_trajectories(em))
     assert len(conn) >= 2
     for t in conn:
         _, w = effective_zero_density(t, ds)
-        ref = _reference_weights(t.points, _ReferenceExteriorField(em))
+        ref = _reference_weights(t.points,
+                                 _ReferenceExteriorField(em, schwarz_value))
         ref = np.clip(ref * np.sign(np.sum(ref)), 0.0, None)
         assert np.max(np.abs(w - ref / np.sum(ref))) <= 1e-15
 
@@ -531,14 +597,15 @@ def test_exterior_density_sign_flip_detection(exterior_map):
             effective_zero_density(corrupted, ds)
 
 
-def test_exterior_field_continues_around_a_branch_point(exterior_map):
+def test_exterior_field_continues_around_a_branch_point(exterior_map,
+                                                       schwarz_value):
     # a loop around a square-root branch point swaps the sheets: the
     # exterior-sheet label jumps where |zeta_1| = |zeta_2|, while
     # continuity brings dS back as -dS
     bp = branch_points(exterior_map)[0]
     path = bp + 0.05 * np.exp(2j * np.pi * np.arange(401) / 400)
     d = ExteriorDeltaS(exterior_map)(path)
-    ref = _ReferenceExteriorField(exterior_map)
+    ref = _ReferenceExteriorField(exterior_map, schwarz_value)
     expected = np.array([ref(z) for z in path])
     assert np.max(np.abs(d - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert abs(d[-1] + d[0]) <= 1e-12 * abs(d[0])
