@@ -20,7 +20,8 @@ import numpy as np
 
 from .measures import PerturbedPotential
 from .orthopoly import OrthoPolySet
-from .planarquad import QuadGrid, cauchy_tail_split, cauchy_transform, inner_product
+from .planarquad import (QuadGrid, cauchy_tail_split, cauchy_transform,
+                         inner_product, same_potential)
 
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 FD_ORDER_MIN = 1.8
@@ -71,16 +72,12 @@ class DbarMatrix:
                          [self.Y21(z), self.Y22(z)]])
 
 
-def _same_potential(ops: OrthoPolySet, p: PerturbedPotential) -> None:
-    if ops.potential is not p:
-        raise ValueError("polynomial set was built for a different potential")
-
-
 def assemble_Y(ops: OrthoPolySet, p: PerturbedPotential, grid: QuadGrid,
                k: int) -> DbarMatrix:
+    """Y of degree k; ops and grid must be p's (ValueError otherwise)."""
     if not 1 <= k <= ops.n_max:
         raise ValueError(f"degree k={k} outside 1..{ops.n_max}")
-    _same_potential(ops, p)
+    same_potential(p, ops, grid)
     return DbarMatrix(k=k, ops=ops, grid=grid)
 
 
@@ -101,7 +98,7 @@ def dbar_residual(Y: DbarMatrix, p: PerturbedPotential, z: complex,
     """
     if h_step <= 0:
         raise ValueError("h_step must be positive")
-    _same_potential(Y.ops, p)
+    same_potential(p, Y.ops)
     z = complex(z)
     w = p.weight(z)
     r11 = abs(wirtinger_dbar(Y.Y11, z, h_step))
@@ -180,11 +177,12 @@ def uniqueness_crosscheck(ops: OrthoPolySet, p: PerturbedPotential,
     - normalization: -(1/pi) int w^{k-1} conj(Y21) dlambda = 1.
 
     Orthogonality residuals are reported relative to the norms
-    sqrt(<w^l, w^l> h_k).
+    sqrt(<w^l, w^l> h_k).  ops and grid must be p's (ValueError
+    otherwise).
     """
     if not 1 <= k <= ops.n_max:
         raise ValueError(f"k={k} outside 1..{ops.n_max}")
-    _same_potential(ops, p)
+    same_potential(p, ops, grid)
     pk = ops.evaluate(k, grid.nodes)
     hk = float(ops.norms[k])
     max_orth = 0.0

@@ -24,8 +24,9 @@ When the weight is a trigonometric polynomial of degree c on circles
 (N*beta/2 an integer for every charge off 0, see `planarquad`), the loop
 runs on the weight's own Gauss-Laguerre rule, ceil(L/2) radii times
 L = n_max + c + 1 angles, which gives every inner product of polynomials
-of degree <= n_max exactly: H is the weight's, free of the grid's errors,
-and neither H nor the work depends on the grid.
+of degree <= n_max exactly: H is the weight's, and it is built from the
+potential alone, with no grid.  Other weights run on a grid, which must
+have been built for the same potential.
 
 Polynomials are evaluated and root-found through the Hessenberg matrix H
 alone: values by the recurrence
@@ -48,6 +49,9 @@ from .planarquad import CLD, LD, QuadGrid, polynomial_rule
 
 GRAM_TOL = 1e-8
 ZERO_RESIDUAL_TOL = 1e-10
+# `chargedgauss verify`'s bound on the product form of the zeros against
+# P_n's monic coefficients, relative to max(1, max |coefficient|)
+PRODUCT_FORM_TOL = 1e-8
 # a second Gram-Schmidt pass runs when ||v|| falls below this share of
 # its value before the pass
 _KAHAN_PARLETT = 1.0 / math.sqrt(2.0)
@@ -141,9 +145,12 @@ def _recurrence(H: np.ndarray, k: int, z: np.ndarray, source=None):
     return r.reshape((k + 1,) + shape)
 
 
-def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
+def build_orthopolys(p: PerturbedPotential, grid: QuadGrid | None,
                      n_max: int) -> OrthoPolySet:
-    """Arnoldi orthogonalization of 1, z, z^2, ... on the grid nodes.
+    """Arnoldi orthogonalization of 1, z, z^2, ... against p's weight, on
+    the nodes of `planarquad.polynomial_rule(p, grid, n_max)`: from p
+    alone in the exact class, where grid may be None, else from a grid
+    built for p (ValueError otherwise).
 
     Each step is one block classical Gram-Schmidt pass of v = z*q_k
     against the rows q_j of the basis Q, in clongdouble:
@@ -153,7 +160,6 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     Rozloznik 2005).  The squared norms are h_k = h_0 s_k^2 with
     h_0 = sum of the weights and s_k = prod_{i<k} H[i+1,i].
 
-    The loop runs on `planarquad.polynomial_rule(grid, n_max)`.
     Exactness: with the weight g(|z|) h(z), h a trigonometric polynomial
     of degree c on every circle, every integrand the loop forms
     (z q_k conj(q_j) h, k < n_max, j <= n_max) has degree <= n_max + c in
@@ -163,8 +169,8 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     pi u^s exp(-N*alpha*u) du integrates exactly.  The Gram certificate is
     computed on the same rule, so it certifies the weight's inner product,
     not the grid's.  Weights that are not trigonometric polynomials on
-    circles keep the grid's rings and angles, and the certificate is the
-    grid's.
+    circles run on the grid's rings and angles, and the certificate is
+    the grid's.
 
     When the weight has a mirror line at angle phi the rule is folded onto
     the upper half plane of its frame, the loop runs with real h_j (the
@@ -178,7 +184,7 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid,
     # a mirror-symmetric weight has orthonormal polynomials with real
     # coefficients in the frame of its mirror line: run on the half rule
     # there, with inner products the real parts of the half sums
-    x, w, phi = polynomial_rule(grid, n_max)
+    x, w, phi = polynomial_rule(p, grid, n_max)
     x, w = x.ravel(), w.ravel()
     fold = phi is not None
     # Q[k]: q_k at the nodes times sqrt(weight).  B is Q as the inner

@@ -23,8 +23,11 @@ more nodes integrates it exactly, and the ring integral is P(r^2) times
 g(r), with P a polynomial of degree <= n + c, to be integrated against
 2*pi*r g(r) dr = pi u^s exp(-N*alpha*u) du, u = r^2, s = N*beta_0/2.  That
 generalized Laguerre weight's ceil(L/2)-node Gauss rule does so exactly.
-`polynomial_rule` gives it, radii times L angles, for the Arnoldi in
-`orthopoly`, which so sees the weight itself, not the grid.
+`polynomial_rule(p, grid, n)` gives it, radii times L angles, for the
+Arnoldi in `orthopoly`, from the potential p alone: that class needs no
+grid.  Other weights' rules take the rings and angles of a grid, which
+must have been built for p; a grid is otherwise needed only to integrate
+on it (`inner_product`, `cauchy_transform`).
 
 The problem is rotation covariant: for charges a e^{i phi},
 P_n(z) = e^{in phi} P~_n(z e^{-i phi}), with P~_n the polynomial for the
@@ -190,6 +193,15 @@ def _laguerre_rule(p: PerturbedPotential, m: int):
                        _PI * gamma / na ** (s + 1))
 
 
+def same_potential(p: PerturbedPotential, *built) -> None:
+    """Raise ValueError unless each of built (grids or polynomial sets;
+    None is skipped) was built for p itself."""
+    for b in built:
+        if b is not None and b.potential is not p:
+            raise ValueError(f"{type(b).__name__} was built for a "
+                             f"different potential")
+
+
 def _on_line(a: complex, b: complex) -> bool:
     """Whether a lies exactly on the line through 0 and b: the cross
     product of their doubles, each p/q as integers, vanishes."""
@@ -198,11 +210,13 @@ def _on_line(a: complex, b: complex) -> bool:
     return p * r * u * w == t * v * q * s
 
 
-def polynomial_rule(grid: QuadGrid, degree: int):
+def polynomial_rule(p: PerturbedPotential, grid: QuadGrid | None,
+                    degree: int):
     """(x, w, phi): nodes and weights, as (radii, columns) arrays, of a
-    rule exact for the weight's inner product of polynomials of degree
-    <= degree, in the frame x = z e^{-i phi} of the weight's mirror line;
-    phi is None when the weight has none, and the frame is then the plane.
+    rule exact for the inner product of p's weight on polynomials of
+    degree <= degree, in the frame x = z e^{-i phi} of the weight's mirror
+    line; phi is None when the weight has none, and the frame is then the
+    plane.
 
     The frame: when every charge off 0 lies exactly on one line through 0
     (the cross product of its doubles with those of the largest charge is
@@ -217,20 +231,23 @@ def polynomial_rule(grid: QuadGrid, degree: int):
     A weight symmetric only up to rounding is not folded.
 
     With c = `PerturbedPotential.angular_degree()` not None and
-    L = degree + c + 1, the radii are those of the ceil(L/2)-node
-    Gauss-Laguerre rule (u_j, W_j) of the radial measure
-    pi u^s exp(-N*alpha*u) du, u = r^2, s = N*beta_0/2 (see above),
-    whatever the grid's orders; each carries L angles, and node x weighs
-    W_j/L * h(x).  Otherwise the rings, radial weights and L = T angles
-    are the grid's, which needs 2*degree + 2 angles or raises ValueError,
-    and node x weighs its area times exp(-N*V(x)), V in the frame.  Either
-    way the weight is evaluated in long double at the frame's nodes.
+    L = degree + c + 1, the rule comes from p alone: the radii are those
+    of the ceil(L/2)-node Gauss-Laguerre rule (u_j, W_j) of the radial
+    measure pi u^s exp(-N*alpha*u) du, u = r^2, s = N*beta_0/2 (see
+    above), each carrying L angles, and node x weighs W_j/L * h(x); grid
+    may be None, and a grid's orders are not read.  Otherwise the rings,
+    radial weights and L = T angles are the grid's, which needs
+    2*degree + 2 angles or raises ValueError, and node x weighs its area
+    times exp(-N*V(x)), V in the frame.  Either way the weight is
+    evaluated in long double at the frame's nodes.
 
-    Raises OverMemoryBudget, before the rule is built, when the Arnoldi
-    basis over it (degree + 1 rows of clongdouble) would exceed
+    Raises ValueError when a grid is given that was built for another
+    potential than p, or when p is outside the exact class and grid is
+    None.  Raises OverMemoryBudget, before the rule is built, when the
+    Arnoldi basis over it (degree + 1 rows of clongdouble) would exceed
     `memory_budget()`.
     """
-    p = grid.potential
+    same_potential(p, grid)
     locs = [a for a, _ in p.nu.charges if a != 0]
     top = max(locs, key=abs, default=0j)
     if all(_on_line(a, top) for a in locs):
@@ -246,6 +263,8 @@ def polynomial_rule(grid: QuadGrid, degree: int):
                                            for a, b in charges)
     c = p.angular_degree()
     if c is None:
+        if grid is None:
+            raise ValueError("a weight outside the exact class needs a grid")
         L = grid.angular_order
         if L < 2 * degree + 2:
             raise ValueError(f"{L} angles cannot resolve "
@@ -385,10 +404,6 @@ def inner_product(grid: QuadGrid, f, g) -> complex:
     fv = _values(grid, f).astype(CLD)
     gv = _values(grid, g).astype(CLD)
     return complex(np.sum(grid.measure_weights * fv * np.conj(gv)))
-
-
-def total_mass(grid: QuadGrid) -> float:
-    return float(np.sum(grid.measure_weights))
 
 
 def _ring_sums(F, r, a, z):

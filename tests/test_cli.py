@@ -103,11 +103,12 @@ def test_orthopoly_failure_exit_code(tmp_path, monkeypatch, capsys, error):
 
 
 @pytest.mark.parametrize("flags,what", [
-    # the 24 x 102 grid (0.1 MB) fits; the 51 x 1,482-node basis (2.4 MB)
-    # does not
+    # the exact class builds no grid; its 51 x 1,482-node basis (2.4 MB)
+    # does not fit
     (["--quad", "4,16,1e-12", "--degree", "50", "zeros"], "Arnoldi basis"),
-    (["--quick", "--degree", "6", "zeros"], "quadrature grid"),
-    # the 800 x 800 Hessian and its temporaries (26 MB)
+    # dbar-check integrates on the 24 x 384 grid
+    (["--degree", "6", "dbar-check"], "quadrature grid"),
+    # the 800 x 800 Hessian and the eigensolver's copy (10.6 MB)
     (["--degree", "400", "fekete"], "Hessian"),
 ])
 def test_over_memory_budget_exit_code(tmp_path, monkeypatch, capsys, flags,
@@ -121,6 +122,18 @@ def test_over_memory_budget_exit_code(tmp_path, monkeypatch, capsys, flags,
     assert rc == EXIT_UNSUPPORTED
     assert err.startswith("out of memory:") and err.count("\n") == 1
     assert what in err
+
+
+@pytest.mark.parametrize("command", ["zeros", "orthopoly", "compare"])
+def test_exact_class_builds_no_grid(tmp_path, monkeypatch, command):
+    # the default charge at n = 10 has N*beta/2 = 5: the Arnoldi reads the
+    # potential alone, and nothing integrates on a grid
+    def fail(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(planarquad, "build_grid", fail)
+    rc = main(["--out", str(tmp_path), "--degree", "10", command])
+    assert rc == EXIT_OK
 
 
 def test_memory_error_exit_code(tmp_path, monkeypatch, capsys):
@@ -197,7 +210,9 @@ def test_zeros_deterministic(tmp_path):
 
 
 def test_orthopoly_grid_resolves_degree(tmp_path):
-    # cut for degree 0 the grid ends at r = 1.3; degree 60 needs 2.03
+    # the CLI builds no grid in the exact class; its norms are those on a
+    # grid cut for the degree-60 moments, at r = 2.03 (for degree 0 the
+    # cut was 1.3)
     rc = main(["--out", str(tmp_path), "--degree", "30", "orthopoly"])
     assert rc == EXIT_OK
     got = json.loads((tmp_path / "orthopolys.json").read_text())["norms"]

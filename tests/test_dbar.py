@@ -115,3 +115,13 @@ def test_potential_mismatch_rejected(cavity_Y, cavity_ops, cavity_grid,
         fd_order(cavity_Y, radial_potential, 0.5 + 0.5j)
     with pytest.raises(ValueError):
         uniqueness_crosscheck(cavity_ops, radial_potential, cavity_grid, 2)
+
+
+def test_grid_of_another_potential_rejected(cavity_ops, cavity_potential,
+                                            radial_grid):
+    # the Cauchy transforms and moment integrals would run against the
+    # radial weight
+    with pytest.raises(ValueError, match="QuadGrid"):
+        assemble_Y(cavity_ops, cavity_potential, radial_grid, 3)
+    with pytest.raises(ValueError, match="QuadGrid"):
+        uniqueness_crosscheck(cavity_ops, cavity_potential, radial_grid, 2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 import chargedgauss as cg
 from chargedgauss.equilibrium import classify_support
-from chargedgauss.fekete import (_circle_lens_area, discrepancy, energy,
-                                 gradient, gradient_fd_check, hessian,
-                                 minimize)
+from chargedgauss import fekete
+from chargedgauss.fekete import (_circle_lens_area, _min_eigenvalue,
+                                 discrepancy, energy, gradient,
+                                 gradient_fd_check, hessian, minimize)
 from chargedgauss.measures import PerturbedPotential
 
 
@@ -145,3 +147,26 @@ def test_minimize_radial_pair_certified_modulo_rotation():
     res = minimize(2, p, seed=1, n_starts=1)
     assert np.linalg.eigvalsh(hessian(res.points, p))[0] < 1e-8
     assert res.converged and res.min_eigenvalue > 1.0
+
+
+@pytest.mark.parametrize("charges", [((0.0, 0.5),), ((0.3, 0.5),)])
+def test_hessian_peak_within_memory_check(charges):
+    # `minimize` checks _PEAK_BYTES_PER_PAIR n^2 bytes before solving; the
+    # Hessian and its smallest eigenvalue (with the rotation projected out
+    # for a charge at 0) stay within it.  Assembled from kron products the
+    # Hessian peaked at 112.1 n^2
+    n = 400
+    p = PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(charges),
+                           N=2.0 * n, gamma=2.0)
+    rng = np.random.default_rng(1)
+    z = np.sqrt(rng.uniform(0, 1, n)) \
+        * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    for f in (hessian, _min_eigenvalue):
+        f(z, p)   # the first call also traces scipy's import
+        tracemalloc.start()
+        try:
+            f(z, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fekete._PEAK_BYTES_PER_PAIR * n * n

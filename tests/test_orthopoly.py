@@ -70,13 +70,13 @@ def _mgs2_hessenberg(nodes, weights, n_max):
     return H
 
 
-def _unfolded_rule(grid, n):
-    """`polynomial_rule(grid, n)` unfolded: when folded, its columns and
+def _unfolded_rule(p, grid, n):
+    """`polynomial_rule(p, grid, n)` unfolded: when folded, its columns and
     their mirror images, back in the plane's frame, each doubled weight
     halved."""
-    x, w, phi = polynomial_rule(grid, n)
+    x, w, phi = polynomial_rule(p, grid, n)
     if phi is not None:
-        c = grid.potential.angular_degree()
+        c = p.angular_degree()
         L = grid.angular_order if c is None else n + c + 1
         off = slice(1, (L + 1) // 2)
         w[:, off] /= 2
@@ -86,9 +86,11 @@ def _unfolded_rule(grid, n):
     return x.ravel(), w.ravel()
 
 
-def test_hessenberg_matches_mgs2_reference(cavity_grid, cavity_ops):
+def test_hessenberg_matches_mgs2_reference(cavity_potential, cavity_grid,
+                                           cavity_ops):
     # the folded Arnoldi against MGS2 on the same rule, unfolded
-    ref = _mgs2_hessenberg(*_unfolded_rule(cavity_grid, 12), 12)
+    ref = _mgs2_hessenberg(*_unfolded_rule(cavity_potential, cavity_grid, 12),
+                           12)
     assert cavity_ops.hessenberg.dtype == CLD
     assert np.max(np.abs(cavity_ops.hessenberg - ref)) < 1e-17
 
@@ -102,20 +104,20 @@ def _mirror_case(charges, n=12):
 
 def test_mirror_grid_off_axis_charge():
     phi = 0.7
-    _, grid, ops = _mirror_case(((0.3 * np.exp(1j * phi), 0.5),))
-    assert abs(polynomial_rule(grid, 12)[2] - phi) < 1e-15
+    p, grid, ops = _mirror_case(((0.3 * np.exp(1j * phi), 0.5),))
+    assert abs(polynomial_rule(p, grid, 12)[2] - phi) < 1e-15
     assert ops.gram_residual < 5e-17
-    ref = _mgs2_hessenberg(*_unfolded_rule(grid, 12), 12)
+    ref = _mgs2_hessenberg(*_unfolded_rule(p, grid, 12), 12)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
 def test_mirror_grid_charges_on_both_sides():
     # -2a is exactly on the line through 0 and a
     a = 0.3 * np.exp(0.7j)
-    _, grid, ops = _mirror_case(((a, 0.5), (-2 * a, 0.3)))
-    phi = polynomial_rule(grid, 12)[2]
+    p, grid, ops = _mirror_case(((a, 0.5), (-2 * a, 0.3)))
+    phi = polynomial_rule(p, grid, 12)[2]
     assert abs(np.exp(2j * phi) - np.exp(1.4j)) < 1e-15
-    ref = _mgs2_hessenberg(*_unfolded_rule(grid, 12), 12)
+    ref = _mgs2_hessenberg(*_unfolded_rule(p, grid, 12), 12)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
@@ -129,15 +131,15 @@ def test_mirror_grid_charges_on_both_sides():
 ])
 def test_mirror_decision(charges, phi):
     # folded or not, the Arnoldi runs on its rule exactly as MGS2 does
-    _, grid, ops = _mirror_case(charges)
-    assert polynomial_rule(grid, 12)[2] == phi
-    ref = _mgs2_hessenberg(*_unfolded_rule(grid, 12), 12)
+    p, grid, ops = _mirror_case(charges)
+    assert polynomial_rule(p, grid, 12)[2] == phi
+    ref = _mgs2_hessenberg(*_unfolded_rule(p, grid, 12), 12)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
 def test_non_collinear_charges_use_full_grid():
-    _, grid, ops = _mirror_case(((0.3, 0.5), (0.4j, 0.3), (-0.2 - 0.3j, 0.2)))
-    assert polynomial_rule(grid, 12)[2] is None
+    p, grid, ops = _mirror_case(((0.3, 0.5), (0.4j, 0.3), (-0.2 - 0.3j, 0.2)))
+    assert polynomial_rule(p, grid, 12)[2] is None
     ref = _mgs2_hessenberg(grid.nodes, grid.measure_weights, 12)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
@@ -190,7 +192,7 @@ def test_rule_arnoldi_matches_full_grid_reference(exact_gram, charges, n, N,
                            gamma=2.0)
     grid = build_grid(p, orders=(4 if not charges else 24, T),
                       max_degree=2 * n)
-    assert polynomial_rule(grid, n)[0].shape == rule
+    assert polynomial_rule(p, grid, n)[0].shape == rule
     ops = build_orthopolys(p, grid, n)
     if p.angular_degree() is None:
         assert all(a.imag == 0 for a, _ in p.nu.charges)
@@ -198,7 +200,7 @@ def test_rule_arnoldi_matches_full_grid_reference(exact_gram, charges, n, N,
     else:
         err = _norm_error(ops.norms, _exact_norms(exact_gram, p, n))
         assert err < 1e-16
-        ref = _mgs2_hessenberg(*_unfolded_rule(grid, n), n)
+        ref = _mgs2_hessenberg(*_unfolded_rule(p, grid, n), n)
     assert np.max(np.abs(ops.hessenberg - ref)) < 1e-17
 
 
@@ -224,8 +226,23 @@ def test_rule_arnoldi_ignores_the_grids_degree():
     coarse = build_grid(p, orders=(4, 16))
     assert coarse.angular_order == 16
     H = [build_orthopolys(p, grid, 20).hessenberg
-         for grid in (coarse, build_grid(p, orders=(24, 384)))]
-    assert np.array_equal(*H)
+         for grid in (coarse, build_grid(p, orders=(24, 384)), None)]
+    assert all(np.array_equal(H[0], h) for h in H[1:])
+
+
+def test_weight_outside_exact_class_needs_a_grid():
+    # N*beta/2 = 3.3: the Arnoldi runs on a grid's rings
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.3, 0.33),)),
+                           N=20.0, gamma=2.0)
+    with pytest.raises(ValueError, match="needs a grid"):
+        build_orthopolys(p, None, 10)
+
+
+def test_grid_of_another_potential_rejected(cavity_potential, radial_grid):
+    # the rule would otherwise be the radial weight's, and so would H,
+    # labelled as the cavity charge's
+    with pytest.raises(ValueError, match="different potential"):
+        build_orthopolys(cavity_potential, radial_grid, 10)
 
 
 @pytest.mark.parametrize("a,n,T", [

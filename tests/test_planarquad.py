@@ -8,8 +8,11 @@ import chargedgauss as cg
 from chargedgauss import planarquad
 from chargedgauss.planarquad import (LD, build_grid, cauchy_tail_split,
                                      cauchy_transform, inner_product,
-                                     polynomial_rule, total_mass,
-                                     truncation_radius)
+                                     polynomial_rule, truncation_radius)
+
+
+def total_mass(grid):
+    return float(np.sum(grid.measure_weights))
 
 
 def test_total_mass_radial(radial_potential, radial_grid):
@@ -77,17 +80,17 @@ def test_polynomial_rule_size(monkeypatch, charges, n, T, rule):
                               N=2.0 * n)
     grid = build_grid(p, orders=(8, T), max_degree=2 * n)
     m, L = rule or (grid.nodes.size // T, T)
-    x, w, phi = polynomial_rule(grid, n)
+    x, w, phi = polynomial_rule(p, grid, n)
     assert x.shape == w.shape == (m, L // 2 + 1)
     assert phi == 0.0
     # the memory check counts the rule's nodes before building it: the
     # basis of n + 1 rows over them fits a budget of its size exactly
     basis = x.size * (n + 1) * np.dtype(planarquad.CLD).itemsize
     monkeypatch.setattr(planarquad, "memory_budget", lambda: basis)
-    polynomial_rule(grid, n)
+    polynomial_rule(p, grid, n)
     monkeypatch.setattr(planarquad, "memory_budget", lambda: basis - 1)
     with pytest.raises(planarquad.OverMemoryBudget):
-        polynomial_rule(grid, n)
+        polynomial_rule(p, grid, n)
 
 
 def _moments(x, w, n):
@@ -110,7 +113,7 @@ def test_polynomial_rule_integrates_weight_exactly(exact_gram, charges):
     grid = build_grid(p, orders=(24, 256), max_degree=2 * n)
     G = exact_gram(p, n)
     exact = np.array([float(mp.re(G[k, k])) for k in range(n + 1)])
-    x, w, _ = polynomial_rule(grid, n)
+    x, w, _ = polynomial_rule(p, grid, n)
     assert x.size < grid.nodes.size // 50
     assert np.max(np.abs(_moments(x, w, n) / exact - 1)) < 1e-15
 
@@ -130,7 +133,7 @@ def test_polynomial_rule_outside_exact_class_is_the_grids(charges, folded):
     assert p.angular_degree() is None
     grid = build_grid(p, orders=(24, 64), max_degree=2 * n)
     T = grid.angular_order
-    x, w, phi = polynomial_rule(grid, n)
+    x, w, phi = polynomial_rule(p, grid, n)
     assert (phi is not None) == folded
     cols = T // 2 + 1 if folded else T
     nodes = grid.nodes.reshape(-1, T)[:, :cols]
