@@ -64,13 +64,15 @@ def load_config(path: str | None) -> ExperimentConfig:
     if "N" in doc and "gamma" in doc and doc.get("N") is not None:
         raise ValueError("give either N or gamma, not both")
     try:
-        charges = tuple((complex(c["re"], c.get("im", 0.0)), float(c["beta"]))
-                        for c in doc.get("charges", []))
+        # an explicit empty list is the pure Gaussian
+        charges = cfg.charges if "charges" not in doc else tuple(
+            (complex(c["re"], c.get("im", 0.0)), float(c["beta"]))
+            for c in doc["charges"])
         return ExperimentConfig(
             alpha=float(doc.get("alpha", cfg.alpha)),
             gamma=float(doc.get("gamma", cfg.gamma)),
             N=None if doc.get("N") is None else float(doc["N"]),
-            charges=charges or cfg.charges, seed=int(doc.get("seed", 0)))
+            charges=charges, seed=int(doc.get("seed", 0)))
     except KeyError as e:
         raise ValueError(f"charge without {e}") from None
     except TypeError as e:  # a field of the wrong JSON type
@@ -258,13 +260,18 @@ def cmd_dbar_check(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
+def _covered_trajectories(geom) -> list:
+    """The support's critical trajectories, or none where they are not
+    covered (several cavities): pipeline and verify run on without them."""
+    try:
+        return schwarz.support_trajectories(geom)[1]
+    except UnsupportedGeometry:
+        return []
+
+
 def cmd_trajectory(cfg: ExperimentConfig, out: Path, args) -> int:
-    p = cfg.potential(n=args.degree)
-    geom = equilibrium.classify_support(p)
-    if isinstance(geom, DiskWithCavities):
-        ds, trajs = schwarz.zero_attractor_candidates(p)
-    else:
-        trajs = schwarz.critical_trajectories(geom)
+    geom = equilibrium.classify_support(cfg.potential(n=args.degree))
+    _, trajs = schwarz.support_trajectories(geom)
     rows = []
     for i, t in enumerate(trajs):
         rows += [(i, t.end_tag, z.real, z.imag) for z in t.points]
@@ -324,10 +331,7 @@ def cmd_pipeline(cfg: ExperimentConfig, out: Path, args) -> int:
               [(z.real, z.imag) for z in zs.zeros])
     geom = equilibrium.classify_support(p)
     extras = [("dots", zs.zeros, "blue")]
-    if isinstance(geom, DiskWithCavities) and geom.cavities:
-        ds, trajs = schwarz.zero_attractor_candidates(p)
-        for t in trajs:
-            extras.append(("line", t.points, "red"))
+    extras += [("line", t.points, "red") for t in _covered_trajectories(geom)]
     _support_svg(geom, extras, out / "overlay.svg")
     rep = equilibrium.verify_equilibrium(geom, p,
                                          {"n": 80 if args.quick else 200})
@@ -371,9 +375,9 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
           < orthopoly.PRODUCT_FORM_TOL)
     uniq = dbar.uniqueness_crosscheck(ops, p2, grid, min(3, n))
     check("moment identities", _moments_hold(uniq))
-    if isinstance(geom, DiskWithCavities) and len(geom.cavities) == 1:
-        ds, trajs = schwarz.zero_attractor_candidates(p)
-        check("trajectory residual", len(trajs) > 0 and all(
+    trajs = _covered_trajectories(geom)
+    if trajs:
+        check("trajectory residual", all(
             t.max_residual < schwarz.TRAJECTORY_TOL for t in trajs))
     write_json(out / "verify.json", {"failures": failures,
                                      "passed": not failures})

@@ -67,10 +67,6 @@ class DbarMatrix:
         ct = cauchy_transform(self.grid, self.densities[1], z)
         return ct.astype(complex) / float(self.ops.norms[self.k - 1])
 
-    def entries(self, z) -> np.ndarray:
-        return np.array([[self.Y11(z), self.Y12(z)],
-                         [self.Y21(z), self.Y22(z)]])
-
 
 def assemble_Y(ops: OrthoPolySet, p: PerturbedPotential, grid: QuadGrid,
                k: int) -> DbarMatrix:

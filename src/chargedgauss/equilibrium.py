@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiskMeasure, PerturbedPotential
+from .measures import PerturbedPotential
 
 
 _GAP = 1e-9
@@ -324,6 +324,16 @@ def _exterior_map_potential(geom: ExteriorMap, z: np.ndarray,
     return -0.5 * I.real
 
 
+def _disk_potential(center: complex, R: float, z: np.ndarray) -> np.ndarray:
+    """-int log|z-w| dm(w) over the disk B(center, R), d = |z - center|:
+    (pi R^2/2)(log(1/R^2) + 1 - d^2/R^2) inside and pi R^2 log(1/d)
+    outside, continuous across d = R."""
+    d = np.abs(z - center)
+    inner = 0.5 * R**2 * math.pi * (np.log(1.0 / R**2) + 1.0 - d**2 / R**2)
+    outer = R**2 * math.pi * -np.log(np.maximum(d, 1e-300))
+    return np.where(d <= R, inner, outer)
+
+
 def support_potential(geom, z) -> np.ndarray:
     """U^S(z) = -int_S log|z-w| dm(w) for the Lebesgue measure on the
     support S: closed-form disk potentials in the cavity case, the exact
@@ -331,9 +341,9 @@ def support_potential(geom, z) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if isinstance(geom, ExteriorMap):
         return _exterior_map_potential(geom, z)
-    u = DiskMeasure(0.0, geom.outer_radius).log_potential_grid(z)
+    u = _disk_potential(0.0, geom.outer_radius, z)
     for c, r in geom.cavities:
-        u = u - DiskMeasure(c, r).log_potential_grid(z)
+        u = u - _disk_potential(c, r, z)
     return u
 
 

@@ -1,5 +1,5 @@
-"""Core domain types: point-charge measures, disk measures, perturbed
-Gaussian potentials and their closed-form logarithmic potentials.
+"""Core domain types: point-charge measures, perturbed Gaussian
+potentials and their closed-form logarithmic potentials.
 
 Conventions: the logarithmic potential of a measure mu is
 U(z) = int log(1/|z-w|) dmu(w); the background potential is
@@ -50,47 +50,8 @@ class PointChargeMeasure:
     def locations(self) -> np.ndarray:
         return np.array([a for a, _ in self.charges], dtype=complex)
 
-    def log_potential(self, z: complex) -> float:
-        """U_nu(z) = sum_k beta_k log(1/|z - a_k|); +inf at each a_k."""
-        return float(self.log_potential_grid(complex(z)))
-
-    def log_potential_grid(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized potential; +inf entries mark charge locations."""
-        return charge_potential_grid(self.charges, z)
-
 
 EMPTY_MEASURE = PointChargeMeasure(charges=())
-
-
-@dataclass(frozen=True)
-class DiskMeasure:
-    """Lebesgue measure restricted to the disk B(center, radius)."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    @property
-    def total_mass(self) -> float:
-        return math.pi * self.radius**2
-
-    def log_potential(self, z: complex) -> float:
-        """Two-branch closed form, continuous across |z - c| = R."""
-        return float(self.log_potential_grid(np.asarray(complex(z))))
-
-    def log_potential_grid(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        R = self.radius
-        d = np.abs(z - self.center)
-        inner = 0.5 * R**2 * math.pi * (np.log(1.0 / R**2) + 1.0 - d**2 / R**2)
-        with np.errstate(divide="ignore"):
-            outer = R**2 * math.pi * np.where(d > 0, -np.log(np.maximum(d, 1e-300)), 0.0)
-        return np.where(d <= R, inner, outer)
 
 
 @dataclass(frozen=True)
@@ -112,17 +73,15 @@ class PerturbedPotential:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
-    def value(self, z: complex) -> float:
-        """V(z) = alpha|z|^2 + U_nu(z); +inf exactly at the charges."""
-        return float(self.value_grid(complex(z)))
-
     def value_grid(self, z: np.ndarray) -> np.ndarray:
-        """V on an array, in clongdouble arithmetic for clongdouble z and
-        in complex double for anything else."""
+        """V(z) = alpha|z|^2 + U_nu(z) on an array, +inf exactly at the
+        charges, in clongdouble arithmetic for clongdouble z and in
+        complex double for anything else."""
         z = np.asarray(z)
         if z.dtype != np.clongdouble:
             z = z.astype(complex)
-        return self.alpha * np.abs(z) ** 2 + self.nu.log_potential_grid(z)
+        return self.alpha * np.abs(z) ** 2 \
+            + charge_potential_grid(self.nu.charges, z)
 
     def angular_degree(self) -> int | None:
         """Degree of exp(-N*V) as a trigonometric polynomial on every
@@ -137,10 +96,6 @@ class PerturbedPotential:
         if not all(c.is_integer() for c in cs):
             return None
         return int(sum(cs))
-
-    def rescaled(self, z: complex) -> float:
-        """Q(z) = (gamma/2) V(z); +inf exactly at the charges."""
-        return float(0.5 * self.gamma * self.value_grid(complex(z)))
 
     def weight(self, z: complex) -> float:
         """exp(-N*V(z)); exactly 0 at charge locations."""

@@ -107,10 +107,6 @@ class OrthoPolySet:
             C[k + 1] -= np.dot(H[:k + 1, k] * (s[k] / s[:k + 1]), C[:k + 1])
         return tuple(C[k, :k + 1] for k in range(n + 1))
 
-    def orthonormal(self, k: int, z):
-        """p_k(z) = P_k(z)/sqrt(h_k)."""
-        return self.evaluate(k, z) / np.sqrt(self.norms[k])
-
     def to_json_dict(self) -> dict:
         return {
             "n_max": self.n_max,
@@ -307,12 +303,9 @@ def one_point_function(ops: OrthoPolySet, n: int, z):
     return acc.astype(float) / n * ops.potential.weight_grid(z)
 
 
-def zero_potential(zs: ZeroSet, z: complex) -> float:
-    """-(1/n) log|P_n(z)| = (1/n) sum_j log(1/|z - z_j|); +inf at a zero."""
-    return float(zero_potential_grid(zs, complex(z)))
-
-
 def zero_potential_grid(zs: ZeroSet, z: np.ndarray) -> np.ndarray:
+    """-(1/n) log|P_n(z)| = (1/n) sum_j log(1/|z - z_j|) on an array; +inf
+    at a zero."""
     z = np.asarray(z, dtype=complex)
     with np.errstate(divide="ignore"):
         return -np.sum(np.log(np.abs(z[..., None] - zs.zeros)), axis=-1) / zs.n

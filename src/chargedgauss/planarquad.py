@@ -58,6 +58,7 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
+from .equilibrium import cavity_radius, outer_radius
 from .measures import PerturbedPotential, charge_potential_grid
 
 LD = np.longdouble
@@ -347,10 +348,9 @@ def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
     rt = truncation_radius(p, eps_tail, max_degree)
 
     # panel boundaries on circles where the integrand kinks or vanishes
-    two_a = 2.0 * p.alpha
-    radii = [math.sqrt((1.0 + p.nu.total_mass) / two_a)]   # the outer circle
+    radii = [outer_radius(p)]
     for a, b in p.nu.charges:
-        rc = math.sqrt(b / two_a)
+        rc = cavity_radius(p, b)
         radii += [abs(a), abs(a) - rc, abs(a) + rc]
     breaks = sorted({0.0, rt} | {x for x in radii if 1e-12 < x < rt})
 

@@ -13,14 +13,18 @@ points, local exponent and escape radius.  A single charge's jump field is
 symmetric across the line through 0 and the charge, so the curves of a
 vanishing point's mirror twin are reflected instead of traced.
 
+support_trajectories alone decides which supports have critical
+trajectories, and which: see there.
+
 RK4 steps follow the curve's turning: each is sized so that the unit
 z-velocity turns by about _TURN radians, capped at 10 _STEP and at a
 tenth of the distance to the nearest vanishing point.  The returned
 polyline samples each step's cubic Hermite interpolant (dense output,
 Hairer, Norsett & Wanner, Solving ODEs I, II.6) at spacing at most _STEP,
 from the end values the integrator already has.  The output spacing
-_STEP, turning target _TURN, residual bound TRAJECTORY_TOL, launch offset
-_OFFSET and node threshold _DS_TOL are module constants.
+_STEP, step limit _MAX_STEPS, turning target _TURN, residual bound
+TRAJECTORY_TOL, launch offset _OFFSET and node threshold _DS_TOL are
+module constants.
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import (DiskWithCavities, ExteriorMap, classify_support,
+from .equilibrium import (DiskWithCavities, ExteriorMap,
+                          UnsupportedGeometry, classify_support,
                           support_potential)
 from .measures import PerturbedPotential, PointChargeMeasure
 from .orthopoly import ZeroSet, zero_potential_grid
 
 _STEP = 2e-3
+_MAX_STEPS = 100000
 _TURN = 0.02
 TRAJECTORY_TOL = 1e-3
 _OFFSET = 1e-6
@@ -197,11 +203,12 @@ class CavityDeltaS:
         return self(z), 1.0
 
     def critical_points(self) -> np.ndarray:
-        """Zeros of dS: roots of R^2 (z-a) - conj(a) z (z-a) - r^2 z."""
+        """Zeros of dS: roots of R^2 (z-a) - conj(a) z (z-a) - r^2 z other
+        than 0, a root only for a = 0, where dS = (R^2 - r^2)/z has none."""
         a, R2, r2 = self.a, self.R**2, self.r**2
-        poly = np.polynomial.Polynomial(
-            [-R2 * a, R2 + a.conjugate() * a - r2, -a.conjugate()])
-        return poly.roots()
+        roots = np.polynomial.Polynomial(
+            [-R2 * a, R2 + a.conjugate() * a - r2, -a.conjugate()]).roots()
+        return roots[roots != 0]
 
     def launch_points(self) -> list:
         return [z for z in self.critical_points() if abs(z - self.a) < self.r]
@@ -229,7 +236,7 @@ def trajectory_residual(points: np.ndarray, ds_field) -> float:
 
 
 def _trace(ds_field, z0: complex, origin: complex, init_dir: complex,
-           step: float, stop_points, max_steps: int = 100000) -> Trajectory:
+           step: float, stop_points) -> Trajectory:
     """RK4 for the unit-speed z-velocity sign * i * conj(dS)/|dS|, carried
     over to the field's state x by dx/dt = (dz/dt) / (dz/dx).  The sign is
     fixed once, from the launch direction init_dir; on the state the jump
@@ -268,7 +275,7 @@ def _trace(ds_field, z0: complex, origin: complex, init_dir: complex,
     end = "maxsteps"
     travelled = 0.0
     h_turn = math.inf
-    for i in range(max_steps):
+    for i in range(_MAX_STEPS):
         dmin = min(abs(z - s) for s in singular)
         h = min(h_turn, 10.0 * step, max(0.1 * dmin, 1e-7))
         if k1 == 0.0:
@@ -334,10 +341,11 @@ def _hermite(knots: np.ndarray, vel: np.ndarray, hs: np.ndarray,
     return out
 
 
-def critical_trajectories(geom_or_field) -> list:
+def critical_trajectories(field_fn) -> list:
     """Integral curves of Re[dS * dz] = 0 seeded at each point where dS
-    vanishes, the launch points of the jump field (an exterior map is
-    wrapped in its ExteriorDeltaS).
+    vanishes, the launch points of the jump field field_fn; a field
+    without launch points has none, and a support geometry in place of
+    the field gives support_trajectories' curves.
 
     Near a vanishing point dS ~ C (z-z0)^p, p the field's exponent, and
     the admissible launch directions solve (p+1)*psi + arg C = pi/2
@@ -361,12 +369,10 @@ def critical_trajectories(geom_or_field) -> list:
     provides launch_points, exponent, escape_radius, state, point, flow
     and axis, as CavityDeltaS does.
     """
-    field_fn = ExteriorDeltaS(geom_or_field) \
-        if isinstance(geom_or_field, ExteriorMap) else geom_or_field
+    if isinstance(field_fn, (ExteriorMap, DiskWithCavities)):
+        return support_trajectories(field_fn)[1]
     # numpy scalars would carry numpy arithmetic through every RK4 step
     starts = [complex(z) for z in field_fn.launch_points()]
-    if not starts:
-        raise ValueError("no vanishing points of dS to launch from")
     p = field_fn.exponent
     n_dir = int(round(2 * (p + 1)))  # 3 for p=1/2, 4 for p=1
     half = 0.5 * math.pi / (p + 1.0)   # half the launch spacing
@@ -481,18 +487,34 @@ def external_potential_compare(zs: ZeroSet, p: PerturbedPotential,
             "sup_error": float(np.max(err)), "mean_error": float(np.mean(err))}
 
 
-def cavity_jump_field(p: PerturbedPotential) -> CavityDeltaS:
-    """Jump field for the single-charge cavity configuration of p."""
-    geom = classify_support(p)
-    if not isinstance(geom, DiskWithCavities) or len(geom.cavities) != 1:
-        raise ValueError("needs a single-cavity disk geometry")
+def support_trajectories(geom):
+    """(jump field, critical trajectories) of the boundary of the support
+    geom: ExteriorDeltaS and all of its curves for an exterior map,
+    CavityDeltaS and its connecting loops for a disk with one cavity, and
+    (None, []) for a disk without cavities, whose circle dS = R^2/z has
+    no zeros.  A disk with several cavities raises UnsupportedGeometry."""
+    if isinstance(geom, ExteriorMap):
+        ds = ExteriorDeltaS(geom)
+        return ds, critical_trajectories(ds)
+    if len(geom.cavities) > 1:
+        raise UnsupportedGeometry(
+            f"critical trajectories of a support with {len(geom.cavities)} "
+            f"cavities are not covered")
+    if not geom.cavities:
+        return None, []
     (a, r), = geom.cavities
-    return CavityDeltaS(R=geom.outer_radius, a=a, r=r)
+    ds = CavityDeltaS(R=geom.outer_radius, a=a, r=r)
+    return ds, connecting_trajectories(critical_trajectories(ds))
 
 
 def zero_attractor_candidates(p: PerturbedPotential):
-    """Closed critical trajectories of the cavity jump field launched from
-    its simple zeros inside the cavity, each loop traced once, from the
-    launch that leaves along it first; returns (field, trajectories)."""
-    ds = cavity_jump_field(p)
-    return ds, connecting_trajectories(critical_trajectories(ds))
+    """support_trajectories of p's support: (field, trajectories)."""
+    return support_trajectories(classify_support(p))
+
+
+def cavity_jump_field(p: PerturbedPotential) -> CavityDeltaS:
+    """Jump field for the single-charge cavity configuration of p."""
+    ds = zero_attractor_candidates(p)[0]
+    if not isinstance(ds, CavityDeltaS):
+        raise ValueError("needs a single-cavity disk geometry")
+    return ds

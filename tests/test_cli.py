@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chargedgauss import dbar, fekete, orthopoly, planarquad
+from chargedgauss import dbar, fekete, orthopoly, planarquad, schwarz
+from chargedgauss.measures import EMPTY_MEASURE
 from chargedgauss.orthopoly import build_orthopolys
 from chargedgauss.planarquad import build_grid
 from chargedgauss.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_UNSUPPORTED,
@@ -31,6 +32,26 @@ def test_load_config_file(tmp_path):
     cfg = load_config(str(path))
     assert cfg.alpha == 1.0
     assert cfg.charges == ((0.1 + 0.2j, 0.4),)
+
+
+def test_load_config_honours_an_empty_charge_list(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"charges": []}))
+    assert load_config(str(path)).potential().nu == EMPTY_MEASURE
+    path.write_text(json.dumps({"alpha": 1.0}))
+    assert load_config(str(path)).charges == ((0.3 + 0.0j, 0.5),)
+
+
+def test_empty_charge_list_is_the_pure_gaussian(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"charges": []}))
+    base = ["--config", str(cfg), "--out", str(tmp_path)]
+    assert main(base + ["--degree", "5", "zeros"]) == EXIT_OK
+    rows = (tmp_path / "zeros_n5.csv").read_text().splitlines()
+    assert rows == ["re,im"] + ["0.0,0.0"] * 5
+    capsys.readouterr()
+    assert main(base + ["trajectory"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("trajectory: 0 curves")
 
 
 def test_load_config_rejects_N_and_gamma(tmp_path):
@@ -76,6 +97,46 @@ def test_trajectory_exterior(tmp_path):
     # 2 curves joining the branch points, each traced once, and 2 exit rays
     assert {r.split(",")[0] for r in rows[1:]} == {str(i) for i in range(4)}
     assert (tmp_path / "trajectories.svg").exists()
+
+
+def _config(tmp_path, charges):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"charges": [
+        {"re": a.real, "im": a.imag, "beta": b} for a, b in charges]}))
+    return ["--config", str(cfg), "--out", str(tmp_path)]
+
+
+def test_trajectory_of_two_cavities_exit_code(tmp_path, capsys):
+    # no jump field covers several cavities: exit 3 with one line
+    rc = main(_config(tmp_path, [(0.5, 0.1), (-0.5, 0.1)]) + ["trajectory"])
+    assert rc == EXIT_UNSUPPORTED
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_two_cavities_run_without_trajectories(tmp_path, capsys):
+    # pipeline and verify run their other stages on such a support
+    base = _config(tmp_path, [(0.5, 0.1), (-0.3 + 0.4j, 0.15)])
+    for command in ("pipeline", "verify"):
+        assert main(base + ["--quick", command]) == EXIT_OK
+    assert "trajectory residual" not in capsys.readouterr().out
+
+
+def test_cavity_centred_at_zero_has_no_trajectories(tmp_path, capsys,
+                                                    monkeypatch):
+    # dS = (R^2 - r^2)/z has no zeros: nothing is traced
+    traced = []
+    monkeypatch.setattr(schwarz, "_trace", lambda *a: traced.append(a))
+    base = _config(tmp_path, [(0.0, 0.5)])
+    assert main(base + ["trajectory"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("trajectory: 0 curves")
+    assert main(base + ["--quick", "verify"]) == EXIT_OK
+    assert traced == []
+
+
+def test_verify_checks_exterior_trajectories(tmp_path, capsys):
+    base = _config(tmp_path, [(2.0, 0.5)])
+    assert main(base + ["--quick", "verify"]) == EXIT_OK
+    assert "  [PASS] trajectory residual" in capsys.readouterr().out
 
 
 def test_unsupported_configuration_exit_code(tmp_path):

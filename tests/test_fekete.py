@@ -15,17 +15,21 @@ from chargedgauss.fekete import (_circle_lens_area, _min_eigenvalue,
 from chargedgauss.measures import PerturbedPotential
 
 
+def _rescaled(p, z):
+    """Q(z) = (gamma/2) V(z) at one point."""
+    return p.gamma / 2 * float(p.value_grid(complex(z)))
+
+
 def test_energy_single_point(cavity_potential):
     z = np.array([1.0 + 0.2j])
-    q = cavity_potential.gamma / 2 * float(cavity_potential.value(z[0]))
+    q = _rescaled(cavity_potential, z[0])
     assert np.isclose(energy(z, cavity_potential), q)
 
 
 def test_energy_pair_term(cavity_potential):
     # the interaction part of the antipodal pair is -log 2
     z = np.array([-1.0 + 0j, 1.0 + 0j])
-    qs = 2 * sum(cavity_potential.gamma / 2 * float(cavity_potential.value(w))
-                 for w in z)
+    qs = 2 * sum(_rescaled(cavity_potential, w) for w in z)
     assert np.isclose(energy(z, cavity_potential) - qs, -math.log(2))
 
 
@@ -42,7 +46,7 @@ def test_energy_brute_force_oracle(cavity_potential):
         for j in range(5):
             if i != j:
                 e += 0.5 * math.log(1 / abs(z[i] - z[j]))
-        e += 5 * cavity_potential.gamma / 2 * float(cavity_potential.value(z[i]))
+        e += 5 * _rescaled(cavity_potential, z[i])
     assert np.isclose(energy(z, cavity_potential), e)
 
 

@@ -191,6 +191,32 @@ def test_cavity_attractor_traced_once_per_launch(monkeypatch):
     assert max(t.max_residual for t in trajs) < 2e-4
 
 
+def test_cavity_centred_at_zero_launches_nothing(monkeypatch):
+    # dS = (R^2 - r^2)/z: its pole is no launch point, and no curve is
+    # traced
+    traced = []
+    monkeypatch.setattr(schwarz, "_trace", lambda *a: traced.append(a))
+    ds = CavityDeltaS(R=1.0, a=0.0, r=0.5)
+    assert ds.critical_points().size == 0 and ds.launch_points() == []
+    assert critical_trajectories(ds) == []
+    assert traced == []
+
+
+def test_support_trajectories_decide_per_support(exterior_map):
+    disk = cg.DiskWithCavities(outer_radius=1.0, cavities=())
+    assert schwarz.support_trajectories(disk) == (None, [])
+    two = cg.DiskWithCavities(outer_radius=2.0,
+                              cavities=((0.5, 0.2), (-0.5, 0.2)))
+    with pytest.raises(cg.UnsupportedGeometry):
+        schwarz.support_trajectories(two)
+    ds, trajs = schwarz.support_trajectories(exterior_map)
+    assert isinstance(ds, ExteriorDeltaS)
+    ref = critical_trajectories(ExteriorDeltaS(exterior_map))
+    assert len(trajs) == len(ref) == 4
+    for t, u in zip(trajs, ref):
+        assert np.array_equal(t.points, u.points)
+
+
 def test_cavity_field_carries_its_launch_data(cavity_potential):
     # the field alone gives zero_attractor_candidates' loops
     ds = cavity_jump_field(cavity_potential)
