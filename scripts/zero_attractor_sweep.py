@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Sweep the polynomial degree and measure how the zeros of P_{n,N}
-(N = gamma*n) approach the connecting critical trajectory of the cavity
-jump field.
+(N = gamma*n) approach the critical trajectories of the support's jump
+field.
 
 Writes zeros_n*.csv, attractor.csv, sweep.csv (mean/max distances per n)
-and an overlay SVG for the largest degree.
+and an overlay SVG for the largest degree.  A support without
+trajectories (no cavity, or a cavity centred at 0) gets nan distances; one
+whose trajectories are not covered (several cavities) exits 3 with one
+line on stderr, as `chargedgauss trajectory` does.
 """
 
 import argparse
@@ -14,20 +17,26 @@ from pathlib import Path
 
 import numpy as np
 
-from chargedgauss.cli import (ExperimentConfig, _support_svg, load_config,
-                              write_csv)
-from chargedgauss.equilibrium import classify_support
+from chargedgauss.cli import (EXIT_UNSUPPORTED, ExperimentConfig,
+                              _support_svg, load_config, write_csv)
+from chargedgauss.equilibrium import (NoRootError, UnsupportedGeometry,
+                                      classify_support)
 from chargedgauss.orthopoly import build_orthopolys, compute_zeros
 from chargedgauss.planarquad import build_grid
-from chargedgauss.schwarz import zero_attractor_candidates
+from chargedgauss.schwarz import support_trajectories
 
 
 def run(cfg: ExperimentConfig, degrees, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     base = cfg.potential(n=degrees[0])
-    geom = classify_support(base)
-    _, trajs = zero_attractor_candidates(base)
-    attractor = np.concatenate([t.points for t in trajs])
+    try:
+        geom = classify_support(base)
+        _, trajs = support_trajectories(geom)
+    except (UnsupportedGeometry, NoRootError) as e:
+        print(f"unsupported configuration: {e}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    attractor = np.concatenate([np.empty(0, complex),
+                                *(t.points for t in trajs)])
     write_csv(out / "attractor.csv", ["x", "y"],
               [(z.real, z.imag) for z in attractor])
 
@@ -40,7 +49,8 @@ def run(cfg: ExperimentConfig, degrees, out: Path) -> int:
         grid = (None if p.angular_degree() is not None
                 else build_grid(p, orders=(24, 256), max_degree=2 * n))
         zs = compute_zeros(build_orthopolys(p, grid, n), n)
-        d = np.min(np.abs(zs.zeros[:, None] - attractor[None, :]), axis=1)
+        d = (np.min(np.abs(zs.zeros[:, None] - attractor[None, :]), axis=1)
+             if attractor.size else np.full(zs.zeros.size, np.nan))
         rows.append((n, p.N, float(np.mean(d)), float(np.max(d)),
                      time.perf_counter() - t0))
         write_csv(out / f"zeros_n{n}.csv", ["re", "im"],

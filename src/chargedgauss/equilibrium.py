@@ -1,9 +1,10 @@
 """Support geometry of the equilibrium measure for a perturbed Gaussian
 potential: disk-with-cavities classification, the rational exterior
 conformal map in the non-contained case, and verification of the
-equilibrium conditions with the exact log potential of either support.
+equilibrium conditions, with the exact log potential of either support,
+at every node of a mesh.
 Constants: the cavity gap _GAP, and verify_equilibrium's mesh margin
-_MESH_MARGIN, boundary collar _COLLAR and off-support tolerance TOL_OFF.
+_MESH_MARGIN and off-support tolerance TOL_OFF.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .measures import PerturbedPotential
 
 _GAP = 1e-9
 _MESH_MARGIN = 0.6
-_COLLAR = 0.02
 TOL_OFF = 1e-8
 # mesh nodes per block of whole rows in verify_equilibrium
 _BLOCK = 4096
@@ -373,28 +373,28 @@ class EquilibriumReport:
 
 def verify_equilibrium(geom, p: PerturbedPotential,
                        grid_spec: dict | None = None) -> EquilibriumReport:
-    """Check U^sigma + V = F on the support and >= F off it on a cartesian
-    n x n mesh covering the support plus a margin annulus.  grid_spec may
-    set n (200) and tol_on (1e-8), and no other key.
+    """Check U^sigma + V = F on the support and >= F off it at every node
+    of a cartesian n x n mesh covering the support plus a margin annulus.
+    grid_spec may set n (200) and tol_on (1e-8), and no other key.
 
-    U^sigma is exact for both geometries.  Points within a thin collar of
-    the boundary (to 720 boundary samples for an exterior map) are skipped:
-    the analytic statement concerns the open regions.  For an exterior map
-    F is the effective potential at z_ref, the on-support node off the
-    collar with the smallest |z1|, z1 the larger preimage of the node
-    (the first such node in mesh order on ties).  |z1| -> 1 on the
-    boundary, so z_ref lies deep inside the support, where F is constant,
-    and comes from the preimage solve the support test already makes; the
-    boundary samples' mean (= u) can lie off a support with a deep bite.
+    U^sigma is exact for both geometries, so no node is skipped: each is
+    on the support (geom.contains for a disk, the preimage test for an
+    exterior map) or off it, and n_on + n_off = n^2.  A node on a charge
+    has V = +inf and counts off the support with margin +inf.  For an
+    exterior map F is the effective potential at z_ref, the on-support
+    node with the smallest |z1|, z1 the larger preimage of the node (the
+    first such node in mesh order on ties).  |z1| -> 1 on the boundary, so
+    z_ref lies deep inside the support, where F is constant, and comes
+    from the preimage solve the support test already makes; the boundary
+    samples' mean (= u) can lie off a support with a deep bite.
 
     The mesh is streamed in blocks of whole rows, about _BLOCK nodes each.
-    Each block's masks and potential are reduced to the minimum and
-    maximum of U^sigma + V over its on-support nodes, the minimum over its
+    Each block's potential is reduced to the minimum and maximum of
+    U^sigma + V over its on-support nodes, the minimum over its
     off-support nodes and, for an exterior map, its node of smallest
-    |z1|.  So memory grows with the block and the boundary samples, not
-    with mesh x samples.  As p -> fl(p - F) is monotone,
-    max(pmax - F, F - pmin) is the largest |U^sigma + V - F| over the
-    on-support nodes.
+    |z1|.  So memory grows with the block, not with the mesh.  As
+    p -> fl(p - F) is monotone, max(pmax - F, F - pmin) is the largest
+    |U^sigma + V - F| over the on-support nodes.
     """
     spec = {"n": 200, "tol_on": 1e-8, **(grid_spec or {})}
     unknown = sorted(spec.keys() - {"n", "tol_on"})
@@ -404,74 +404,46 @@ def verify_equilibrium(geom, p: PerturbedPotential,
 
     disk = isinstance(geom, DiskWithCavities)
     if disk:
-        R = geom.outer_radius
-        extent = R + _MESH_MARGIN
+        extent = geom.outer_radius + _MESH_MARGIN
     else:
         th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        bpts = geom.boundary(th)
-        extent = float(np.max(np.abs(bpts))) + _MESH_MARGIN
+        extent = float(np.max(np.abs(geom.boundary(th)))) + _MESH_MARGIN
     xs = np.linspace(-extent, extent, n)
 
-    if not disk:
-        # the collar: mesh nodes within _COLLAR of a boundary sample, all
-        # of which lie within w steps of the sample's mesh cell
-        step = xs[1] - xs[0]
-        w = math.ceil(_COLLAR / step) + 1
-        off = np.arange(-w, w + 1)
-        i0 = np.floor((bpts.real + extent) / step).astype(int)
-        j0 = np.floor((bpts.imag + extent) / step).astype(int)
-        ix = np.clip(i0[:, None, None] + off[None, None, :], 0, n - 1)
-        iy = np.clip(j0[:, None, None] + off[None, :, None], 0, n - 1)
-        d = np.abs(xs[ix] + 1j * xs[iy] - bpts[:, None, None])
-        near = np.zeros(n * n, dtype=bool)
-        near[(iy * n + ix)[d <= _COLLAR]] = True
-
     pmin, pmax, pmin_off = np.inf, -np.inf, np.inf
-    n_on = n_off = 0
+    n_on = 0
     deep, z_ref = np.inf, None
     rows = max(1, _BLOCK // n)
     for r0 in range(0, n, rows):
         z = (xs[None, :] + 1j * xs[r0:r0 + rows, None]).ravel()
-        # exclude charge locations, where V = +inf
-        keep = np.ones(z.size, dtype=bool)
-        for a, _ in p.nu.charges:
-            keep &= np.abs(z - a) > 1e-9
-        z = z[keep]
         if disk:
-            on = np.abs(z) <= R - _COLLAR
-            out = np.abs(z) >= R + _COLLAR
-            for c, r in geom.cavities:
-                on &= np.abs(z - c) >= r + _COLLAR
-                out |= np.abs(z - c) <= r - _COLLAR
-            m = on | out
-            u = effective_potential(geom, p, z[m])
+            on = geom.contains(z)
+            u = effective_potential(geom, p, z)
         else:
             # one preimage solve serves the support test and the potential
             z1, z2 = geom._preimages(z)
             r1 = np.abs(z1)
-            inside = (r1 < 1.0) & (np.abs(z2) < 1.0)
-            m = ~near[r0 * n:(r0 + rows) * n][keep]
-            on, out = inside & m, ~inside & m
+            on = (r1 < 1.0) & (np.abs(z2) < 1.0)
             u = (2.0 * p.alpha / math.pi * _exterior_map_potential(
-                geom, z[m], (z1[m], z2[m])) + p.value_grid(z[m]))
+                geom, z, (z1, z2)) + p.value_grid(z))
             if np.any(on):
                 k = np.argmin(np.where(on, r1, np.inf))
                 if r1[k] < deep:   # the first deepest node of the mesh
                     deep, z_ref = r1[k], z[k]
-        u_on, u_off = u[on[m]], u[out[m]]
+        u_on = u[on]
         pmin = np.minimum(pmin, np.min(u_on, initial=np.inf))
         pmax = np.maximum(pmax, np.max(u_on, initial=-np.inf))
-        pmin_off = np.minimum(pmin_off, np.min(u_off, initial=np.inf))
+        pmin_off = np.minimum(pmin_off, np.min(u[~on], initial=np.inf))
         n_on += u_on.size
-        n_off += u_off.size
 
     if disk:
         F = robin_constant(geom, p)
     elif z_ref is None:
-        raise ValueError("no mesh node lies in the support off the collar")
+        raise ValueError("no mesh node lies in the support")
     else:
         F = float(effective_potential(geom, p, z_ref)[0])
     dev_on = float(np.maximum(pmax - F, F - pmin)) if n_on else 0.0
     return EquilibriumReport(robin_constant=F, max_dev_on=dev_on,
                              min_margin_off=float(pmin_off - F),
-                             n_on=n_on, n_off=n_off, tol_on=spec["tol_on"])
+                             n_on=n_on, n_off=n * n - n_on,
+                             tol_on=spec["tol_on"])

@@ -390,19 +390,13 @@ def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
                     radial_order=n_r, angular_order=n_t, potential=p)
 
 
-def _values(grid: QuadGrid, f):
-    if callable(f):
-        return np.asarray(f(grid.nodes))
-    return np.asarray(f)
-
-
 def inner_product(grid: QuadGrid, f, g) -> complex:
-    """<f, g> = sum_i w_i f(z_i) conj(g(z_i)) exp(-N*V(z_i)).
+    """<f, g> = sum_i w_i f(z_i) conj(g(z_i)) exp(-N*V(z_i)), f and g the
+    arrays of values at grid.nodes.
 
     numpy's pairwise-summed reduction keeps the result deterministic.
     """
-    fv = _values(grid, f).astype(CLD)
-    gv = _values(grid, g).astype(CLD)
+    fv, gv = np.asarray(f, dtype=CLD), np.asarray(g, dtype=CLD)
     return complex(np.sum(grid.measure_weights * fv * np.conj(gv)))
 
 

@@ -510,11 +510,3 @@ def support_trajectories(geom):
 def zero_attractor_candidates(p: PerturbedPotential):
     """support_trajectories of p's support: (field, trajectories)."""
     return support_trajectories(classify_support(p))
-
-
-def cavity_jump_field(p: PerturbedPotential) -> CavityDeltaS:
-    """Jump field for the single-charge cavity configuration of p."""
-    ds = zero_attractor_candidates(p)[0]
-    if not isinstance(ds, CavityDeltaS):
-        raise ValueError("needs a single-cavity disk geometry")
-    return ds

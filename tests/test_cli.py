@@ -346,10 +346,7 @@ def test_dbar_check_judges_criteria_07_and_08(tmp_path, monkeypatch, entry,
 
 
 def test_worked_example_leaves_no_temporary_file(tmp_path, monkeypatch):
-    path = Path(__file__).parents[1] / "scripts" / "run_worked_example.py"
-    spec = importlib.util.spec_from_file_location("run_worked_example", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load_script("run_worked_example")
     calls = []
     monkeypatch.setattr(script, "cli_main",
                         lambda argv: calls.append(argv) or EXIT_OK)
@@ -362,6 +359,41 @@ def test_worked_example_leaves_no_temporary_file(tmp_path, monkeypatch):
     cfg = out / "config.json"
     assert json.loads(cfg.read_text()) == script.CONFIG
     assert [argv[:2] for argv in calls] == [["--config", str(cfg)]] * 3
+
+
+
+def _load_script(name):
+    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("charges, rc", [
+    ([], EXIT_OK),                                        # no cavity
+    ([{"re": 0.0, "beta": 0.5}], EXIT_OK),                # centred cavity
+    ([{"re": 0.5, "beta": 0.1}, {"re": -0.5, "beta": 0.1}],
+     EXIT_UNSUPPORTED),                                   # two cavities
+])
+def test_zero_attractor_sweep_without_trajectories(tmp_path, capsys, charges,
+                                                   rc):
+    # a support with no trajectories gets nan distances; one whose
+    # trajectories are not covered exits 3 with one stderr line
+    sweep = _load_script("zero_attractor_sweep")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"charges": charges}))
+    out = tmp_path / "sweep"
+    assert sweep.run(load_config(str(cfg)), [4, 5], out) == rc
+    err = capsys.readouterr().err
+    if rc == EXIT_OK:
+        assert err == ""
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[2:4] for r in rows] == [["nan", "nan"]] * 2
+        assert (out / "zeros_n5.csv").exists()
+    else:
+        assert err.count("\n") == 1
+        assert err.startswith("unsupported configuration:")
 
 
 _NUMERIC_PATHS = """

@@ -1,7 +1,7 @@
-import functools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -197,45 +197,55 @@ def test_verify_equilibrium_exterior_drawn(alpha, beta, a):
 
 
 def test_verify_equilibrium_criterion_03_masks(exterior_map):
-    # the on/off-support masks (preimage test plus a collar measured to
-    # 720 boundary samples) at criterion 03's grid
+    # every node of criterion 03's grid is on the support (the preimage
+    # test) or off it
     p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)),
                            N=2.0, gamma=2.0)
     rep = verify_equilibrium(exterior_map, p, {"n": 200, "tol_on": 1e-4})
-    assert (rep.n_on, rep.n_off) == (9690, 29498)
+    assert (rep.n_on, rep.n_off) == (10092, 29908)
+    assert rep.n_on + rep.n_off == 200**2
     assert rep.max_dev_on < 1e-14
 
 
-def test_verify_equilibrium_collar_is_exact():
-    # the mesh-window collar marks only nodes within the collar of a
-    # boundary sample, so equal counts with brute-force distances to all
-    # 720 samples mean equal on- and off-support sets
-    for alpha, beta, a in _criterion_02_draws(np.random.default_rng(3), 5):
-        p = PerturbedPotential(alpha=alpha,
-                               nu=PointChargeMeasure(((a, beta),)))
-        geom = classify_support(p)
-        rep = verify_equilibrium(geom, p, {"n": 80})
-        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        bpts = geom.boundary(th)
-        extent = float(np.max(np.abs(bpts))) + 0.6
-        xs = np.linspace(-extent, extent, 80)
-        z = (xs[None, :] + 1j * xs[:, None]).ravel()
-        z = z[np.abs(z - a) > 1e-9]
-        dist = functools.reduce(np.minimum, (np.abs(z - b) for b in bpts))
-        inside = geom.contains(z)
-        assert (rep.n_on, rep.n_off) == (int(np.sum(inside & (dist > 0.02))),
-                                         int(np.sum(~inside & (dist > 0.02))))
+def test_verify_equilibrium_counts_the_charge_node():
+    # n = 201 puts a node on the charge at 0, where V = +inf: it counts
+    # off the support with margin +inf, and nothing warns
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.0, 0.5),)),
+                           N=4.0, gamma=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_equilibrium(classify_support(p), p, {"n": 201})
+    assert rep.n_on + rep.n_off == 201**2
+    assert rep.passed
+
+
+def test_verify_equilibrium_sees_the_boundary_band(monkeypatch,
+                                                   cavity_potential):
+    # a 1e-6 error in U^sigma + V within 0.015 of the outer circle, on
+    # nodes a boundary collar would skip, fails the check
+    geom = classify_support(cavity_potential)
+    R = geom.outer_radius
+
+    def defect(geom, p, z):
+        u = effective_potential(geom, p, z)
+        return u + 1e-6 * (np.abs(np.abs(z) - R) < 0.015)
+
+    assert verify_equilibrium(geom, cavity_potential).passed
+    monkeypatch.setattr(equilibrium, "effective_potential", defect)
+    rep = verify_equilibrium(geom, cavity_potential)
+    assert rep.max_dev_on > 5e-7
+    assert not rep.passed
 
 
 def _full_mesh_report(geom, p, n):
-    """verify_equilibrium's masks, F and deviations at its default margin
-    and collar, over the whole mesh at once: the potential at every node,
-    the collar by distances to all 720 boundary samples and z_ref the
-    first on-support node of smallest |z1|, z1 the larger preimage.
-    F_far is the effective potential at the on-support node farthest from
-    every 8th sample, by the full distance matrix (the rule z_ref had
-    before).  Returns (z_ref, F, max_dev_on, min_margin_off, n_on, n_off,
-    F_far); z_ref and F_far are None for a disk."""
+    """verify_equilibrium's masks, F and deviations at its default margin,
+    over the whole mesh at once: the potential at every node, on-support
+    nodes by geom.contains and z_ref the first on-support node of smallest
+    |z1|, z1 the larger preimage.  F_far is the effective potential at the
+    on-support node farthest from every 8th of 720 boundary samples, by
+    the full distance matrix (the rule z_ref had before).  Returns (z_ref,
+    F, max_dev_on, min_margin_off, n_on, n_off, F_far); z_ref and F_far
+    are None for a disk."""
     if isinstance(geom, DiskWithCavities):
         extent = geom.outer_radius + 0.6
     else:
@@ -244,26 +254,17 @@ def _full_mesh_report(geom, p, n):
         extent = float(np.max(np.abs(bpts))) + 0.6
     xs = np.linspace(-extent, extent, n)
     z = (xs[None, :] + 1j * xs[:, None]).ravel()
-    for a, _ in p.nu.charges:
-        z = z[np.abs(z - a) > 1e-9]
     u = effective_potential(geom, p, z)
+    on = geom.contains(z)
     if isinstance(geom, DiskWithCavities):
-        R = geom.outer_radius
-        on, off = np.abs(z) <= R - 0.02, np.abs(z) >= R + 0.02
-        for c, r in geom.cavities:
-            on &= np.abs(z - c) >= r + 0.02
-            off |= np.abs(z - c) <= r - 0.02
         z_ref, F, F_far = None, robin_constant(geom, p), None
     else:
-        dist = np.min(np.abs(z[:, None] - bpts[None, :]), axis=1)
-        inside = geom.contains(z)
-        on, off = inside & (dist > 0.02), ~inside & (dist > 0.02)
         z_ref = z[on][np.argmin(np.abs(geom._preimages(z[on])[0]))]
         F = float(effective_potential(geom, p, z_ref)[0])
         far = np.min(np.abs(z[on][:, None] - bpts[None, ::8]), axis=1)
         F_far = float(effective_potential(geom, p, z[on][np.argmax(far)])[0])
     return (z_ref, F, float(np.max(np.abs(u[on] - F))),
-            float(np.min(u[off] - F)), int(on.sum()), int(off.sum()), F_far)
+            float(np.min(u[~on] - F)), int(on.sum()), int((~on).sum()), F_far)
 
 
 @pytest.mark.parametrize("alpha, beta, a, n", [
@@ -301,8 +302,9 @@ def test_verify_equilibrium_matches_full_mesh(monkeypatch, alpha, beta, a,
 
 @pytest.mark.parametrize("n", [200, 400])
 def test_verify_equilibrium_memory_is_bounded(exterior_map, n):
-    # the parent's node x boundary-sample matrices peaked at 23.1 MB
-    # (n = 200) and 91.9 MB (n = 400); the row blocks stay below 3 MB
+    # node x boundary-sample matrices once peaked at 23.1 MB (n = 200)
+    # and 91.9 MB (n = 400); the row blocks, with no n x n collar mask,
+    # stay below 1.5 MB
     p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)),
                            N=2.0, gamma=2.0)
     tracemalloc.start()
@@ -312,7 +314,7 @@ def test_verify_equilibrium_memory_is_bounded(exterior_map, n):
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak <= 3e6
+    assert peak <= 1.5e6
 
 
 def region_log_potential(boundary_pts, boundary_elems, z):

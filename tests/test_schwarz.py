@@ -12,8 +12,7 @@ from chargedgauss.measures import PerturbedPotential, PointChargeMeasure
 from chargedgauss.orthopoly import ZeroSet
 from chargedgauss.schwarz import (CavityDeltaS, DegenerateMap, ExteriorDeltaS,
                                   SelfIntersection, SignFlip, boundary_curve,
-                                  branch_points, cavity_jump_field,
-                                  connecting_trajectories,
+                                  branch_points, connecting_trajectories,
                                   critical_trajectories,
                                   effective_zero_density,
                                   equilibrium_measure_potential,
@@ -155,8 +154,15 @@ def test_trajectories_conjugation_symmetric(exterior_map):
         assert np.max(d) < 5e-3
 
 
+def _cavity_jump_field(p):
+    """Jump field of the single-cavity disk that is p's support."""
+    ds = zero_attractor_candidates(p)[0]
+    assert isinstance(ds, CavityDeltaS)
+    return ds
+
+
 def test_cavity_field_critical_points(cavity_potential):
-    ds = cavity_jump_field(cavity_potential)
+    ds = _cavity_jump_field(cavity_potential)
     crit = np.sort(ds.critical_points().real)
     assert np.allclose(np.sort_complex(ds.critical_points()).imag, 0)
     assert np.isclose(crit[0], 0.47492236, atol=1e-6)
@@ -219,7 +225,7 @@ def test_support_trajectories_decide_per_support(exterior_map):
 
 def test_cavity_field_carries_its_launch_data(cavity_potential):
     # the field alone gives zero_attractor_candidates' loops
-    ds = cavity_jump_field(cavity_potential)
+    ds = _cavity_jump_field(cavity_potential)
     assert ds.launch_points() == [z for z in ds.critical_points()
                                   if abs(z - ds.a) < ds.r]
     assert ds.escape_radius == 3.0 * outer_radius(cavity_potential)
