@@ -1,32 +1,38 @@
 """Command-line experiment runner: support geometry, orthogonal
 polynomials, zeros, d-bar checks, critical trajectories, Fekete points,
-potential comparisons and the full pipeline.
+potential comparisons, the full pipeline, the sweep of zeros against the
+critical trajectories over several degrees, and the replot of a finished
+run's CSVs.
 
 Outputs are JSON reports, CSV polylines/point sets, and standalone SVG
-figures regenerable from the CSVs.  Exit codes: 0 ok, 2 invariant
-failure, 3 unsupported or malformed configuration, or one whose arrays
-would not fit in memory.
+figures, which `replot` redraws from the CSVs.  Exit codes: 0 ok, 2
+invariant failure, 3 unsupported or malformed configuration, or one whose
+arrays would not fit in memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dbar, equilibrium, fekete, orthopoly, planarquad, schwarz
-from .equilibrium import DiskWithCavities, UnsupportedGeometry
+from .equilibrium import DiskWithCavities, ExteriorMap, UnsupportedGeometry
 from .measures import PerturbedPotential, PointChargeMeasure
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_UNSUPPORTED = 3
+
+SWEEP_DEGREES = "10,20,30,40,50"
 
 
 @dataclass
@@ -50,15 +56,20 @@ class ExperimentConfig:
                                   N=N, gamma=self.gamma)
 
 
-def load_config(path: str | None) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if path is None:
-        return cfg
+def _read_json(path) -> object:
+    """The JSON document at path; a ValueError names a file not read."""
     try:
         text = Path(path).read_text()
     except OSError as e:  # missing, unreadable or a directory
         raise ValueError(f"cannot read {path}: {e.strerror}") from None
-    doc = json.loads(text)
+    return json.loads(text)
+
+
+def load_config(path: str | None) -> ExperimentConfig:
+    cfg = ExperimentConfig()
+    if path is None:
+        return cfg
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("the config is not a JSON object")
     if "N" in doc and "gamma" in doc and doc.get("N") is not None:
@@ -86,6 +97,28 @@ def write_csv(path: Path, header, rows):
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _csv_rows(path: Path) -> list:
+    """The rows of a CSV written by write_csv, without its header."""
+    with open(path, newline="") as f:
+        return list(csv.reader(f))[1:]
+
+
+def _points(rows) -> np.ndarray:
+    """The points whose x and y are the last two columns of rows."""
+    return np.array([float(r[-2]) + 1j * float(r[-1]) for r in rows])
+
+
+def _write_zeros(out: Path, n: int, zs):
+    write_csv(out / f"zeros_n{n}.csv", ["re", "im"],
+              [(z.real, z.imag) for z in zs.zeros])
+
+
+def _write_trajectories(path: Path, trajs):
+    write_csv(path, ["trajectory", "end_tag", "x", "y"],
+              [(i, t.end_tag, z.real, z.imag)
+               for i, t in enumerate(trajs) for z in t.points])
 
 
 def write_json(path: Path, obj):
@@ -170,6 +203,23 @@ def _geometry_dict(geom):
             "v": geom.v, "A": geom.A, "area": geom.area()}
 
 
+def _complex(x) -> complex:
+    """A number as _json_default wrote it."""
+    return complex(x["re"], x["im"]) if isinstance(x, dict) else complex(x)
+
+
+def _load_geometry(path: Path):
+    """The support that _geometry_dict wrote to path."""
+    d = _read_json(path)
+    try:
+        if d["kind"] == "disk_with_cavities":
+            return DiskWithCavities(d["outer_radius"], tuple(
+                (_complex(c["center"]), c["radius"]) for c in d["cavities"]))
+        return ExteriorMap(d["rho"], *(_complex(d[k]) for k in "uvA"))
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{path} holds no geometry: {e}") from None
+
+
 def cmd_support(cfg: ExperimentConfig, out: Path, args) -> int:
     p = cfg.potential(n=args.degree)
     geom = equilibrium.classify_support(p)
@@ -216,8 +266,7 @@ def cmd_zeros(cfg: ExperimentConfig, out: Path, args) -> int:
     n = args.degree or 20
     p, _, ops = _build_polys(cfg, n, args.quad, False)
     zs = orthopoly.compute_zeros(ops, n)
-    write_csv(out / f"zeros_n{n}.csv", ["re", "im"],
-              [(z.real, z.imag) for z in zs.zeros])
+    _write_zeros(out, n, zs)
     print(f"zeros: n={n} max_residual={zs.max_residual:.2e}")
     return EXIT_OK
 
@@ -272,11 +321,7 @@ def _covered_trajectories(geom) -> list:
 def cmd_trajectory(cfg: ExperimentConfig, out: Path, args) -> int:
     geom = equilibrium.classify_support(cfg.potential(n=args.degree))
     _, trajs = schwarz.support_trajectories(geom)
-    rows = []
-    for i, t in enumerate(trajs):
-        rows += [(i, t.end_tag, z.real, z.imag) for z in t.points]
-    write_csv(out / "trajectories.csv", ["trajectory", "end_tag", "x", "y"],
-              rows)
+    _write_trajectories(out / "trajectories.csv", trajs)
     _support_svg(geom, [("line", t.points, "red") for t in trajs],
                  out / "trajectories.svg")
     worst = max((t.max_residual for t in trajs), default=0.0)
@@ -294,7 +339,7 @@ def cmd_fekete(cfg: ExperimentConfig, out: Path, args) -> int:
     geom = equilibrium.classify_support(p)
     report = {"n": n, "energy": res.energy, "grad_norm": res.grad_norm,
               "min_eigenvalue": res.min_eigenvalue,
-              "converged": res.converged}
+              "converged": res.converged, "seed": res.seed}
     if isinstance(geom, DiskWithCavities):
         report["discrepancy"] = fekete.discrepancy(res, geom)
         _support_svg(geom, [("dots", res.points, "blue")],
@@ -327,8 +372,7 @@ def cmd_pipeline(cfg: ExperimentConfig, out: Path, args) -> int:
     rc = cmd_support(cfg, out, args)
     p, _, ops = _build_polys(cfg, n, args.quad, False)
     zs = orthopoly.compute_zeros(ops, n)
-    write_csv(out / f"zeros_n{n}.csv", ["re", "im"],
-              [(z.real, z.imag) for z in zs.zeros])
+    _write_zeros(out, n, zs)
     geom = equilibrium.classify_support(p)
     extras = [("dots", zs.zeros, "blue")]
     extras += [("line", t.points, "red") for t in _covered_trajectories(geom)]
@@ -349,7 +393,7 @@ def cmd_pipeline(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
-    """Fast invariant suite over the default configuration."""
+    """Fast invariant suite over the given configuration."""
     failures = []
 
     def check(name, ok):
@@ -385,6 +429,61 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK if not failures else EXIT_INVARIANT
 
 
+def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
+    """Zeros of P_{n,N} (N = gamma*n) at each degree of the --degree list,
+    and their distances to the support's critical trajectories: nan
+    without trajectories, exit 3 (through main) where they are not
+    covered."""
+    geom = equilibrium.classify_support(cfg.potential(n=args.degree[0]))
+    write_json(out / "geometry.json", _geometry_dict(geom))
+    _, trajs = schwarz.support_trajectories(geom)
+    _write_trajectories(out / "trajectories.csv", trajs)
+    attractor = np.concatenate([np.empty(0, complex),
+                                *(t.points for t in trajs)])
+    rows = []
+    for n in args.degree:
+        t0 = time.perf_counter()
+        p, _, ops = _build_polys(cfg, n, args.quad, False)
+        zs = orthopoly.compute_zeros(ops, n)
+        d = (np.min(np.abs(zs.zeros[:, None] - attractor[None, :]), axis=1)
+             if attractor.size else np.full(zs.zeros.size, np.nan))
+        mean_d, max_d = float(np.mean(d)), float(np.max(d))
+        secs = time.perf_counter() - t0
+        rows.append((n, p.N, mean_d, max_d, secs))
+        _write_zeros(out, n, zs)
+        print(f"sweep: n={n} mean_dist={mean_d:.4f} max_dist={max_d:.4f} "
+              f"({secs:.2f}s)")
+    write_csv(out / "sweep.csv", ["n", "N", "mean_dist", "max_dist", "secs"],
+              rows)
+    extras = [("line", t.points, "red") for t in trajs]
+    _support_svg(geom, extras + [("dots", zs.zeros, "blue")],
+                 out / "overlay.svg")
+    return EXIT_OK
+
+
+def cmd_replot(cfg: ExperimentConfig, out: Path, args) -> int:
+    """Redraw a finished run in out from its geometry.json and CSVs,
+    recomputing nothing: each trajectory a red line, zeros blue and
+    Fekete points green."""
+    try:
+        geom = _load_geometry(out / "geometry.json")
+    except ValueError as e:
+        print(f"invalid output directory: {e}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    extras = []
+    if (out / "trajectories.csv").exists():
+        extras += [("line", _points(curve), "red") for _, curve in
+                   itertools.groupby(_csv_rows(out / "trajectories.csv"),
+                                     key=lambda r: r[0])]
+    for pattern, color in (("zeros_n*.csv", "blue"),
+                           ("fekete_n*.csv", "green")):
+        extras += [("dots", _points(_csv_rows(path)), color)
+                   for path in sorted(out.glob(pattern))]
+    _support_svg(geom, extras, out / "replot.svg")
+    print(f"replot: {len(extras)} layers in {out / 'replot.svg'}")
+    return EXIT_OK
+
+
 def _flag_value(flag, kind, s):
     """s converted by kind (int or float); a ValueError names the flag."""
     try:
@@ -392,6 +491,13 @@ def _flag_value(flag, kind, s):
     except ValueError:
         expected = "an integer" if kind is int else "a number"
         raise ValueError(f"{flag} {s!r}: expected {expected}") from None
+
+
+def _parse_degree(s):
+    n = _flag_value("--degree", int, s)
+    if n < 1:
+        raise ValueError(f"degree {n} is below 1")
+    return n
 
 
 def _parse_quad(s):
@@ -418,13 +524,16 @@ def main(argv=None) -> int:
     # numeric flags are converted below, so that a malformed value exits 3
     ap.add_argument("--quad", default=None,
                     help="quadrature orders nr,nt,eps")
-    ap.add_argument("--degree", default=None, help="degree n (or k)")
+    ap.add_argument("--degree", default=None,
+                    help="degree n (or k); for sweep a comma-separated list, "
+                         f"default {SWEEP_DEGREES}")
     ap.add_argument("--gamma", default=None)
     ap.add_argument("--seed", default=None)
     ap.add_argument("--quick", action="store_true")
     ap.add_argument("command", choices=["support", "orthopoly", "zeros",
                                         "dbar-check", "trajectory", "fekete",
-                                        "compare", "verify", "pipeline"])
+                                        "compare", "verify", "pipeline",
+                                        "sweep", "replot"])
     args = ap.parse_args(argv)
 
     try:
@@ -435,10 +544,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = _flag_value("--seed", int, args.seed)
         cfg.potential()  # rejects nonpositive alpha, gamma, N or masses
-        if args.degree is not None:
-            args.degree = _flag_value("--degree", int, args.degree)
-            if args.degree < 1:
-                raise ValueError(f"degree {args.degree} is below 1")
+        if args.command == "sweep":
+            args.degree = [_parse_degree(s) for s in
+                           (args.degree or SWEEP_DEGREES).split(",")]
+        elif args.degree is not None:
+            args.degree = _parse_degree(args.degree)
         if args.quad is not None:
             args.quad = _parse_quad(args.quad)
     except ValueError as e:
@@ -451,7 +561,8 @@ def main(argv=None) -> int:
                 "zeros": cmd_zeros, "dbar-check": cmd_dbar_check,
                 "trajectory": cmd_trajectory, "fekete": cmd_fekete,
                 "compare": cmd_compare, "verify": cmd_verify,
-                "pipeline": cmd_pipeline}
+                "pipeline": cmd_pipeline, "sweep": cmd_sweep,
+                "replot": cmd_replot}
     try:
         return handlers[args.command](cfg, out, args)
     except (UnsupportedGeometry, equilibrium.NoRootError) as e:

@@ -1,10 +1,8 @@
 import dataclasses
-import importlib.util
 import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +14,10 @@ from chargedgauss.orthopoly import build_orthopolys
 from chargedgauss.planarquad import build_grid
 from chargedgauss.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_UNSUPPORTED,
                               ExperimentConfig, load_config, main)
+
+# alpha 0.5 and one charge a = 2 (beta 0.5), outside the disk it would carve
+WORKED_EXAMPLE = str(Path(__file__).parents[1] / "examples"
+                     / "worked_example.json")
 
 
 def test_load_config_defaults():
@@ -76,27 +78,46 @@ def test_support_command(tmp_path):
 
 
 def test_support_exterior(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": 0.5, "gamma": 2.0,
-                               "charges": [{"re": 2.0, "beta": 0.5}]}))
-    rc = main(["--config", str(cfg), "--out", str(tmp_path), "support"])
+    rc = main(["--config", WORKED_EXAMPLE, "--out", str(tmp_path), "support"])
     assert rc == EXIT_OK
     geom = json.loads((tmp_path / "geometry.json").read_text())
     assert geom["kind"] == "exterior_map"
 
 
 def test_trajectory_exterior(tmp_path):
-    # the worked example of scripts/run_worked_example.py
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": 0.5, "gamma": 2.0,
-                               "charges": [{"re": 2.0, "beta": 0.5}]}))
-    rc = main(["--config", str(cfg), "--out", str(tmp_path), "trajectory"])
+    rc = main(["--config", WORKED_EXAMPLE, "--out", str(tmp_path),
+               "trajectory"])
     assert rc == EXIT_OK
     rows = (tmp_path / "trajectories.csv").read_text().splitlines()
     assert rows[0] == "trajectory,end_tag,x,y"
     # 2 curves joining the branch points, each traced once, and 2 exit rays
     assert {r.split(",")[0] for r in rows[1:]} == {str(i) for i in range(4)}
     assert (tmp_path / "trajectories.svg").exists()
+
+
+def test_replot_draws_each_trajectory_apart(tmp_path):
+    # one polyline per trajectory id, no chords between the curves
+    base = ["--config", WORKED_EXAMPLE, "--out", str(tmp_path)]
+    for command in ("support", "trajectory", "replot"):
+        assert main(base + [command]) == EXIT_OK
+    assert (tmp_path / "replot.svg").read_text().count("<polyline") == 4
+
+
+def test_replot_after_sweep(tmp_path, capsys):
+    # the sweep leaves the geometry.json that replot reads; a directory
+    # without one exits 3 with one stderr line
+    base = ["--out", str(tmp_path)]
+    assert main(base + ["--degree", "10,12", "sweep"]) == EXIT_OK
+    assert main(base + ["replot"]) == EXIT_OK
+    svg = (tmp_path / "replot.svg").read_text()
+    # the default cavity's 2 loops, and the zeros of both degrees
+    assert svg.count("<polyline") == 2
+    assert svg.count('fill="blue"') == 22
+    capsys.readouterr()
+    (tmp_path / "geometry.json").unlink()
+    assert main(base + ["replot"]) == EXIT_UNSUPPORTED
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "geometry.json" in err
 
 
 def _config(tmp_path, charges):
@@ -185,7 +206,8 @@ def test_over_memory_budget_exit_code(tmp_path, monkeypatch, capsys, flags,
     assert what in err
 
 
-@pytest.mark.parametrize("command", ["zeros", "orthopoly", "compare"])
+@pytest.mark.parametrize("command", ["zeros", "orthopoly", "compare",
+                                     "sweep"])
 def test_exact_class_builds_no_grid(tmp_path, monkeypatch, command):
     # the default charge at n = 10 has N*beta/2 = 5: the Arnoldi reads the
     # potential alone, and nothing integrates on a grid
@@ -221,11 +243,12 @@ def test_memory_error_exit_code(tmp_path, monkeypatch, capsys):
 def test_malformed_configuration_exit_code(tmp_path, capsys, doc, extra):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    rc = main(["--config", str(cfg), "--out", str(tmp_path), *extra,
-               "support"])
-    err = capsys.readouterr().err
-    assert rc == EXIT_UNSUPPORTED
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    for command in ("support", "sweep"):
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), *extra,
+                   command])
+        err = capsys.readouterr().err
+        assert rc == EXIT_UNSUPPORTED
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", [
@@ -242,6 +265,7 @@ def test_malformed_configuration_exit_code(tmp_path, capsys, doc, extra):
     ["--seed", "1.5"],
     ["--gamma", "nan"],
     ["--gamma", "inf"],
+    ["--degree", "10,20"],  # a list is for sweep alone
 ])
 def test_bad_numeric_flag_exit_code(tmp_path, capsys, flags):
     rc = main(["--out", str(tmp_path), "--quick", *flags, "zeros"])
@@ -254,11 +278,12 @@ def test_bad_numeric_flag_exit_code(tmp_path, capsys, flags):
 def test_unreadable_config_exit_code(tmp_path, capsys, name):
     # a missing file, and a directory in place of a file
     path = tmp_path / name
-    rc = main(["--config", str(path), "--out", str(tmp_path), "support"])
-    err = capsys.readouterr().err
-    assert rc == EXIT_UNSUPPORTED
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert str(path) in err
+    for command in ("support", "sweep"):
+        rc = main(["--config", str(path), "--out", str(tmp_path), command])
+        err = capsys.readouterr().err
+        assert rc == EXIT_UNSUPPORTED
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert str(path) in err
 
 
 def test_zeros_deterministic(tmp_path):
@@ -345,31 +370,6 @@ def test_dbar_check_judges_criteria_07_and_08(tmp_path, monkeypatch, entry,
     assert rc == EXIT_INVARIANT
 
 
-def test_worked_example_leaves_no_temporary_file(tmp_path, monkeypatch):
-    script = _load_script("run_worked_example")
-    calls = []
-    monkeypatch.setattr(script, "cli_main",
-                        lambda argv: calls.append(argv) or EXIT_OK)
-    tmp = tmp_path / "tmp"
-    tmp.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-    out = tmp_path / "we"
-    assert script.run(str(out), quick=True) == EXIT_OK
-    assert list(tmp.iterdir()) == []
-    cfg = out / "config.json"
-    assert json.loads(cfg.read_text()) == script.CONFIG
-    assert [argv[:2] for argv in calls] == [["--config", str(cfg)]] * 3
-
-
-
-def _load_script(name):
-    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 @pytest.mark.parametrize("charges, rc", [
     ([], EXIT_OK),                                        # no cavity
     ([{"re": 0.0, "beta": 0.5}], EXIT_OK),                # centred cavity
@@ -380,11 +380,11 @@ def test_zero_attractor_sweep_without_trajectories(tmp_path, capsys, charges,
                                                    rc):
     # a support with no trajectories gets nan distances; one whose
     # trajectories are not covered exits 3 with one stderr line
-    sweep = _load_script("zero_attractor_sweep")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"charges": charges}))
     out = tmp_path / "sweep"
-    assert sweep.run(load_config(str(cfg)), [4, 5], out) == rc
+    assert main(["--config", str(cfg), "--out", str(out), "--degree", "4,5",
+                 "sweep"]) == rc
     err = capsys.readouterr().err
     if rc == EXIT_OK:
         assert err == ""
