@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +123,10 @@ def _write_trajectories(path: Path, trajs):
 
 def write_json(path: Path, obj):
     path.write_text(json.dumps(obj, indent=2, default=_json_default) + "\n")
+
+
+def _equilibrium_dict(rep: equilibrium.EquilibriumReport) -> dict:
+    return {**asdict(rep), "passed": rep.passed}
 
 
 def _json_default(x):
@@ -379,9 +383,7 @@ def cmd_pipeline(cfg: ExperimentConfig, out: Path, args) -> int:
     _support_svg(geom, extras, out / "overlay.svg")
     rep = equilibrium.verify_equilibrium(geom, p,
                                          {"n": 80 if args.quick else 200})
-    write_json(out / "equilibrium_report.json", {
-        "robin_constant": rep.robin_constant, "max_dev_on": rep.max_dev_on,
-        "min_margin_off": rep.min_margin_off, "passed": rep.passed})
+    write_json(out / "equilibrium_report.json", _equilibrium_dict(rep))
     rc2 = cmd_dbar_check(cfg, out, argparse.Namespace(
         degree=min(3, n), quad=args.quad, quick=args.quick))
     rc3 = cmd_compare(cfg, out, argparse.Namespace(
@@ -405,7 +407,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     geom = equilibrium.classify_support(p)
     rep = equilibrium.verify_equilibrium(
         geom, p, {"n": 60 if args.quick else 150})
-    check("equilibrium conditions", rep.passed)
+    check(f"equilibrium conditions (max_dev_on {rep.max_dev_on:.3g}, "
+          f"min_margin_off {rep.min_margin_off:.3g})", rep.passed)
 
     n = 8 if args.quick else 20
     # build_orthopolys and compute_zeros raise above GRAM_TOL and
@@ -424,7 +427,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
         check("trajectory residual", all(
             t.max_residual < schwarz.TRAJECTORY_TOL for t in trajs))
     write_json(out / "verify.json", {"failures": failures,
-                                     "passed": not failures})
+                                     "passed": not failures,
+                                     "equilibrium": _equilibrium_dict(rep)})
     print(f"verify: {'PASS' if not failures else 'FAIL'}")
     return EXIT_OK if not failures else EXIT_INVARIANT
 

@@ -120,10 +120,9 @@ class ExteriorMap:
         b = self.u - z - self.A * self.rho
         c = self.A * (z - self.u) + self.v
         disc = np.sqrt(b * b - 4.0 * self.rho * c)
-        q = -0.5 * np.where(np.abs(b + disc) > np.abs(b - disc),
-                            b + disc, b - disc)
-        zero = q == 0   # both preimages are 0
-        return q / self.rho, np.where(zero, 0.0, c / np.where(zero, 1.0, q))
+        # |b + disc|^2 - |b - disc|^2 = 4 Re(b conj(disc)): q is the larger
+        q = -0.5 * np.where((b * np.conj(disc)).real > 0.0, b + disc, b - disc)
+        return q / self.rho, np.divide(c, q, out=np.zeros_like(q), where=q != 0)
 
     def contains(self, z):
         """z lies in the support iff both preimages are in the unit disk.
@@ -270,14 +269,6 @@ def robin_constant(geom, p: PerturbedPotential) -> float:
     return p.alpha * R**2 * (math.log(1.0 / R**2) + 1.0)
 
 
-def _log(w):
-    """Principal log of w in real arithmetic, several times faster than
-    numpy's complex log.  Its arguments here, 1 - bA and 1 - d conj(A)
-    with |b|, |d| <= 1 and |A| < 1, have Re w > 0, so log|w| + i arg w is
-    the principal branch, with no branch cut near them."""
-    return np.log(np.abs(w)) + 1j * np.angle(w)
-
-
 def _exterior_map_potential(geom: ExteriorMap, z: np.ndarray,
                             preimages=None) -> np.ndarray:
     """U^S(z) = -int_S log|z-w| dm(w) for the support S of the map f,
@@ -288,40 +279,45 @@ def _exterior_map_potential(geom: ExteriorMap, z: np.ndarray,
     + conj(u) + conj(v) zeta/(1 - conj(A) zeta) = conj(f) on the circle;
     (1/2i) oint h = |S|.  As z - f = -rho (zeta - z1)(zeta - z2)/(zeta - A),
     z1, z2 the preimages of z, I = (log rho^2 - 1)|S| + T(z1) + T(z2) - T(A)
-    with T(c) = (1/2i) oint h log|zeta - c|^2.  Reflect c into the disk
-    (d = c, or 1/conj(c) if |c| >= 1; b = conj(d), K = log max(1, |c|^2)):
-    log|zeta - c|^2 = K + log(1 - b zeta) + log(1 - d/zeta) on the circle.
-    Residues of the first log times h inside (only A's double pole,
-    h2 = -v (g(A) - conj(z)), h1 = -v g'(A)) and of the second outside (at
-    1/conj(A), where h has residue r = -conj(v) f'(1/conj(A))/conj(A)^2,
-    and at infinity, where h -> hinf = rho (conj(u - v/A) - conj(z))) give
-
-        T(c) = K|S| + pi [h1 log(1 - bA) - h2 b/(1 - bA)]
-                    - pi [r log(1 - d conj(A)) + d hinf].
-
-    No case is singular (z1, z2 != A), and the map equations are not used.
+    with T(c) = (1/2i) oint h log|zeta - c|^2.  Reflect c into the disk,
+    d = c/m with m = max(1, |c|^2): log|zeta - c|^2 = log m +
+    log(1 - conj(d) zeta) + log(1 - d/zeta) on the circle.  Residues of the
+    first log times h inside (only A's double pole, h2 = -v (g(A) -
+    conj(z)), h1 = -v g'(A)) and of the second outside (at 1/conj(A), where
+    h has residue r = -conj(v) f'(1/conj(A))/conj(A)^2, and at infinity,
+    where h -> hinf = rho (conj(u - v/A) - conj(z))) give, w = 1 - conj(d) A,
+    T(c) = |S| log m + pi [h1 log w - h2 conj(d)/w - r log(1 - d conj(A))
+    - d hinf].  Only Re I is used, and four identities make it cheap.
+    (1) One logarithm per preimage: Re w > 0 as |d| <= 1 and |A| < 1, so
+    log(1 - d conj(A)) = conj(log w), and the log terms are Re(g log w),
+    g = h1 - conj(r).  (2) Real parts only: Re(g log w) = Re(g) log|w|^2/2
+    - Im(g) arg w.  (3) T(A), with d = A and w_A = 1 - |A|^2 real, is a
+    constant and the first terms of the sums of conj(d)/w and conj(d).
+    (4) |c|^2, once per preimage, gives d by a real division, and log m.
+    Nothing is singular (z1, z2 != A), and the map equations are not used.
     preimages, if given, are geom._preimages(z).
     """
     rho, u, v, A = geom.rho, complex(geom.u), complex(geom.v), complex(geom.A)
     ub, vb, Ab = u.conjugate(), v.conjugate(), A.conjugate()
-    area, zc = geom.area(), np.conj(z)
-    h2 = -v * (rho / A + ub + vb * A / (1.0 - Ab * A) - zc)
-    h1 = -v * (vb / (1.0 - Ab * A) ** 2 - rho / A**2)
+    area, zc, wA = geom.area(), np.conj(z), 1.0 - abs(A) ** 2
+    h2 = -v * (rho / A + ub + vb * A / wA - zc)
+    h1 = -v * (vb / wA**2 - rho / A**2)
     r = -vb * complex(geom.map_derivative(1.0 / Ab)) / Ab**2
-    hinf = rho * (ub - vb / Ab - zc)
-
-    def T(c):
-        outer = np.abs(c) >= 1.0
-        d = np.where(outer, 1.0 / np.conj(np.where(outer, c, 1.0)), c)
-        b = np.conj(d)
-        K = 2.0 * np.log(np.maximum(np.abs(c), 1.0))
-        w = 1.0 - b * A
-        return (K * area + np.pi * (h1 * _log(w) - h2 * b / w)
-                - np.pi * (r * _log(1.0 - d * Ab) + d * hinf))
-
+    g = h1 - r.conjugate()
+    hinf_c = rho * (u - v / A - z)   # conj(hinf)
     z1, z2 = geom._preimages(z) if preimages is None else preimages
-    I = (math.log(rho**2) - 1.0) * area + T(z1) + T(z2) - T(A)
-    return -0.5 * I.real
+    I = (math.log(rho**2) - 1.0) * area - math.pi * g.real * math.log(wA)
+    Q, Dc = -Ab / wA, -Ab   # sums of conj(d)/w and of conj(d), less T(A)'s
+    for c in (z1, z2):
+        m = np.maximum(c.real**2 + c.imag**2, 1.0)
+        dc = np.conj(c) / m
+        w = 1.0 - dc * A
+        I = I + area * np.log(m) + math.pi * (
+            0.5 * g.real * np.log(w.real**2 + w.imag**2)
+            - g.imag * np.arctan2(w.imag, w.real))
+        Q = Q + dc / w
+        Dc = Dc + dc
+    return -0.5 * (I - math.pi * ((h2 * Q).real + (hinf_c * Dc).real))
 
 
 def _disk_potential(center: complex, R: float, z: np.ndarray) -> np.ndarray:

@@ -315,6 +315,20 @@ def test_verify_quick(tmp_path):
     assert rep["passed"]
 
 
+def test_verify_records_the_equilibrium_report(tmp_path, capsys):
+    # verify.json holds the whole report of the worked example's check,
+    # which streams every node of its 150 x 150 mesh
+    rc = main(["--config", WORKED_EXAMPLE, "--out", str(tmp_path), "verify"])
+    assert rc == EXIT_OK
+    rep = json.loads((tmp_path / "verify.json").read_text())["equilibrium"]
+    assert rep["n_on"] + rep["n_off"] == 150**2
+    assert rep["passed"] and rep["tol_on"] == 1e-8
+    assert rep["max_dev_on"] < 1e-14 and rep["min_margin_off"] > 0.0
+    line, = (s for s in capsys.readouterr().out.splitlines()
+             if "equilibrium conditions" in s)
+    assert "max_dev_on" in line and "min_margin_off" in line
+
+
 def test_verify_gram_failure_exit_code(tmp_path, monkeypatch, capsys):
     # the Arnoldi raises above GRAM_TOL, so verify fails through main's
     # handler: exit 2 with one line

@@ -391,6 +391,56 @@ def test_exterior_potential_matches_contour_quadrature():
     assert n_in == n_out == 100
 
 
+def test_exterior_potential_is_continuous_across_the_boundary():
+    # the reflection of a preimage into the disk switches at |zeta| = 1,
+    # which the contour test keeps away from.  The log potential of a set
+    # of area |S| is Lipschitz with constant 2 sqrt(pi |S|), so the images
+    # of (1 +- delta) e^{i theta} differ in U by at most that times their
+    # distance; a wrong branch of the reflection would jump by O(1)
+    rng = np.random.default_rng(12)
+    circle = np.exp(2j * np.pi * np.arange(97) / 97)
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for em in [*_criterion_02_maps(rng, 30), *_general_maps(rng, 30)]:
+            lip = 2.0 * math.sqrt(math.pi * em.area())
+            for delta in (1e-9, 1e-6):
+                z_out = em.map((1.0 + delta) * circle)
+                z_in = em.map((1.0 - delta) * circle)
+                assert not em.contains(z_out).any()
+                assert em.contains(z_in).all()
+                jump = np.abs(_exterior_map_potential(em, z_out)
+                              - _exterior_map_potential(em, z_in))
+                worst = max(worst, float(np.max(
+                    jump / (lip * np.abs(z_out - z_in)))))
+    assert worst <= 1.0
+
+
+def test_exterior_map_preimages_solve_their_quadratic():
+    # both returned roots satisfy rho zeta^2 + (u - z - A rho) zeta
+    # + A(z - u) + v = 0, the larger in modulus first, at random points
+    # and within 1e-6 of the branch points f(A +- sqrt(v/rho)), where the
+    # discriminant vanishes (at a branch point itself the double root's
+    # two evaluations, q/rho and c/q, may differ in the last bit)
+    rng = np.random.default_rng(13)
+    for em in [*_criterion_02_maps(rng, 20), *_general_maps(rng, 20)]:
+        s = np.sqrt(complex(em.v) / em.rho)
+        branch = em.map(em.A + np.array([s, -s]))
+        near = branch[:, None] + 1e-6 * rng.uniform(size=(2, 50)) * np.exp(
+            2j * np.pi * rng.uniform(size=(2, 50)))
+        z = np.concatenate([
+            em.u + 3.0 * em.rho * (rng.normal(size=200)
+                                   + 1j * rng.normal(size=200)),
+            near.ravel()])
+        z1, z2 = em._preimages(z)
+        assert np.all(np.abs(z1) >= np.abs(z2))
+        for zeta in (z1, z2):
+            terms = [em.rho * zeta**2, (em.u - z - em.A * em.rho) * zeta,
+                     em.A * (z - em.u), em.v]
+            residual = np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
+            assert np.max(residual) < 1e-12
+
+
 def test_disk_with_cavities_contains_vectorised(cavity_potential):
     geom = classify_support(cavity_potential)
     (c, r), = geom.cavities
