@@ -2,7 +2,9 @@
 potential: disk-with-cavities classification, the rational exterior
 conformal map in the non-contained case, and verification of the
 equilibrium conditions, with the exact log potential of either support,
-at every node of a mesh.
+at every node of a mesh, folded across the real axis when every charge
+and the geometry are exactly real (conjugate pairs are not: the mirror
+reorders their charge sum), with the full mesh's report bit for bit.
 Constants: the cavity gap _GAP, and verify_equilibrium's mesh margin
 _MESH_MARGIN and off-support tolerance TOL_OFF.
 """
@@ -191,12 +193,12 @@ def _cubic(alpha: float, beta: float, t: float):
     return g, dg, (c0, 0.0, c2, c3)
 
 
-def _map_from_root(alpha: float, t: float, phi: float, x: float) -> ExteriorMap:
+def _map_from_root(alpha: float, t: float, e: complex, x: float) -> ExteriorMap:
     K = math.sqrt(x)
     rho = (K**2 * t**2 + 1.0 / (2.0 * alpha)) / (2.0 * K * t)
     s = (1.0 - K**2) * (K**2 * t**2 - 1.0 / (2.0 * alpha)) / (2.0 * K * t)
-    A = K * cmath.exp(1j * phi)
-    v = s * cmath.exp(2j * phi)
+    A = K * e
+    v = s * (e * e)
     # second system equation, conj(u) = conj(v)/conj(A), i.e. u = v/A
     u = v / A
     return ExteriorMap(rho=rho, u=u, v=v, A=A)
@@ -205,9 +207,11 @@ def _map_from_root(alpha: float, t: float, phi: float, x: float) -> ExteriorMap:
 def solve_exterior_map(alpha: float, beta: float, a: complex) -> ExteriorMap:
     """Solve the four-equation system for the exterior map parameters.
 
-    The phases of A and v are fixed by the phase of a; the modulus
-    reduces to the cubic in x = K^2.  Its real roots in (0, 1), polished
-    by Newton steps, are tried in increasing order, and the first one
+    The phases of A and v are fixed by the direction e = a/|a| of a (A
+    along e, v along e^2), so a real charge, of either sign, gives exactly
+    real A, u and v; the modulus reduces to the cubic in x = K^2.  Its
+    real roots in (0, 1), polished by Newton steps, are tried in
+    increasing order, and the first one
     whose map is univalent (both critical points inside the unit disk,
     see ExteriorMap.is_univalent) with the charge outside the support is
     returned.  When the cavity and outer-disk boundary circles intersect
@@ -216,9 +220,10 @@ def solve_exterior_map(alpha: float, beta: float, a: complex) -> ExteriorMap:
     passes.
     """
     a = complex(a)
-    t, phi = abs(a), cmath.phase(a)
+    t = abs(a)
     if t == 0:
         raise NoRootError("degenerate charge location a = 0")
+    e = a / t
     r = math.sqrt(beta / (2.0 * alpha))
     R = math.sqrt((1.0 + beta) / (2.0 * alpha))
     if t + r <= R:
@@ -232,7 +237,7 @@ def solve_exterior_map(alpha: float, beta: float, a: complex) -> ExteriorMap:
         for _ in range(3):
             x -= g(x) / dg(x)
         try:
-            em = _map_from_root(alpha, t, phi, x)
+            em = _map_from_root(alpha, t, e, x)
         except ValueError:
             continue
         if em.is_univalent() and not em.contains(a):
@@ -367,11 +372,42 @@ class EquilibriumReport:
                 and self.min_margin_off >= -self.tol_off)
 
 
+def mesh_axis(geom, n: int) -> np.ndarray:
+    """The n coordinates, on either axis, of verify_equilibrium's mesh,
+    from -extent to extent: the support's largest modulus (outer radius,
+    or largest of 720 boundary samples) plus _MESH_MARGIN.  The upper half
+    is np.linspace's, the lower half its exact negative (xs[i] ==
+    -xs[n-1-i], an odd mesh's middle node 0.0), so each mesh row's mirror
+    image is a mesh row."""
+    if isinstance(geom, DiskWithCavities):
+        extent = geom.outer_radius + _MESH_MARGIN
+    else:
+        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        extent = float(np.max(np.abs(geom.boundary(th)))) + _MESH_MARGIN
+    xs = np.linspace(-extent, extent, n)
+    xs[:n // 2] = -xs[:(n - 1) // 2:-1]
+    if n % 2:
+        xs[n // 2] = 0.0
+    return xs
+
+
+def _real_symmetric(geom, p: PerturbedPotential) -> bool:
+    """Whether every charge of p, and the geometry, are exactly real:
+    the cavity centres, or the map's u, v and A, have imaginary part 0."""
+    if isinstance(geom, DiskWithCavities):
+        centres = [c for c, _ in geom.cavities]
+    else:
+        centres = [geom.u, geom.v, geom.A]
+    return all(complex(c).imag == 0.0
+               for c in [a for a, _ in p.nu.charges] + centres)
+
+
 def verify_equilibrium(geom, p: PerturbedPotential,
                        grid_spec: dict | None = None) -> EquilibriumReport:
     """Check U^sigma + V = F on the support and >= F off it at every node
-    of a cartesian n x n mesh covering the support plus a margin annulus.
-    grid_spec may set n (200) and tol_on (1e-8), and no other key.
+    of a cartesian n x n mesh (`mesh_axis` on both axes) covering the
+    support plus a margin annulus.  grid_spec may set n (200) and tol_on
+    (1e-8), and no other key.
 
     U^sigma is exact for both geometries, so no node is skipped: each is
     on the support (geom.contains for a disk, the preimage test for an
@@ -391,6 +427,17 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     |z1|.  So memory grows with the block, not with the mesh.  As
     p -> fl(p - F) is monotone, max(pmax - F, F - pmin) is the largest
     |U^sigma + V - F| over the on-support nodes.
+
+    Mirror fold: when every charge and the geometry are exactly real
+    (_real_symmetric), only the first ceil(n/2) rows, y <= 0, are
+    evaluated, each but an odd mesh's middle row (y = 0.0) counting for
+    its mirror too.  The report is the full mesh's bit for bit: every
+    operation on this path (hypot moduli, complex products, numpy's
+    quotients, the complex square root, the odd arctan2, the charge sums
+    in their order) gives conjugate results for conjugate inputs, and on
+    a tie in |z1| the lower row comes first in mesh order.  Conjugate
+    pairs of charges are not folded: the mirror swaps the order of their
+    charge sum, so a node and its mirror agree only to rounding.
     """
     spec = {"n": 200, "tol_on": 1e-8, **(grid_spec or {})}
     unknown = sorted(spec.keys() - {"n", "tol_on"})
@@ -399,19 +446,21 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     n = spec["n"]
 
     disk = isinstance(geom, DiskWithCavities)
-    if disk:
-        extent = geom.outer_radius + _MESH_MARGIN
+    xs = mesh_axis(geom, n)
+    # how many mesh rows each evaluated row counts for
+    if _real_symmetric(geom, p):
+        mult = np.where(np.arange((n + 1) // 2) < n // 2, 2, 1)
     else:
-        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        extent = float(np.max(np.abs(geom.boundary(th)))) + _MESH_MARGIN
-    xs = np.linspace(-extent, extent, n)
+        mult = np.ones(n, dtype=int)
 
     pmin, pmax, pmin_off = np.inf, -np.inf, np.inf
     n_on = 0
     deep, z_ref = np.inf, None
+    ys = xs[:mult.size]   # y of the evaluated rows
     rows = max(1, _BLOCK // n)
-    for r0 in range(0, n, rows):
-        z = (xs[None, :] + 1j * xs[r0:r0 + rows, None]).ravel()
+    for r0 in range(0, ys.size, rows):
+        y = ys[r0:r0 + rows]
+        z = (xs[None, :] + 1j * y[:, None]).ravel()
         if disk:
             on = geom.contains(z)
             u = effective_potential(geom, p, z)
@@ -430,7 +479,7 @@ def verify_equilibrium(geom, p: PerturbedPotential,
         pmin = np.minimum(pmin, np.min(u_on, initial=np.inf))
         pmax = np.maximum(pmax, np.max(u_on, initial=-np.inf))
         pmin_off = np.minimum(pmin_off, np.min(u[~on], initial=np.inf))
-        n_on += u_on.size
+        n_on += int(mult[r0:r0 + rows] @ on.reshape(y.size, n).sum(1))
 
     if disk:
         F = robin_constant(geom, p)

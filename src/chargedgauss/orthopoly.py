@@ -193,6 +193,9 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid | None,
     nrm = _norm(v)
     Q[0] = v / nrm
     u = v.view(LD) if fold else v   # v as the inner product sees it
+    # conjugation is the identity on the real views, where np.conj would
+    # only copy them
+    conj = (lambda a: a) if fold else np.conj
 
     gram = 0.0   # Gram residual max |<q_i, q_j>|, i < j, of the final rows
     for k in range(n_max):
@@ -201,7 +204,7 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid | None,
         nrm = _norm(v)
         for _pass in range(2):
             # conjugating v, not Q, spares a conjugated copy of the basis
-            h = np.conj(np.dot(Bk, np.conj(u)))
+            h = conj(np.dot(Bk, conj(u)))
             u -= np.dot(h, Bk)
             H[:k + 1, k] += h
             before, nrm = nrm, _norm(v)
@@ -212,7 +215,7 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid | None,
                 f"vanishing norm at degree {k + 1}; grid cannot resolve it")
         H[k + 1, k] = nrm
         Q[k + 1] = v / nrm
-        gram = max(gram, float(np.max(np.abs(np.dot(Bk, np.conj(B[k + 1]))))))
+        gram = max(gram, float(np.max(np.abs(np.dot(Bk, conj(B[k + 1]))))))
 
     if fold:
         # back from the rule's frame: q_k(z) = e^{ik phi} q~_k(z e^{-i phi})

@@ -130,16 +130,17 @@ def _gauss_rule(a: np.ndarray, b: np.ndarray, mu0):
     m = a.size
     b = np.concatenate([[LD(0.0)], b, [LD(1.0)]])   # b[m] = 1
 
-    def recurrence(x):
+    def recurrence(x, derivative=True):
         # row k+1: p_k for k < m, then b_m p_m (zero at the nodes);
-        # D: their derivatives
+        # D: their derivatives, if asked for
         P = np.zeros((m + 2, x.size), dtype=LD)
-        D = np.zeros_like(P)
+        D = np.zeros_like(P) if derivative else None
         P[1] = 1.0
         for k in range(m):
             P[k + 2] = ((x - a[k]) * P[k + 1] - b[k] * P[k]) / b[k + 1]
-            D[k + 2] = (P[k + 1] + (x - a[k]) * D[k + 1]
-                        - b[k] * D[k]) / b[k + 1]
+            if derivative:
+                D[k + 2] = (P[k + 1] + (x - a[k]) * D[k + 1]
+                            - b[k] * D[k]) / b[k + 1]
         return P, D
 
     J = np.diag(a) + np.diag(b[1:m], 1) + np.diag(b[1:m], -1)
@@ -147,7 +148,7 @@ def _gauss_rule(a: np.ndarray, b: np.ndarray, mu0):
     for _ in range(3):
         P, D = recurrence(x)
         x = x - P[m + 1] / D[m + 1]
-    P, _ = recurrence(x)
+    P, _ = recurrence(x, derivative=False)
     return x, LD(mu0) / np.sum(P[1:m + 1] ** 2, axis=0)
 
 
@@ -381,10 +382,12 @@ def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
                  f"the {r.size} x {n_t} quadrature grid")
 
     th = LD(2.0) * _PI * np.arange(n_t, dtype=LD) / LD(n_t)
-    e = np.exp(1j * th.astype(CLD))
-    nodes = r.astype(CLD)[:, None] * e[None, :]
-    dth = LD(2.0) * _PI / LD(n_t)
-    areas = (wr[:, None] * r[:, None] * dth * np.ones(n_t, dtype=LD)[None, :]).ravel()
+    # r e^{i theta} as the real products r cos and r sin, written in
+    # place, and each ring's area weight formed once
+    nodes = np.empty((r.size, n_t), dtype=CLD)
+    np.multiply(r[:, None], np.cos(th), out=nodes.real)
+    np.multiply(r[:, None], np.sin(th), out=nodes.imag)
+    areas = np.repeat(wr * r * (LD(2.0) * _PI / LD(n_t)), n_t)
 
     return QuadGrid(nodes=nodes.ravel(), areas=areas, r_trunc=float(rt),
                     radial_order=n_r, angular_order=n_t, potential=p)

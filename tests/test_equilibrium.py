@@ -14,7 +14,7 @@ from chargedgauss.equilibrium import (DiskWithCavities, ExteriorMap,
                                       NoRootError, UnsupportedGeometry,
                                       _exterior_map_potential,
                                       classify_support, effective_potential,
-                                      outer_radius, robin_constant,
+                                      mesh_axis, outer_radius, robin_constant,
                                       solve_exterior_map, support_area,
                                       system_residuals, verify_equilibrium)
 from chargedgauss.measures import PerturbedPotential, PointChargeMeasure
@@ -99,6 +99,16 @@ def test_exterior_map_intersecting_regime():
     em = solve_exterior_map(0.5, 0.5, 1.5)
     assert np.max(system_residuals(em, 0.5, 0.5, 1.5)) < 1e-10
     assert abs(em.area() - math.pi) < 1e-10
+
+
+def test_exterior_map_on_the_negative_real_axis_is_real():
+    # the direction a/|a| of a = -2 is -1 exactly, so A, u and v are real
+    # and the map is that of a = 2 turned by pi, z -> -z, bit for bit
+    em, neg = (solve_exterior_map(0.5, 0.5, a) for a in (2.0, -2.0))
+    assert neg.A.imag == neg.u.imag == neg.v.imag == 0.0
+    assert (neg.rho, neg.A, neg.u, neg.v) == (em.rho, -em.A, -em.u, em.v)
+    assert equilibrium._real_symmetric(neg, PerturbedPotential(
+        alpha=0.5, nu=PointChargeMeasure(((-2.0, 0.5),))))
 
 
 def test_exterior_map_rejects_contained_cavity():
@@ -238,27 +248,24 @@ def test_verify_equilibrium_sees_the_boundary_band(monkeypatch,
 
 
 def _full_mesh_report(geom, p, n):
-    """verify_equilibrium's masks, F and deviations at its default margin,
-    over the whole mesh at once: the potential at every node, on-support
-    nodes by geom.contains and z_ref the first on-support node of smallest
-    |z1|, z1 the larger preimage.  F_far is the effective potential at the
-    on-support node farthest from every 8th of 720 boundary samples, by
-    the full distance matrix (the rule z_ref had before).  Returns (z_ref,
+    """verify_equilibrium's masks, F and deviations on its mesh
+    (`mesh_axis`), over the whole mesh at once: the potential at every
+    node, on-support nodes by geom.contains and z_ref the first on-support
+    node of smallest |z1|, z1 the larger preimage.  F_far is the effective
+    potential at the on-support node farthest from every 8th of 720
+    boundary samples, by the full distance matrix (the rule z_ref had
+    before).  Returns (z_ref,
     F, max_dev_on, min_margin_off, n_on, n_off, F_far); z_ref and F_far
     are None for a disk."""
-    if isinstance(geom, DiskWithCavities):
-        extent = geom.outer_radius + 0.6
-    else:
-        bpts = geom.boundary(np.linspace(0.0, 2.0 * np.pi, 720,
-                                         endpoint=False))
-        extent = float(np.max(np.abs(bpts))) + 0.6
-    xs = np.linspace(-extent, extent, n)
+    xs = mesh_axis(geom, n)
     z = (xs[None, :] + 1j * xs[:, None]).ravel()
     u = effective_potential(geom, p, z)
     on = geom.contains(z)
     if isinstance(geom, DiskWithCavities):
         z_ref, F, F_far = None, robin_constant(geom, p), None
     else:
+        bpts = geom.boundary(np.linspace(0.0, 2.0 * np.pi, 720,
+                                         endpoint=False))
         z_ref = z[on][np.argmin(np.abs(geom._preimages(z[on])[0]))]
         F = float(effective_potential(geom, p, z_ref)[0])
         far = np.min(np.abs(z[on][:, None] - bpts[None, ::8]), axis=1)
@@ -269,6 +276,8 @@ def _full_mesh_report(geom, p, n):
 
 @pytest.mark.parametrize("alpha, beta, a, n", [
     (0.5, 0.5, 2.0, 200),                                 # criterion 03
+    (0.5, 0.5, 2.0, 199),                                 # an odd mesh
+    (0.5, 0.5, -2.0, 200),                                # the mirror charge
     (1.5349565601577209, 0.6497336667932423,              # a deep bite
      -0.12961022181931692 - 0.30445041927152344j, 60),
     (0.5, 0.5, 0.3, 80),                                  # a cavity
@@ -277,7 +286,10 @@ def test_verify_equilibrium_matches_full_mesh(monkeypatch, alpha, beta, a,
                                               n):
     # the row-block stream gives the whole mesh's report, and picks the
     # same z_ref: the one point at which it evaluates effective_potential.
-    # F there is F at the node farthest from the boundary samples
+    # F there is F at the node farthest from the boundary samples.  A
+    # real charge's mesh is folded across the real axis, and its report
+    # is the whole mesh's bit for bit
+    tol = 0.0 if complex(a).imag == 0.0 else 1e-15
     p = PerturbedPotential(alpha=alpha, nu=PointChargeMeasure(((a, beta),)),
                            N=2.0, gamma=2.0)
     geom = classify_support(p)
@@ -294,10 +306,53 @@ def test_verify_equilibrium_matches_full_mesh(monkeypatch, alpha, beta, a,
         assert points == [z_ref]
         assert abs(F - F_far) <= 1e-15
     assert (rep.n_on, rep.n_off) == (n_on, n_off)
-    assert abs(rep.robin_constant - F) <= 1e-15
-    assert abs(rep.max_dev_on - dev) <= 1e-15
-    assert abs(rep.min_margin_off - margin) <= 1e-15
+    assert abs(rep.robin_constant - F) <= tol
+    assert abs(rep.max_dev_on - dev) <= tol
+    assert abs(rep.min_margin_off - margin) <= tol
     assert rep.passed
+
+
+@pytest.mark.parametrize("charges, n, nodes", [
+    (((2.0, 0.5),), 200, 200 * 100),                      # criterion 03
+    (((2.0, 0.5),), 199, 199 * 100),                      # an odd mesh
+    (((-2.0, 0.5),), 60, 60 * 30),
+    (((0.3, 0.5),), 81, 81 * 41),                         # a cavity
+    (((2.0 * np.exp(0.7j), 0.5),), 60, 60 * 60),          # tilted
+    (((0.3 + 0.4j, 0.1), (0.3 - 0.4j, 0.1)), 61, 61 * 61),  # a pair
+])
+def test_verify_equilibrium_folds_real_charges(monkeypatch, charges, n,
+                                               nodes):
+    # a real charge's mesh is evaluated on its rows y <= 0 only, n
+    # ceil(n/2) nodes; a tilted charge or a conjugate pair, whose charge
+    # sum a mirror reorders, evaluates all n^2.  An exterior map also
+    # evaluates V at z_ref
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(charges),
+                           N=2.0, gamma=2.0)
+    geom = classify_support(p)
+    sizes = []
+    value_grid = PerturbedPotential.value_grid
+
+    def spy(self, z):
+        sizes.append(np.size(z))
+        return value_grid(self, z)
+
+    monkeypatch.setattr(PerturbedPotential, "value_grid", spy)
+    rep = verify_equilibrium(geom, p, {"n": n})
+    assert sum(sizes) == nodes + isinstance(geom, ExteriorMap)
+    assert rep.n_on + rep.n_off == n * n
+    assert rep.passed
+
+
+def test_mesh_axis_is_antisymmetric(exterior_map, cavity_potential):
+    # xs[i] == -xs[n-1-i], an odd mesh's middle node 0.0, and the upper
+    # half np.linspace's
+    for geom in (exterior_map, classify_support(cavity_potential)):
+        for n in (2, 59, 60, 199, 200):
+            xs = mesh_axis(geom, n)
+            ref = np.linspace(-xs[-1], xs[-1], n)
+            assert np.array_equal(xs, -xs[::-1])
+            assert np.array_equal(xs[n // 2 + n % 2:], ref[n // 2 + n % 2:])
+            assert np.all(np.diff(xs) > 0)
 
 
 @pytest.mark.parametrize("n", [200, 400])
