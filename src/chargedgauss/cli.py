@@ -322,15 +322,24 @@ def _covered_trajectories(geom) -> list:
         return []
 
 
+def _trajectory_health(trajs):
+    """(ok, summary) of the curves: ok if their largest residual is below
+    TRAJECTORY_TOL and none ended 'maxsteps', stopped early by the tracer."""
+    worst = max((t.max_residual for t in trajs), default=0.0)
+    cut = sum(t.end_tag == "maxsteps" for t in trajs)
+    return (worst < schwarz.TRAJECTORY_TOL and not cut,
+            f"max residual {worst:.2e}, {cut} stopped at maxsteps")
+
+
 def cmd_trajectory(cfg: ExperimentConfig, out: Path, args) -> int:
     geom = equilibrium.classify_support(cfg.potential(n=args.degree))
     _, trajs = schwarz.support_trajectories(geom)
     _write_trajectories(out / "trajectories.csv", trajs)
     _support_svg(geom, [("line", t.points, "red") for t in trajs],
                  out / "trajectories.svg")
-    worst = max((t.max_residual for t in trajs), default=0.0)
-    print(f"trajectory: {len(trajs)} curves, max residual {worst:.2e}")
-    return EXIT_OK if worst < schwarz.TRAJECTORY_TOL else EXIT_INVARIANT
+    ok, health = _trajectory_health(trajs)
+    print(f"trajectory: {len(trajs)} curves, {health}")
+    return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def cmd_fekete(cfg: ExperimentConfig, out: Path, args) -> int:
@@ -355,10 +364,13 @@ def cmd_fekete(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK if res.converged else EXIT_INVARIANT
 
 
-def cmd_compare(cfg: ExperimentConfig, out: Path, args) -> int:
+def cmd_compare(cfg: ExperimentConfig, out: Path, args, zs=None) -> int:
+    """zs, if given, are the zeros of P_n at the degree n compared."""
     n = args.degree or 30
-    p, _, ops = _build_polys(cfg, n, args.quad, False)
-    zs = orthopoly.compute_zeros(ops, n)
+    if zs is None:
+        _, _, ops = _build_polys(cfg, n, args.quad, False)
+        zs = orthopoly.compute_zeros(ops, n)
+    p = cfg.potential(n=n)
     R = equilibrium.outer_radius(p)
     rr = np.linspace(1.5 * R, 3.0 * R, 40)
     tt = 2 * np.pi * np.arange(72) / 72
@@ -366,8 +378,8 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, args) -> int:
     rep = schwarz.external_potential_compare(zs, p, zpts)
     write_csv(out / f"compare_n{n}.csv", ["x", "y", "error"],
               [(z.real, z.imag, e) for z, e in zip(zpts, rep["errors"])])
-    print(f"compare: n={n} sup_err={rep['sup_error']:.4f} "
-          f"mean_err={rep['mean_error']:.4f}")
+    print(f"compare: n={n} sup_err={rep['sup_error']:.2e} "
+          f"mean_err={rep['mean_error']:.2e}")
     return EXIT_OK
 
 
@@ -387,7 +399,8 @@ def cmd_pipeline(cfg: ExperimentConfig, out: Path, args) -> int:
     rc2 = cmd_dbar_check(cfg, out, argparse.Namespace(
         degree=min(3, n), quad=args.quad, quick=args.quick))
     rc3 = cmd_compare(cfg, out, argparse.Namespace(
-        degree=min(30, n), quad=args.quad, quick=args.quick))
+        degree=min(30, n), quad=args.quad, quick=args.quick),
+        zs if n <= 30 else None)
     print(f"pipeline: done (n={n}), equilibrium "
           f"{'PASS' if rep.passed else 'FAIL'}")
     codes = [rc, rc2, rc3, EXIT_OK if rep.passed else EXIT_INVARIANT]
@@ -422,13 +435,17 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
           < orthopoly.PRODUCT_FORM_TOL)
     uniq = dbar.uniqueness_crosscheck(ops, p2, grid, min(3, n))
     check("moment identities", _moments_hold(uniq))
+    record = {"failures": failures, "equilibrium": _equilibrium_dict(rep)}
+    if isinstance(geom, ExteriorMap):   # criterion 02
+        (a, beta), = p.nu.charges
+        res = max(equilibrium.system_residuals(geom, p.alpha, beta, a))
+        check(f"map-system residual ({res:.2e})", res < equilibrium.SYSTEM_TOL)
+        record["map_system_residual"] = res
     trajs = _covered_trajectories(geom)
     if trajs:
-        check("trajectory residual", all(
-            t.max_residual < schwarz.TRAJECTORY_TOL for t in trajs))
-    write_json(out / "verify.json", {"failures": failures,
-                                     "passed": not failures,
-                                     "equilibrium": _equilibrium_dict(rep)})
+        ok, health = _trajectory_health(trajs)
+        check(f"trajectory residual ({health})", ok)
+    write_json(out / "verify.json", {**record, "passed": not failures})
     print(f"verify: {'PASS' if not failures else 'FAIL'}")
     return EXIT_OK if not failures else EXIT_INVARIANT
 

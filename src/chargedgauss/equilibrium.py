@@ -1,11 +1,13 @@
 """Support geometry of the equilibrium measure for a perturbed Gaussian
 potential: disk-with-cavities classification, the rational exterior
-conformal map in the non-contained case, and verification of the
+conformal map in the non-contained case, the equilibrium constant of
+either support (for a map, at a critical value), and verification of the
 equilibrium conditions, with the exact log potential of either support,
 at every node of a mesh, folded across the real axis when every charge
 and the geometry are exactly real (conjugate pairs are not: the mirror
 reorders their charge sum), with the full mesh's report bit for bit.
-Constants: the cavity gap _GAP, and verify_equilibrium's mesh margin
+Constants: the cavity gap _GAP, the map equations' residual bound
+SYSTEM_TOL (criterion 02), and verify_equilibrium's mesh margin
 _MESH_MARGIN and off-support tolerance TOL_OFF.
 """
 
@@ -23,6 +25,7 @@ from .measures import PerturbedPotential
 _GAP = 1e-9
 _MESH_MARGIN = 0.6
 TOL_OFF = 1e-8
+SYSTEM_TOL = 1e-10
 # mesh nodes per block of whole rows in verify_equilibrium
 _BLOCK = 4096
 
@@ -107,8 +110,17 @@ class ExteriorMap:
         This also rejects maps that trace the boundary clockwise, which a
         crossing test on the sampled boundary cannot see.
         """
+        return all(abs(c) < 1.0 for c in self.critical_points())
+
+    def critical_points(self):
+        """The zeros A + s and A - s of f', s the principal sqrt(v/rho)."""
         s = cmath.sqrt(complex(self.v) / self.rho)
-        return abs(self.A + s) < 1.0 and abs(self.A - s) < 1.0
+        return self.A + s, self.A - s
+
+    def critical_value(self, zeta):
+        """f(zeta) at a critical point zeta, where v/(zeta - A) = rho (zeta
+        - A): u + rho (2 zeta - A), with no division."""
+        return self.u + self.rho * (2.0 * zeta - self.A)
 
     def zeta_roots(self, z: complex):
         """Both preimages of z under the map extended to all of C, the
@@ -178,19 +190,11 @@ def classify_support(p: PerturbedPotential):
         "multi-charge configuration with a non-contained cavity")
 
 
-def _cubic(alpha: float, beta: float, t: float):
-    """g(x) = 2 t^4 x^3 - (t^4 + (1+2 beta)/alpha t^2) x^2 + 1/(4 alpha^2)."""
-    c3 = 2.0 * t**4
-    c2 = -(t**4 + (1.0 + 2.0 * beta) / alpha * t**2)
-    c0 = 1.0 / (4.0 * alpha**2)
-
-    def g(x):
-        return c3 * x**3 + c2 * x**2 + c0
-
-    def dg(x):
-        return 3.0 * c3 * x**2 + 2.0 * c2 * x
-
-    return g, dg, (c0, 0.0, c2, c3)
+def _cubic(alpha: float, beta: float, t: float) -> tuple:
+    """The coefficients, highest first, of g(x) = 2 t^4 x^3 - (t^4 +
+    (1+2 beta)/alpha t^2) x^2 + 1/(4 alpha^2)."""
+    return (2.0 * t**4, -(t**4 + (1.0 + 2.0 * beta) / alpha * t**2), 0.0,
+            1.0 / (4.0 * alpha**2))
 
 
 def _map_from_root(alpha: float, t: float, e: complex, x: float) -> ExteriorMap:
@@ -229,13 +233,14 @@ def solve_exterior_map(alpha: float, beta: float, a: complex) -> ExteriorMap:
     if t + r <= R:
         raise NoRootError("cavity is contained in B(0,R); no exterior map")
 
-    g, dg, coeffs = _cubic(alpha, beta, t)
-    for rr in np.polynomial.Polynomial(coeffs).roots():
+    g = _cubic(alpha, beta, t)
+    dg = np.polyder(g)
+    for rr in np.sort(np.roots(g)):
         if abs(rr.imag) >= 1e-9 or not 1e-12 < rr.real < 1.0 - 1e-12:
             continue
         x = rr.real
         for _ in range(3):
-            x -= g(x) / dg(x)
+            x -= np.polyval(g, x) / np.polyval(dg, x)
         try:
             em = _map_from_root(alpha, t, e, x)
         except ValueError:
@@ -265,13 +270,15 @@ def support_area(geom) -> float:
 
 
 def robin_constant(geom, p: PerturbedPotential) -> float:
-    """F = alpha R^2 (log(1/R^2) + 1) for the disk-with-cavities case."""
-    if not isinstance(geom, DiskWithCavities):
-        raise NotImplementedError(
-            "no closed form for the exterior-map case; evaluate "
-            "effective_potential at an interior point instead")
-    R = geom.outer_radius
-    return p.alpha * R**2 * (math.log(1.0 / R**2) + 1.0)
+    """F = U^sigma + V on the support: alpha R^2 (log(1/R^2) + 1) for a
+    disk with cavities; for an exterior map the effective potential at
+    f(zeta_+), zeta_+ the first of ExteriorMap.critical_points, a point of
+    the support, as both of its preimages are zeta_+."""
+    if isinstance(geom, DiskWithCavities):
+        R = geom.outer_radius
+        return p.alpha * R**2 * (math.log(1.0 / R**2) + 1.0)
+    z = geom.critical_value(geom.critical_points()[0])
+    return float(effective_potential(geom, p, z)[0])
 
 
 def _exterior_map_potential(geom: ExteriorMap, z: np.ndarray,
@@ -412,20 +419,15 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     U^sigma is exact for both geometries, so no node is skipped: each is
     on the support (geom.contains for a disk, the preimage test for an
     exterior map) or off it, and n_on + n_off = n^2.  A node on a charge
-    has V = +inf and counts off the support with margin +inf.  For an
-    exterior map F is the effective potential at z_ref, the on-support
-    node with the smallest |z1|, z1 the larger preimage of the node (the
-    first such node in mesh order on ties).  |z1| -> 1 on the boundary, so
-    z_ref lies deep inside the support, where F is constant, and comes
-    from the preimage solve the support test already makes; the boundary
-    samples' mean (= u) can lie off a support with a deep bite.
+    has V = +inf and counts off the support with margin +inf.  F is
+    robin_constant's, which takes no mesh node: a mesh that misses the
+    support reports n_on = 0 and max_dev_on = 0.
 
     The mesh is streamed in blocks of whole rows, about _BLOCK nodes each.
     Each block's potential is reduced to the minimum and maximum of
-    U^sigma + V over its on-support nodes, the minimum over its
-    off-support nodes and, for an exterior map, its node of smallest
-    |z1|.  So memory grows with the block, not with the mesh.  As
-    p -> fl(p - F) is monotone, max(pmax - F, F - pmin) is the largest
+    U^sigma + V over its on-support nodes and the minimum over its
+    off-support nodes, so memory grows with the block, not with the mesh.
+    As p -> fl(p - F) is monotone, max(pmax - F, F - pmin) is the largest
     |U^sigma + V - F| over the on-support nodes.
 
     Mirror fold: when every charge and the geometry are exactly real
@@ -434,10 +436,9 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     its mirror too.  The report is the full mesh's bit for bit: every
     operation on this path (hypot moduli, complex products, numpy's
     quotients, the complex square root, the odd arctan2, the charge sums
-    in their order) gives conjugate results for conjugate inputs, and on
-    a tie in |z1| the lower row comes first in mesh order.  Conjugate
-    pairs of charges are not folded: the mirror swaps the order of their
-    charge sum, so a node and its mirror agree only to rounding.
+    in their order) gives conjugate results for conjugate inputs.
+    Conjugate pairs of charges are not folded: the mirror swaps the order
+    of their charge sum, so a node and its mirror agree only to rounding.
     """
     spec = {"n": 200, "tol_on": 1e-8, **(grid_spec or {})}
     unknown = sorted(spec.keys() - {"n", "tol_on"})
@@ -445,7 +446,6 @@ def verify_equilibrium(geom, p: PerturbedPotential,
         raise ValueError(f"grid_spec keys {unknown}: only n and tol_on")
     n = spec["n"]
 
-    disk = isinstance(geom, DiskWithCavities)
     xs = mesh_axis(geom, n)
     # how many mesh rows each evaluated row counts for
     if _real_symmetric(geom, p):
@@ -455,38 +455,27 @@ def verify_equilibrium(geom, p: PerturbedPotential,
 
     pmin, pmax, pmin_off = np.inf, -np.inf, np.inf
     n_on = 0
-    deep, z_ref = np.inf, None
     ys = xs[:mult.size]   # y of the evaluated rows
     rows = max(1, _BLOCK // n)
     for r0 in range(0, ys.size, rows):
         y = ys[r0:r0 + rows]
         z = (xs[None, :] + 1j * y[:, None]).ravel()
-        if disk:
+        if isinstance(geom, DiskWithCavities):
             on = geom.contains(z)
             u = effective_potential(geom, p, z)
         else:
             # one preimage solve serves the support test and the potential
             z1, z2 = geom._preimages(z)
-            r1 = np.abs(z1)
-            on = (r1 < 1.0) & (np.abs(z2) < 1.0)
+            on = (np.abs(z1) < 1.0) & (np.abs(z2) < 1.0)
             u = (2.0 * p.alpha / math.pi * _exterior_map_potential(
                 geom, z, (z1, z2)) + p.value_grid(z))
-            if np.any(on):
-                k = np.argmin(np.where(on, r1, np.inf))
-                if r1[k] < deep:   # the first deepest node of the mesh
-                    deep, z_ref = r1[k], z[k]
         u_on = u[on]
         pmin = np.minimum(pmin, np.min(u_on, initial=np.inf))
         pmax = np.maximum(pmax, np.max(u_on, initial=-np.inf))
         pmin_off = np.minimum(pmin_off, np.min(u[~on], initial=np.inf))
         n_on += int(mult[r0:r0 + rows] @ on.reshape(y.size, n).sum(1))
 
-    if disk:
-        F = robin_constant(geom, p)
-    elif z_ref is None:
-        raise ValueError("no mesh node lies in the support")
-    else:
-        F = float(effective_potential(geom, p, z_ref)[0])
+    F = robin_constant(geom, p)
     dev_on = float(np.maximum(pmax - F, F - pmin)) if n_on else 0.0
     return EquilibriumReport(robin_constant=F, max_dev_on=dev_on,
                              min_margin_off=float(pmin_off - F),

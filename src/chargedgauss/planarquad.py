@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
 
 from .equilibrium import cavity_radius, outer_radius
 from .measures import PerturbedPotential, charge_potential_grid
@@ -437,6 +436,9 @@ def cauchy_transform(grid: QuadGrid, values, z) -> np.ndarray:
     r_trunc nothing is split and the sum is the moment series of lambda.
     The result is smooth in z, as finite-difference d-bar checks need.
     """
+    # here, so the other numeric paths load no numpy.polynomial
+    from numpy.polynomial.legendre import legvander
+
     z = np.asarray(z, dtype=CLD)
     T, n = grid.angular_order, grid.radial_order
     K = T // 2

@@ -54,7 +54,7 @@ class SelfIntersection(Exception):
 
 
 class DegenerateMap(Exception):
-    """Map parameters degenerate the branch-point quadratic."""
+    """Map parameters collapse the two branch points onto each other."""
 
 
 class StiffRegion(Exception):
@@ -81,27 +81,17 @@ def boundary_curve(geom: ExteriorMap, n_samples: int = 720) -> BoundaryCurve:
 
 
 def branch_points(geom: ExteriorMap) -> list:
-    """Roots z of the sheet-quadratic discriminant
-    (u - z - A*rho)^2 - 4*rho*(A*(z - u) + v), filtered to the interior
-    sheet (coincident zeta in the closed unit disk)."""
-    rho, u, v, A = geom.rho, geom.u, geom.v, geom.A
-    # z^2 - 2(u + A*rho) z + (u - A*rho)^2 + 4*rho*(A*u - v)
-    b = -2.0 * (u + A * rho)
-    c = (u - A * rho) ** 2 + 4.0 * rho * (A * u - v)
-    disc = cmath.sqrt(b * b - 4.0 * c)
-    roots = [(-b + disc) / 2.0, (-b - disc) / 2.0]
+    """Square-root branch points of the Schwarz function: the images
+    (ExteriorMap.critical_value) of the critical points of f, in their
+    order, kept where the critical point lies in the closed unit disk (to
+    1e-12)."""
+    crit = geom.critical_points()
+    roots = [geom.critical_value(zeta) for zeta in crit]
     if abs(roots[0] - roots[1]) < 1e-7 * max(1.0, abs(roots[0])):
-        # v -> 0 collapses the two branch points onto each other (the
-        # boundary degenerates to a circle, whose Schwarz function is
-        # entire off the center); below the square-root noise floor the
-        # separation carries no information
+        # v -> 0 collapses the branch points onto each other, and the
+        # boundary onto a circle, whose Schwarz function has no branch point
         raise DegenerateMap("branch points numerically coincident")
-    kept = []
-    for z in roots:
-        zeta = (z - u + A * rho) / (2.0 * rho)
-        if abs(zeta) <= 1.0 + 1e-12:
-            kept.append(z)
-    return kept
+    return [z for z, zeta in zip(roots, crit) if abs(zeta) <= 1.0 + 1e-12]
 
 
 class ExteriorDeltaS:
@@ -206,8 +196,8 @@ class CavityDeltaS:
         """Zeros of dS: roots of R^2 (z-a) - conj(a) z (z-a) - r^2 z other
         than 0, a root only for a = 0, where dS = (R^2 - r^2)/z has none."""
         a, R2, r2 = self.a, self.R**2, self.r**2
-        roots = np.polynomial.Polynomial(
-            [-R2 * a, R2 + a.conjugate() * a - r2, -a.conjugate()]).roots()
+        roots = np.sort(np.roots(
+            [-a.conjugate(), R2 + a.conjugate() * a - r2, -R2 * a]))
         return roots[roots != 0]
 
     def launch_points(self) -> list:

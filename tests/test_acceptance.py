@@ -123,8 +123,7 @@ def test_criterion_02_conformal_map_system():
             system_residuals(em, alpha, beta, complex(a)))))
         worst_area = max(worst_area, abs(support_area(em)
                                          - math.pi / (2.0 * alpha)))
-        g, _, _ = _cubic(alpha, beta, float(t))
-        sg = np.sign(g(xs))
+        sg = np.sign(np.polyval(_cubic(alpha, beta, float(t)), xs))
         sg = sg[sg != 0]
         worst_changes = max(worst_changes, int(np.sum(np.diff(sg) != 0)))
     dt = time.perf_counter() - t0

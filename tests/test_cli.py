@@ -160,6 +160,79 @@ def test_verify_checks_exterior_trajectories(tmp_path, capsys):
     assert "  [PASS] trajectory residual" in capsys.readouterr().out
 
 
+def test_curves_stopped_at_maxsteps_fail(tmp_path, monkeypatch, capsys):
+    # a curve that ends 'maxsteps' was stopped early by the tracer: with
+    # a step limit of 50 every curve of the worked example does, and
+    # trajectory and verify's trajectory check fail, naming the count
+    monkeypatch.setattr(schwarz, "_MAX_STEPS", 50)
+    base = ["--config", WORKED_EXAMPLE, "--out", str(tmp_path)]
+    assert main(base + ["trajectory"]) == EXIT_INVARIANT
+    line, = capsys.readouterr().out.splitlines()
+    n = int(line.split()[1])
+    assert line.startswith("trajectory: ")
+    assert line.endswith(f", {n} stopped at maxsteps") and n > 0
+    assert main(base + ["--quick", "verify"]) == EXIT_INVARIANT
+    out = capsys.readouterr().out
+    assert "  [FAIL] trajectory residual (max residual " in out
+    assert f", {n} stopped at maxsteps)" in out
+    failures = json.loads((tmp_path / "verify.json").read_text())["failures"]
+    assert len(failures) == 1 and failures[0].startswith("trajectory")
+
+
+def test_verify_checks_the_map_system(tmp_path, capsys):
+    # criterion 02 on the worked example's exterior map: the largest of
+    # its four equations' residuals, against 1e-10, recorded in verify.json
+    rc = main(["--config", WORKED_EXAMPLE, "--out", str(tmp_path), "--quick",
+               "verify"])
+    assert rc == EXIT_OK
+    res = json.loads((tmp_path / "verify.json").read_text())[
+        "map_system_residual"]
+    assert 0.0 <= res < 1e-10
+    assert f"  [PASS] map-system residual ({res:.2e})" in \
+        capsys.readouterr().out
+    # a disk with a cavity has no map to check
+    assert main(["--out", str(tmp_path), "--quick", "verify"]) == EXIT_OK
+    assert "map_system_residual" not in json.loads(
+        (tmp_path / "verify.json").read_text())
+    assert "map-system" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_compare_prints_small_errors(tmp_path, capsys, n):
+    # the errors at n = 20 and 30 are below 1e-4 and print in .2e, not as
+    # 0.0000
+    assert main(["--out", str(tmp_path), "--degree", str(n), "compare"]) \
+        == EXIT_OK
+    line = capsys.readouterr().out.strip()
+    fields = dict(f.split("=") for f in line.split()[1:])
+    assert fields["n"] == str(n)
+    for key in ("sup_err", "mean_err"):
+        assert f"{float(fields[key]):.2e}" == fields[key]
+        assert 0.0 < float(fields[key]) < 1e-4
+
+
+def test_pipeline_computes_its_zeros_once(tmp_path, monkeypatch):
+    # --quick pipeline (n = 20) compares at min(30, n) = n on its own
+    # zeros: build_orthopolys and compute_zeros run once at n = 20 (dbar
+    # builds its own polynomials at n = 3)
+    calls = []
+    build, zeros = orthopoly.build_orthopolys, orthopoly.compute_zeros
+
+    def build_spy(p, grid, n, *args, **kwargs):
+        calls.append(("build", n))
+        return build(p, grid, n, *args, **kwargs)
+
+    def zeros_spy(ops, n, *args, **kwargs):
+        calls.append(("zeros", n))
+        return zeros(ops, n, *args, **kwargs)
+
+    monkeypatch.setattr(orthopoly, "build_orthopolys", build_spy)
+    monkeypatch.setattr(orthopoly, "compute_zeros", zeros_spy)
+    assert main(["--out", str(tmp_path), "--quick", "pipeline"]) == EXIT_OK
+    assert sorted(calls) == [("build", 3), ("build", 20), ("zeros", 20)]
+    assert (tmp_path / "compare_n20.csv").exists()
+
+
 def test_unsupported_configuration_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 0.5, "gamma": 2.0,
@@ -425,6 +498,41 @@ q = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)))
 assert verify_equilibrium(classify_support(q), q, {"n": 40}).passed
 print(json.dumps(sorted(sys.modules)))
 """
+
+
+_POLYNOMIAL_FREE_PATHS = """
+import json, sys
+import chargedgauss.cli
+from chargedgauss import (PerturbedPotential, PointChargeMeasure,
+                          build_orthopolys, classify_support, compute_zeros,
+                          verify_equilibrium)
+from chargedgauss.schwarz import boundary_curve, support_trajectories
+for a in (2.0, 0.3):   # an exterior map and a disk with one cavity
+    q = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((a, 0.5),)),
+                           N=20.0)
+    geom = classify_support(q)
+    if a == 2.0:
+        boundary_curve(geom)
+    assert support_trajectories(geom)[1]
+    assert verify_equilibrium(geom, q, {"n": 40}).passed
+# the exact class (N beta / 2 = 5): zeros without a grid
+compute_zeros(build_orthopolys(q, None, 10), 10)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_supports_trajectories_and_zeros_load_no_numpy_polynomial():
+    # the map cubic and the cavity field's quadratic are solved by
+    # np.roots; only cauchy_transform imports numpy.polynomial
+    src = str(Path(dbar.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _POLYNOMIAL_FREE_PATHS],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout
+    loaded = json.loads(out.splitlines()[-1])
+    assert "chargedgauss.schwarz" in loaded
+    assert not [m for m in loaded if m.startswith("numpy.polynomial")]
 
 
 def test_numeric_paths_load_no_scipy_submodule():

@@ -138,10 +138,48 @@ def test_robin_constant_cavity(cavity_potential):
                                                 1.0 + 0.1j)[0]), F)
 
 
-def test_robin_constant_exterior_not_closed_form(exterior_map,
-                                                 cavity_potential):
-    with pytest.raises(NotImplementedError):
-        robin_constant(exterior_map, cavity_potential)
+_EXTERIOR_MESH_CASES = [
+    (0.5, 0.5, 2.0, 200),                                 # criterion 03
+    (0.5, 0.5, 2.0, 199),                                 # an odd mesh
+    (0.5, 0.5, -2.0, 200),                                # the mirror charge
+    (1.5349565601577209, 0.6497336667932423,              # a deep bite
+     -0.12961022181931692 - 0.30445041927152344j, 60),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, a, n", _EXTERIOR_MESH_CASES)
+def test_robin_constant_exterior_at_a_critical_value(alpha, beta, a, n):
+    # F is the effective potential at f(zeta_+), a point of the support;
+    # it agrees with the F of both mesh rules it replaces: the first
+    # on-support node of smallest |z1|, and the on-support node farthest
+    # from the boundary samples
+    p = PerturbedPotential(alpha=alpha, nu=PointChargeMeasure(((a, beta),)),
+                           N=2.0, gamma=2.0)
+    geom = classify_support(p)
+    zeta = geom.critical_points()[0]
+    assert geom.contains(geom.map(zeta))
+    F = robin_constant(geom, p)
+    *_, F_deep, F_far = _full_mesh_report(geom, p, n)
+    assert abs(F - F_deep) <= 1e-15
+    assert abs(F - F_far) <= 1e-15
+
+
+def test_robin_constant_just_past_the_transition():
+    # a = R - r + 1e-6, just past the contained/exterior transition: F
+    # differs from the deepest node's by 1.0e-10, as U^sigma + V itself
+    # varies by about 1e-10 over the support's nodes, inside tol_on 1e-8
+    R, r = math.sqrt(1.5), math.sqrt(0.5)
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(
+        ((R - r + 1e-6, 0.5),)), N=2.0, gamma=2.0)
+    geom = classify_support(p)
+    assert isinstance(geom, ExteriorMap)
+    F = robin_constant(geom, p)
+    *_, F_deep, F_far = _full_mesh_report(geom, p, 200)
+    assert abs(F - F_deep) <= 2e-10 and abs(F - F_far) <= 2e-10
+    rep = verify_equilibrium(geom, p, {"n": 200})
+    assert rep.robin_constant == F
+    assert rep.max_dev_on < 1e-9
+    assert rep.passed
 
 
 def test_effective_potential_off_support(cavity_potential):
@@ -250,50 +288,44 @@ def test_verify_equilibrium_sees_the_boundary_band(monkeypatch,
 def _full_mesh_report(geom, p, n):
     """verify_equilibrium's masks, F and deviations on its mesh
     (`mesh_axis`), over the whole mesh at once: the potential at every
-    node, on-support nodes by geom.contains and z_ref the first on-support
-    node of smallest |z1|, z1 the larger preimage.  F_far is the effective
-    potential at the on-support node farthest from every 8th of 720
-    boundary samples, by the full distance matrix (the rule z_ref had
-    before).  Returns (z_ref,
-    F, max_dev_on, min_margin_off, n_on, n_off, F_far); z_ref and F_far
-    are None for a disk."""
+    node, on-support nodes by geom.contains and F = robin_constant.  For
+    an exterior map it also gives F by the two mesh rules that came
+    before: F_deep, the effective potential at the first on-support node
+    of smallest |z1|, z1 the larger preimage, and F_far, at the
+    on-support node farthest from every 8th of 720 boundary samples, by
+    the full distance matrix.  Returns (F, max_dev_on, min_margin_off,
+    n_on, n_off, F_deep, F_far); F_deep and F_far are None for a disk."""
     xs = mesh_axis(geom, n)
     z = (xs[None, :] + 1j * xs[:, None]).ravel()
     u = effective_potential(geom, p, z)
     on = geom.contains(z)
-    if isinstance(geom, DiskWithCavities):
-        z_ref, F, F_far = None, robin_constant(geom, p), None
-    else:
+    F, F_deep, F_far = robin_constant(geom, p), None, None
+    if isinstance(geom, ExteriorMap):
         bpts = geom.boundary(np.linspace(0.0, 2.0 * np.pi, 720,
                                          endpoint=False))
-        z_ref = z[on][np.argmin(np.abs(geom._preimages(z[on])[0]))]
-        F = float(effective_potential(geom, p, z_ref)[0])
+        z_deep = z[on][np.argmin(np.abs(geom._preimages(z[on])[0]))]
+        F_deep = float(effective_potential(geom, p, z_deep)[0])
         far = np.min(np.abs(z[on][:, None] - bpts[None, ::8]), axis=1)
         F_far = float(effective_potential(geom, p, z[on][np.argmax(far)])[0])
-    return (z_ref, F, float(np.max(np.abs(u[on] - F))),
-            float(np.min(u[~on] - F)), int(on.sum()), int((~on).sum()), F_far)
+    return (F, float(np.max(np.abs(u[on] - F))), float(np.min(u[~on] - F)),
+            int(on.sum()), int((~on).sum()), F_deep, F_far)
 
 
 @pytest.mark.parametrize("alpha, beta, a, n", [
-    (0.5, 0.5, 2.0, 200),                                 # criterion 03
-    (0.5, 0.5, 2.0, 199),                                 # an odd mesh
-    (0.5, 0.5, -2.0, 200),                                # the mirror charge
-    (1.5349565601577209, 0.6497336667932423,              # a deep bite
-     -0.12961022181931692 - 0.30445041927152344j, 60),
+    *_EXTERIOR_MESH_CASES,
     (0.5, 0.5, 0.3, 80),                                  # a cavity
 ])
 def test_verify_equilibrium_matches_full_mesh(monkeypatch, alpha, beta, a,
                                               n):
-    # the row-block stream gives the whole mesh's report, and picks the
-    # same z_ref: the one point at which it evaluates effective_potential.
-    # F there is F at the node farthest from the boundary samples.  A
-    # real charge's mesh is folded across the real axis, and its report
-    # is the whole mesh's bit for bit
+    # the row-block stream gives the whole mesh's report, and evaluates
+    # effective_potential at one point, f(zeta_+) for an exterior map, where
+    # robin_constant takes F.  A real charge's mesh is folded across the
+    # real axis, and its report is the whole mesh's bit for bit
     tol = 0.0 if complex(a).imag == 0.0 else 1e-15
     p = PerturbedPotential(alpha=alpha, nu=PointChargeMeasure(((a, beta),)),
                            N=2.0, gamma=2.0)
     geom = classify_support(p)
-    z_ref, F, dev, margin, n_on, n_off, F_far = _full_mesh_report(geom, p, n)
+    F, dev, margin, n_on, n_off, _, _ = _full_mesh_report(geom, p, n)
     points = []
 
     def spy(geom, p, z):
@@ -302,13 +334,27 @@ def test_verify_equilibrium_matches_full_mesh(monkeypatch, alpha, beta, a,
 
     monkeypatch.setattr(equilibrium, "effective_potential", spy)
     rep = verify_equilibrium(geom, p, {"n": n})
-    if z_ref is not None:
-        assert points == [z_ref]
-        assert abs(F - F_far) <= 1e-15
+    if isinstance(geom, ExteriorMap):
+        f_crit = geom.map(geom.critical_points()[0])
+        assert len(points) == 1
+        assert abs(points[0] - f_crit) <= 1e-15 * abs(f_crit)
     assert (rep.n_on, rep.n_off) == (n_on, n_off)
     assert abs(rep.robin_constant - F) <= tol
     assert abs(rep.max_dev_on - dev) <= tol
     assert abs(rep.min_margin_off - margin) <= tol
+    assert rep.passed
+
+
+def test_verify_equilibrium_on_a_mesh_that_misses_the_support(
+        exterior_map):
+    # the 2 x 2 mesh's nodes are the corners of its square, all off the
+    # support; F needs no mesh node, and the report counts them all
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)),
+                           N=2.0, gamma=2.0)
+    rep = verify_equilibrium(exterior_map, p, {"n": 2})
+    assert (rep.n_on, rep.n_off) == (0, 4)
+    assert rep.max_dev_on == 0.0 and rep.min_margin_off > 0.0
+    assert rep.robin_constant == robin_constant(exterior_map, p)
     assert rep.passed
 
 
@@ -325,7 +371,7 @@ def test_verify_equilibrium_folds_real_charges(monkeypatch, charges, n,
     # a real charge's mesh is evaluated on its rows y <= 0 only, n
     # ceil(n/2) nodes; a tilted charge or a conjugate pair, whose charge
     # sum a mirror reorders, evaluates all n^2.  An exterior map also
-    # evaluates V at z_ref
+    # evaluates V at f(zeta_+), where robin_constant takes F
     p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(charges),
                            N=2.0, gamma=2.0)
     geom = classify_support(p)

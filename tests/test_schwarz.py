@@ -106,12 +106,18 @@ def test_circle_schwarz_function(schwarz_value):
 
 
 def test_branch_points_zero_discriminant(exterior_map):
-    bps = branch_points(exterior_map)
+    # the images of the critical points, where f' = 0, are the roots of
+    # the discriminant of the sheet quadratic in zeta
+    em = exterior_map
+    bps = branch_points(em)
+    crit = em.critical_points()
     assert len(bps) == 2
-    for z in bps:
-        b = exterior_map.u - z - exterior_map.A * exterior_map.rho
-        c = exterior_map.A * (z - exterior_map.u) + exterior_map.v
-        assert abs(b * b - 4 * exterior_map.rho * c) < 1e-12
+    for z, zeta in zip(bps, crit):
+        assert abs(em.map_derivative(zeta)) < 1e-15
+        assert abs(z - em.map(zeta)) < 1e-15
+        b = em.u - z - em.A * em.rho
+        c = em.A * (z - em.u) + em.v
+        assert abs(b * b - 4 * em.rho * c) < 1e-12
 
 
 def test_branch_points_symmetric_and_inside(exterior_map):
@@ -121,8 +127,10 @@ def test_branch_points_symmetric_and_inside(exterior_map):
         assert exterior_map.contains(z)
 
 
-def test_circle_degenerate_branch_points():
-    em = ExteriorMap(rho=1.3, u=0.2, v=1e-16, A=0.4)
+@pytest.mark.parametrize("v", [1e-16, 0.0])
+def test_circle_degenerate_branch_points(v):
+    # v = 0 is a circle: f(zeta_+-) is taken without dividing by v/(zeta - A)
+    em = ExteriorMap(rho=1.3, u=0.2, v=v, A=0.4)
     with pytest.raises(DegenerateMap):
         branch_points(em)
 
