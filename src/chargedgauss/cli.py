@@ -6,8 +6,8 @@ run's CSVs.
 
 Outputs are JSON reports, CSV polylines/point sets, and standalone SVG
 figures, which `replot` redraws from the CSVs.  Exit codes: 0 ok, 2
-invariant failure, 3 unsupported or malformed configuration, or one whose
-arrays would not fit in memory.
+invariant failure, 3 a usage error, an unsupported or malformed
+configuration, or one whose arrays would not fit in memory.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ EXIT_UNSUPPORTED = 3
 SWEEP_DEGREES = "10,20,30,40,50"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     alpha: float = 0.5
     gamma: float = 2.0
@@ -65,29 +65,53 @@ def _read_json(path) -> object:
     return json.loads(text)
 
 
+def _check_keys(doc, known: str, required: str = "") -> None:
+    """Refuse doc unless it is a JSON object with each required key and no
+    key outside known (both space-separated), naming the key at fault."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{json.dumps(doc)}: expected a JSON object")
+    if missing := sorted(set(required.split()) - doc.keys()):
+        raise ValueError(f"{json.dumps(doc)}: no key {missing[0]!r}")
+    if unknown := sorted(doc.keys() - set(known.split())):
+        raise ValueError(f"unknown key {unknown[0]!r}")
+
+
+def _number(doc: dict, key: str, default):
+    """doc[key] as a float (default where doc has no key); a ValueError
+    names the key unless it holds a finite JSON number."""
+    if key not in doc:
+        return default
+    x = doc[key]   # an int past the float range fails the test, as nan does
+    if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+        raise ValueError(f"{key} {json.dumps(x)}: expected a finite number")
+    return float(x)
+
+
 def load_config(path: str | None) -> ExperimentConfig:
+    """The config at path (the defaults if None), each value checked as
+    its JSON type; a ValueError names the key at fault."""
     cfg = ExperimentConfig()
     if path is None:
         return cfg
     doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError("the config is not a JSON object")
-    if "N" in doc and "gamma" in doc and doc.get("N") is not None:
+    _check_keys(doc, "alpha gamma N charges seed")
+    if "N" in doc and "gamma" in doc:
         raise ValueError("give either N or gamma, not both")
-    try:
+    if not isinstance(doc.get("charges", []), list):
+        raise ValueError("charges: expected a list")
+    for c in doc.get("charges", []):
+        _check_keys(c, "re im beta", "re beta")
+    seed = doc.get("seed", cfg.seed)
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed {json.dumps(seed)}: expected a nonnegative "
+                         f"integer")
+    return ExperimentConfig(
+        alpha=_number(doc, "alpha", cfg.alpha),
+        gamma=_number(doc, "gamma", cfg.gamma), N=_number(doc, "N", None),
         # an explicit empty list is the pure Gaussian
-        charges = cfg.charges if "charges" not in doc else tuple(
-            (complex(c["re"], c.get("im", 0.0)), float(c["beta"]))
-            for c in doc["charges"])
-        return ExperimentConfig(
-            alpha=float(doc.get("alpha", cfg.alpha)),
-            gamma=float(doc.get("gamma", cfg.gamma)),
-            N=None if doc.get("N") is None else float(doc["N"]),
-            charges=charges, seed=int(doc.get("seed", 0)))
-    except KeyError as e:
-        raise ValueError(f"charge without {e}") from None
-    except TypeError as e:  # a field of the wrong JSON type
-        raise ValueError(str(e)) from None
+        charges=tuple((complex(_number(c, "re", 0.0), _number(c, "im", 0.0)),
+                       _number(c, "beta", 0.0)) for c in doc["charges"])
+        if "charges" in doc else cfg.charges, seed=seed)
 
 
 # ---------------------------------------------------------------- output
@@ -245,21 +269,21 @@ def cmd_support(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK
 
 
-def _build_polys(cfg: ExperimentConfig, n: int, quad, integrate: bool):
-    """(p, grid, polynomials to degree n).  The grid, shaped by quad, is
-    built only when something reads it: the Arnoldi outside the exact
-    class, or a step that integrates on it (integrate); else it is None."""
+def _build_polys(cfg: ExperimentConfig, n: int, integrate: bool):
+    """(p, grid, polynomials to degree n).  The grid, `build_grid`'s own
+    for the degree-2n moments, is built only when something reads it: the
+    Arnoldi outside the exact class, or a step that integrates on it
+    (integrate); else it is None."""
     p = cfg.potential(n=n)
     grid = None
     if integrate or p.angular_degree() is None:
-        kw = {} if quad is None else {"orders": quad[:2], "eps_tail": quad[2]}
-        grid = planarquad.build_grid(p, max_degree=2 * n, **kw)
+        grid = planarquad.build_grid(p, max_degree=2 * n)
     return p, grid, orthopoly.build_orthopolys(p, grid, n)
 
 
 def cmd_orthopoly(cfg: ExperimentConfig, out: Path, args) -> int:
     n = args.degree or 20
-    p, _, ops = _build_polys(cfg, n, args.quad, False)
+    p, _, ops = _build_polys(cfg, n, False)
     write_json(out / "orthopolys.json",
                {"N": p.N, "gamma": p.gamma, **ops.to_json_dict()})
     print(f"orthopoly: n_max={n} gram_residual={ops.gram_residual:.2e}")
@@ -268,7 +292,7 @@ def cmd_orthopoly(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_zeros(cfg: ExperimentConfig, out: Path, args) -> int:
     n = args.degree or 20
-    p, _, ops = _build_polys(cfg, n, args.quad, False)
+    p, _, ops = _build_polys(cfg, n, False)
     zs = orthopoly.compute_zeros(ops, n)
     _write_zeros(out, n, zs)
     print(f"zeros: n={n} max_residual={zs.max_residual:.2e}")
@@ -283,7 +307,7 @@ def _moments_hold(uniq: dict) -> bool:
 
 def cmd_dbar_check(cfg: ExperimentConfig, out: Path, args) -> int:
     k = args.degree or 3
-    p, grid, ops = _build_polys(cfg, max(k, 2), args.quad, True)
+    p, grid, ops = _build_polys(cfg, max(k, 2), True)
     Y = dbar.assemble_Y(ops, p, grid, k)
     rng = np.random.default_rng(cfg.seed)
     z = complex(0.5 + 0.5j) + 0.1 * complex(*rng.standard_normal(2))
@@ -368,7 +392,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, args, zs=None) -> int:
     """zs, if given, are the zeros of P_n at the degree n compared."""
     n = args.degree or 30
     if zs is None:
-        _, _, ops = _build_polys(cfg, n, args.quad, False)
+        _, _, ops = _build_polys(cfg, n, False)
         zs = orthopoly.compute_zeros(ops, n)
     p = cfg.potential(n=n)
     R = equilibrium.outer_radius(p)
@@ -386,7 +410,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, args, zs=None) -> int:
 def cmd_pipeline(cfg: ExperimentConfig, out: Path, args) -> int:
     n = args.degree or (20 if args.quick else 50)
     rc = cmd_support(cfg, out, args)
-    p, _, ops = _build_polys(cfg, n, args.quad, False)
+    p, _, ops = _build_polys(cfg, n, False)
     zs = orthopoly.compute_zeros(ops, n)
     _write_zeros(out, n, zs)
     geom = equilibrium.classify_support(p)
@@ -396,11 +420,9 @@ def cmd_pipeline(cfg: ExperimentConfig, out: Path, args) -> int:
     rep = equilibrium.verify_equilibrium(geom, p,
                                          {"n": 80 if args.quick else 200})
     write_json(out / "equilibrium_report.json", _equilibrium_dict(rep))
-    rc2 = cmd_dbar_check(cfg, out, argparse.Namespace(
-        degree=min(3, n), quad=args.quad, quick=args.quick))
-    rc3 = cmd_compare(cfg, out, argparse.Namespace(
-        degree=min(30, n), quad=args.quad, quick=args.quick),
-        zs if n <= 30 else None)
+    rc2 = cmd_dbar_check(cfg, out, argparse.Namespace(degree=min(3, n)))
+    rc3 = cmd_compare(cfg, out, argparse.Namespace(degree=min(30, n)),
+                      zs if n <= 30 else None)
     print(f"pipeline: done (n={n}), equilibrium "
           f"{'PASS' if rep.passed else 'FAIL'}")
     codes = [rc, rc2, rc3, EXIT_OK if rep.passed else EXIT_INVARIANT]
@@ -426,7 +448,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     n = 8 if args.quick else 20
     # build_orthopolys and compute_zeros raise above GRAM_TOL and
     # ZERO_RESIDUAL_TOL, which main reports with exit 2
-    p2, grid, ops = _build_polys(cfg, n, args.quad, True)
+    p2, grid, ops = _build_polys(cfg, n, True)
     zs = orthopoly.compute_zeros(ops, n)
     rec = orthopoly.reconstruct_coeffs(zs)
     ref = np.asarray(ops.monic_coeffs[n], dtype=complex)
@@ -464,7 +486,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
     rows = []
     for n in args.degree:
         t0 = time.perf_counter()
-        p, _, ops = _build_polys(cfg, n, args.quad, False)
+        p, _, ops = _build_polys(cfg, n, False)
         zs = orthopoly.compute_zeros(ops, n)
         d = (np.min(np.abs(zs.zeros[:, None] - attractor[None, :]), axis=1)
              if attractor.size else np.full(zs.zeros.size, np.nan))
@@ -505,73 +527,47 @@ def cmd_replot(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK
 
 
-def _flag_value(flag, kind, s):
-    """s converted by kind (int or float); a ValueError names the flag."""
-    try:
-        return kind(s)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise ValueError(f"{flag} {s!r}: expected {expected}") from None
-
-
 def _parse_degree(s):
-    n = _flag_value("--degree", int, s)
+    try:
+        n = int(s)
+    except ValueError:
+        raise ValueError(f"--degree {s!r}: expected an integer") from None
     if n < 1:
         raise ValueError(f"degree {n} is below 1")
     return n
 
 
-def _parse_quad(s):
-    try:
-        nr, nt, eps = s.split(",")
-        nr, nt, eps = int(nr), int(nt), float(eps)
-    except ValueError:
-        raise ValueError(f"--quad {s!r}: expected integers nr,nt and a "
-                         f"number eps") from None
-    if nr < 2 or nt < 4 or not 0 < eps < 1:
-        raise ValueError(f"quadrature {nr},{nt},{eps}: need n_r >= 2, "
-                         f"n_t >= 4 and 0 < eps < 1")
-    return nr, nt, eps
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # main reports it: one line and exit 3
+        raise ValueError(message)
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="chargedgauss",
         description="Equilibrium measures, planar orthogonal polynomials "
                     "and Schwarz-function trajectories for Gaussian weights "
-                    "perturbed by point charges.")
+                    "perturbed by point charges, as --config states them.")
     ap.add_argument("--config", help="JSON config path")
     ap.add_argument("--out", default="out", help="output directory")
-    # numeric flags are converted below, so that a malformed value exits 3
-    ap.add_argument("--quad", default=None,
-                    help="quadrature orders nr,nt,eps")
+    # converted below: a list for sweep, one degree for the rest
     ap.add_argument("--degree", default=None,
                     help="degree n (or k); for sweep a comma-separated list, "
                          f"default {SWEEP_DEGREES}")
-    ap.add_argument("--gamma", default=None)
-    ap.add_argument("--seed", default=None)
     ap.add_argument("--quick", action="store_true")
     ap.add_argument("command", choices=["support", "orthopoly", "zeros",
                                         "dbar-check", "trajectory", "fekete",
                                         "compare", "verify", "pipeline",
                                         "sweep", "replot"])
-    args = ap.parse_args(argv)
-
     try:
+        args = ap.parse_args(argv)
         cfg = load_config(args.config)
-        if args.gamma is not None:
-            cfg.gamma = _flag_value("--gamma", float, args.gamma)
-            cfg.N = None
-        if args.seed is not None:
-            cfg.seed = _flag_value("--seed", int, args.seed)
         cfg.potential()  # rejects nonpositive alpha, gamma, N or masses
         if args.command == "sweep":
-            args.degree = [_parse_degree(s) for s in
-                           (args.degree or SWEEP_DEGREES).split(",")]
+            degrees = SWEEP_DEGREES if args.degree is None else args.degree
+            args.degree = [_parse_degree(s) for s in degrees.split(",")]
         elif args.degree is not None:
             args.degree = _parse_degree(args.degree)
-        if args.quad is not None:
-            args.quad = _parse_quad(args.quad)
     except ValueError as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -35,8 +35,8 @@ class PointChargeMeasure:
         object.__setattr__(self, "charges", charges)
         for a, b in charges:
             if not 0 < b < math.inf:
-                raise ValueError("all point masses must be positive and "
-                                 "finite")
+                raise ValueError("all point masses (beta) must be positive "
+                                 "and finite")
             if not cmath.isfinite(a):
                 raise ValueError("charge locations must be finite")
         if len({a for a, _ in charges}) < len(charges):
@@ -69,7 +69,7 @@ class PerturbedPotential:
     gamma: float = 2.0
 
     def __post_init__(self):
-        for name in ("alpha", "N", "gamma"):
+        for name in ("alpha", "gamma", "N"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 

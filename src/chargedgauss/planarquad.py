@@ -9,8 +9,8 @@ exponentially ill-conditioned in the degree; the Legendre rule and, on
 first use (`QuadGrid.weight_values`), the weight are computed in that
 precision too.  The grid is cut at `truncation_radius`, which bounds the
 weight on each circle by radial envelopes: beyond the cut lies at most
-eps_tail of the degree-2n moment int |z|^(2n) exp(-N*V) dm, relative to
-that moment.
+_EPS_TAIL = 1e-12 of the degree-2n moment int |z|^(2n) exp(-N*V) dm,
+relative to that moment.
 
 When N*beta/2 is an integer for every charge off 0, the weight is
 g(|z|) h(z): g(r) = exp(-N*alpha*r^2) r^(N*beta_0) is radial (the Gaussian
@@ -69,6 +69,8 @@ _PI = np.arccos(LD(-1.0))
 # bulk it reaches (see there)
 _RADIAL_MESH = 4096
 _MESH_DECAY = 400.0
+# the share of the |z|^max_degree moment that `build_grid` leaves past its cut
+_EPS_TAIL = 1e-12
 
 
 class OverMemoryBudget(Exception):
@@ -332,20 +334,20 @@ def truncation_radius(p: PerturbedPotential, eps_tail: float,
     return float(r[np.argmax(ok)])
 
 
-def build_grid(p: PerturbedPotential, eps_tail: float = 1e-12,
-               orders: tuple = (24, 384), max_degree: int = 0) -> QuadGrid:
+def build_grid(p: PerturbedPotential, orders: tuple = (24, 384),
+               max_degree: int = 0) -> QuadGrid:
     """Polar tensor grid for integrals against exp(-N*V), n_r Gauss-Legendre
     radii per panel times T = max(n_t, max_degree + 2) angles, cut at
-    `truncation_radius(p, eps_tail, max_degree)`: beyond the cut lies at
-    most eps_tail of the |z|^max_degree moment of the weight, relative to
-    that moment (max_degree = 2*n for degree-n inner products, which
-    2n + 2 angles resolve).  Raises OverMemoryBudget before building a
-    grid over `memory_budget()`."""
+    `truncation_radius(p, _EPS_TAIL, max_degree)`: beyond the cut lies at
+    most _EPS_TAIL = 1e-12 of the |z|^max_degree moment of the weight,
+    relative to that moment (max_degree = 2*n for degree-n inner products,
+    which 2n + 2 angles resolve).  Raises OverMemoryBudget before building
+    a grid over `memory_budget()`."""
     n_r, n_t = orders
     if n_r < 2 or n_t < 4:
         raise ValueError(f"invalid quadrature orders {orders}")
     n_t = max(n_t, max_degree + 2)
-    rt = truncation_radius(p, eps_tail, max_degree)
+    rt = truncation_radius(p, _EPS_TAIL, max_degree)
 
     # panel boundaries on circles where the integrand kinks or vanishes
     radii = [outer_radius(p)]

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -260,7 +262,7 @@ def test_orthopoly_failure_exit_code(tmp_path, monkeypatch, capsys, error):
 @pytest.mark.parametrize("flags,what", [
     # the exact class builds no grid; its 51 x 1,482-node basis (2.4 MB)
     # does not fit
-    (["--quad", "4,16,1e-12", "--degree", "50", "zeros"], "Arnoldi basis"),
+    (["--degree", "50", "zeros"], "Arnoldi basis"),
     # dbar-check integrates on the 24 x 384 grid
     (["--degree", "6", "dbar-check"], "quadrature grid"),
     # the 800 x 800 Hessian and the eigensolver's copy (10.6 MB)
@@ -303,48 +305,103 @@ def test_memory_error_exit_code(tmp_path, monkeypatch, capsys):
     assert err.startswith("out of memory:") and err.count("\n") == 1
 
 
+# each doc is refused before any command runs: support, sweep, and the
+# extra commands that read the seed
 @pytest.mark.parametrize("doc,extra", [
     ({"charges": [{"re": 0.2, "beta": -0.5}]}, []),
     ({"N": 3, "gamma": 2}, []),
     ({"charges": [{"im": 0.2, "beta": 0.5}]}, []),
     ({"alpha": -1}, []),
-    ({}, ["--gamma", "0"]),
+    ({"gamma": 0}, []),
     ([1, 2], []),
     ({"charges": [{"re": "0.2", "im": 0.1, "beta": 0.5}]}, []),
     ({"N": "ten"}, []),
+    ({"gamma": "x"}, []),
+    ({"gamma": math.nan}, []),
+    ({"gamma": math.inf}, []),
+    ({"alpha": "0.5"}, []),
+    ({"alpha": True}, []),
+    ({"seed": 1.5}, ["dbar-check"]),
+    ({"seed": -1}, ["dbar-check", "fekete"]),
+    ({"alhpa": 1.0}, []),
+    ({"charges": [{"re": 0.3, "im ": 0.1, "beta": 0.5}]}, []),
 ])
 def test_malformed_configuration_exit_code(tmp_path, capsys, doc, extra):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    for command in ("support", "sweep"):
-        rc = main(["--config", str(cfg), "--out", str(tmp_path), *extra,
-                   command])
+    for command in ("support", "sweep", *extra):
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "--degree",
+                   "3", command])
         err = capsys.readouterr().err
         assert rc == EXIT_UNSUPPORTED
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"gamma": math.nan}, "gamma"),
+    ({"gamma": 0}, "gamma"),
+    ({"alpha": 10 ** 400}, "alpha"),   # past the float range
+    ({"alpha": "0.5"}, "alpha"),
+    ({"alpha": True}, "alpha"),
+    ({"N": None}, "N"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"seed": "1"}, "seed"),
+    ({"alhpa": 1.0}, "alhpa"),
+    ({"charges": [{"re": 0.3, "im ": 0.1, "beta": 0.5}]}, "im "),
+    ({"charges": [{"re": 0.3, "im": False, "beta": 0.5}]}, "im"),
+    ({"charges": [{"re": 0.3, "beta": "0.5"}]}, "beta"),
+    ({"charges": [{"beta": 0.5}]}, "re"),
+])
+def test_config_error_names_the_key(tmp_path, doc, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    # the key as a word of the message, bare or quoted
+    with pytest.raises(ValueError, match=rf"(^|[ ']){re.escape(key)}[ ']"):
+        load_config(str(path)).potential()
+
+
+def test_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ExperimentConfig().seed = 1
+
+
+# a malformed --degree, a removed or unknown flag, and a missing or
+# unknown command are usage errors: exit 3 with one stderr line, where
+# argparse alone would print its usage and exit 2
 @pytest.mark.parametrize("flags", [
-    ["--degree", "-5"],
-    ["--degree", "0"],
-    ["--quad", "1,384,1e-12"],
-    ["--quad", "24,3,1e-12"],
-    ["--quad", "24,384,-1"],
-    ["--quad", "24,384,1"],
-    ["--quad", "24,384"],
-    ["--quad", "24,384,abc"],
-    ["--degree", "x"],
-    ["--gamma", "x"],
-    ["--seed", "1.5"],
-    ["--gamma", "nan"],
-    ["--gamma", "inf"],
-    ["--degree", "10,20"],  # a list is for sweep alone
+    ["--degree", "-5", "zeros"],
+    ["--degree", "0", "zeros"],
+    ["--degree", "x", "zeros"],
+    ["--degree", "10,20", "zeros"],  # a list is for sweep alone
+    ["--degree", "10,x", "sweep"],
+    ["--degree", "zeros"],           # no value
+    # the config alone sets the problem: these flags are gone
+    ["--quad", "24,384,1e-12", "zeros"],
+    ["--gamma", "2", "zeros"],
+    ["--seed", "1", "zeros"],
+    ["--seed=1", "zeros"],
+    ["--foo", "support"],
+    [],                              # no command
+    ["bogus"],
+    ["zeros", "zeros"],              # a second command
+    ["--degree", "", "sweep"],       # not the default list
 ])
 def test_bad_numeric_flag_exit_code(tmp_path, capsys, flags):
-    rc = main(["--out", str(tmp_path), "--quick", *flags, "zeros"])
+    rc = main(["--out", str(tmp_path), "--quick", *flags])
     err = capsys.readouterr().err
     assert rc == EXIT_UNSUPPORTED
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("invalid configuration:")
+
+
+def test_help_lists_only_what_to_run(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    flags = {w.strip("[],") for w in capsys.readouterr().out.split()
+             if w.lstrip("[").startswith("--")}
+    assert flags == {"--help", "--config", "--out", "--degree", "--quick"}
 
 
 @pytest.mark.parametrize("name", ["missing.json", "."])
@@ -362,8 +419,7 @@ def test_unreadable_config_exit_code(tmp_path, capsys, name):
 def test_zeros_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        rc = main(["--out", str(out), "--degree", "6",
-                   "--quad", "24,64,1e-12", "zeros"])
+        rc = main(["--out", str(out), "--degree", "6", "zeros"])
         assert rc == EXIT_OK
     assert (a / "zeros_n6.csv").read_bytes() == (b / "zeros_n6.csv").read_bytes()
 
@@ -376,7 +432,7 @@ def test_orthopoly_grid_resolves_degree(tmp_path):
     assert rc == EXIT_OK
     got = json.loads((tmp_path / "orthopolys.json").read_text())["norms"]
     p = ExperimentConfig().potential(n=30)
-    grid = build_grid(p, eps_tail=1e-12, orders=(24, 384), max_degree=60)
+    grid = build_grid(p, orders=(24, 384), max_degree=60)
     ref = np.asarray(build_orthopolys(p, grid, 30).norms, dtype=float)
     assert np.max(np.abs(np.asarray(got) / ref - 1.0)) < 1e-10
 
