@@ -270,14 +270,11 @@ def cmd_support(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def _build_polys(cfg: ExperimentConfig, n: int, integrate: bool):
-    """(p, grid, polynomials to degree n).  The grid, `build_grid`'s own
-    for the degree-2n moments, is built only when something reads it: the
-    Arnoldi outside the exact class, or a step that integrates on it
-    (integrate); else it is None."""
+    """(p, grid, polynomials to degree n).  grid, `build_grid`'s own for
+    the degree-2n moments, is built only for a step that integrates on it
+    (integrate), else it is None; the Arnoldi builds what it needs."""
     p = cfg.potential(n=n)
-    grid = None
-    if integrate or p.angular_degree() is None:
-        grid = planarquad.build_grid(p, max_degree=2 * n)
+    grid = planarquad.build_grid(p, max_degree=2 * n) if integrate else None
     return p, grid, orthopoly.build_orthopolys(p, grid, n)
 
 
@@ -543,24 +540,34 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    flags = _Parser(add_help=False)
+    flags.add_argument("--config", help="JSON config path")
+    flags.add_argument("--out", default="out", help="output directory")
+    # converted below: a list for sweep, one degree for the rest
+    flags.add_argument("--degree", default=None,
+                       help="degree n (or k); for sweep a comma-separated "
+                            f"list, default {SWEEP_DEGREES}")
+    flags.add_argument("--quick", action="store_true")
     ap = _Parser(
-        prog="chargedgauss",
+        prog="chargedgauss", parents=[flags],
         description="Equilibrium measures, planar orthogonal polynomials "
                     "and Schwarz-function trajectories for Gaussian weights "
                     "perturbed by point charges, as --config states them.")
-    ap.add_argument("--config", help="JSON config path")
-    ap.add_argument("--out", default="out", help="output directory")
-    # converted below: a list for sweep, one degree for the rest
-    ap.add_argument("--degree", default=None,
-                    help="degree n (or k); for sweep a comma-separated list, "
-                         f"default {SWEEP_DEGREES}")
-    ap.add_argument("--quick", action="store_true")
     ap.add_argument("command", choices=["support", "orthopoly", "zeros",
                                         "dbar-check", "trajectory", "fekete",
                                         "compare", "verify", "pipeline",
                                         "sweep", "replot"])
     try:
-        args = ap.parse_args(argv)
+        try:
+            args = ap.parse_args(argv)
+        except ValueError:
+            # argparse takes the value after an unknown flag (--gamma 2)
+            # for the command: name the flag instead
+            if unknown := [a for a in flags.parse_known_args(argv)[1]
+                           if a.startswith("-")]:
+                raise ValueError("unrecognized arguments: "
+                                 + " ".join(unknown)) from None
+            raise
         cfg = load_config(args.config)
         cfg.potential()  # rejects nonpositive alpha, gamma, N or masses
         if args.command == "sweep":

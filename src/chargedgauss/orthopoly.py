@@ -20,13 +20,12 @@ is real.  Rotation covariance, q_k(z) = e^{ik phi} q~_k(z e^{-i phi}),
 rotates H back at the end.  This halves the extended-precision work and
 the stored basis.
 
-When the weight is a trigonometric polynomial of degree c on circles
-(N*beta/2 an integer for every charge off 0, see `planarquad`), the loop
-runs on the weight's own Gauss-Laguerre rule, ceil(L/2) radii times
-L = n_max + c + 1 angles, which gives every inner product of polynomials
-of degree <= n_max exactly: H is the weight's, and it is built from the
-potential alone, with no grid.  Other weights run on a grid, which must
-have been built for the same potential.
+When the weight is a trigonometric polynomial on circles (N*beta/2 an
+integer for every charge off 0), the rule is the weight's own
+Gauss-Laguerre rule, exact for every inner product of polynomials of
+degree <= n_max (see `planarquad`): H is the weight's.  Other weights run
+on the rings and angles of a grid built for the same potential, given or
+built by the rule.
 
 Polynomials are evaluated and root-found through the Hessenberg matrix H
 alone: values by the recurrence
@@ -144,9 +143,9 @@ def _recurrence(H: np.ndarray, k: int, z: np.ndarray, source=None):
 def build_orthopolys(p: PerturbedPotential, grid: QuadGrid | None,
                      n_max: int) -> OrthoPolySet:
     """Arnoldi orthogonalization of 1, z, z^2, ... against p's weight, on
-    the nodes of `planarquad.polynomial_rule(p, grid, n_max)`: from p
-    alone in the exact class, where grid may be None, else from a grid
-    built for p (ValueError otherwise).
+    the nodes of `planarquad.polynomial_rule(p, grid, n_max)`.  grid may
+    be None for every weight; one given must have been built for p
+    (ValueError otherwise), and is read only outside the exact class.
 
     Each step is one block classical Gram-Schmidt pass of v = z*q_k
     against the rows q_j of the basis Q, in clongdouble:
@@ -156,16 +155,10 @@ def build_orthopolys(p: PerturbedPotential, grid: QuadGrid | None,
     Rozloznik 2005).  The squared norms are h_k = h_0 s_k^2 with
     h_0 = sum of the weights and s_k = prod_{i<k} H[i+1,i].
 
-    Exactness: with the weight g(|z|) h(z), h a trigonometric polynomial
-    of degree c on every circle, every integrand the loop forms
-    (z q_k conj(q_j) h, k < n_max, j <= n_max) has degree <= n_max + c in
-    angle, so L = n_max + c + 1 angles integrate it exactly; its ring
-    integral is g(r) P(r^2) with deg P <= n_max + c, which the
-    ceil(L/2)-node Gauss-Laguerre rule of the radial measure
-    pi u^s exp(-N*alpha*u) du integrates exactly.  The Gram certificate is
-    computed on the same rule, so it certifies the weight's inner product,
-    not the grid's.  Weights that are not trigonometric polynomials on
-    circles run on the grid's rings and angles, and the certificate is
+    Exactness: in the exact class the rule integrates every product the
+    loop forms (z q_k conj(q_j), k < n_max, j <= n_max) exactly, so the
+    Gram certificate, computed on the same rule, certifies the weight's
+    inner product.  Other weights run on a grid, and the certificate is
     the grid's.
 
     When the weight has a mirror line at angle phi the rule is folded onto

@@ -24,10 +24,11 @@ g(r), with P a polynomial of degree <= n + c, to be integrated against
 2*pi*r g(r) dr = pi u^s exp(-N*alpha*u) du, u = r^2, s = N*beta_0/2.  That
 generalized Laguerre weight's ceil(L/2)-node Gauss rule does so exactly.
 `polynomial_rule(p, grid, n)` gives it, radii times L angles, for the
-Arnoldi in `orthopoly`, from the potential p alone: that class needs no
-grid.  Other weights' rules take the rings and angles of a grid, which
-must have been built for p; a grid is otherwise needed only to integrate
-on it (`inner_product`, `cauchy_transform`).
+Arnoldi in `orthopoly`, from the potential p alone; it alone tells the
+classes apart.  Other weights' rules take the rings and angles of a grid
+built for p, by `polynomial_rule` itself when none is given; a grid is
+otherwise needed only to integrate on it (`inner_product`,
+`cauchy_transform`).  A grid keeps one area weight per ring.
 
 The problem is rotation covariant: for charges a e^{i phi},
 P_n(z) = e^{in phi} P~_n(z e^{-i phi}), with P~_n the polynomial for the
@@ -100,8 +101,8 @@ def check_memory(nbytes: float, what: str) -> None:
 class QuadGrid:
     """Weighted quadrature nodes for integrals against exp(-N*V) dm."""
 
-    nodes: np.ndarray          # complex nodes (clongdouble)
-    areas: np.ndarray          # plain area weights (longdouble)
+    nodes: np.ndarray          # complex nodes (clongdouble), ring by ring
+    ring_areas: np.ndarray     # one area weight per ring (longdouble)
     r_trunc: float
     radial_order: int
     angular_order: int
@@ -117,7 +118,8 @@ class QuadGrid:
     @property
     def measure_weights(self) -> np.ndarray:
         """Combined weights w_i * exp(-N*V(z_i)) for d(lambda) integrals."""
-        return self.areas * self.weight_values
+        return (self.ring_areas[:, None] * self.weight_values.reshape(
+            -1, self.angular_order)).ravel()
 
 
 def _gauss_rule(a: np.ndarray, b: np.ndarray, mu0):
@@ -238,17 +240,16 @@ def polynomial_rule(p: PerturbedPotential, grid: QuadGrid | None,
     of the ceil(L/2)-node Gauss-Laguerre rule (u_j, W_j) of the radial
     measure pi u^s exp(-N*alpha*u) du, u = r^2, s = N*beta_0/2 (see
     above), each carrying L angles, and node x weighs W_j/L * h(x); grid
-    may be None, and a grid's orders are not read.  Otherwise the rings,
-    radial weights and L = T angles are the grid's, which needs
-    2*degree + 2 angles or raises ValueError, and node x weighs its area
-    times exp(-N*V(x)), V in the frame.  Either way the weight is
-    evaluated in long double at the frame's nodes.
+    is not read.  Otherwise the rings, ring areas and L = T angles are
+    grid's, or `build_grid(p, max_degree=2*degree)`'s when it is None; L
+    must reach 2*degree + 2 (else ValueError), and node x weighs its
+    ring's area times exp(-N*V(x)), V in the frame.  Either way the
+    weight is evaluated in long double at the frame's nodes.
 
     Raises ValueError when a grid is given that was built for another
-    potential than p, or when p is outside the exact class and grid is
-    None.  Raises OverMemoryBudget, before the rule is built, when the
-    Arnoldi basis over it (degree + 1 rows of clongdouble) would exceed
-    `memory_budget()`.
+    potential than p.  Raises OverMemoryBudget, before the rule is built,
+    when the grid or the Arnoldi basis over the rule (degree + 1 rows of
+    clongdouble) would exceed `memory_budget()`.
     """
     same_potential(p, grid)
     locs = [a for a, _ in p.nu.charges if a != 0]
@@ -267,12 +268,12 @@ def polynomial_rule(p: PerturbedPotential, grid: QuadGrid | None,
     c = p.angular_degree()
     if c is None:
         if grid is None:
-            raise ValueError("a weight outside the exact class needs a grid")
+            grid = build_grid(p, max_degree=2 * degree)
         L = grid.angular_order
         if L < 2 * degree + 2:
             raise ValueError(f"{L} angles cannot resolve "
                              f"degree-{2 * degree} moments")
-        r, wr = np.abs(grid.nodes[::L]), grid.areas[::L]
+        r, wr = np.abs(grid.nodes[::L]), grid.ring_areas
         m = r.size
     else:
         L = degree + c + 1
@@ -378,20 +379,20 @@ def build_grid(p: PerturbedPotential, orders: tuple = (24, 384),
         wr_list.append(half * ws)
     r = np.concatenate(r_list)
     wr = np.concatenate(wr_list)
-    # the nodes (complex) and areas (real) in long double
+    # the nodes (complex) and the weight evaluated on first use (real)
     check_memory(r.size * n_t * 3 * LD(0).itemsize,
                  f"the {r.size} x {n_t} quadrature grid")
 
     th = LD(2.0) * _PI * np.arange(n_t, dtype=LD) / LD(n_t)
-    # r e^{i theta} as the real products r cos and r sin, written in
-    # place, and each ring's area weight formed once
+    # r e^{i theta} as the real products r cos and r sin, written in place
     nodes = np.empty((r.size, n_t), dtype=CLD)
     np.multiply(r[:, None], np.cos(th), out=nodes.real)
     np.multiply(r[:, None], np.sin(th), out=nodes.imag)
-    areas = np.repeat(wr * r * (LD(2.0) * _PI / LD(n_t)), n_t)
 
-    return QuadGrid(nodes=nodes.ravel(), areas=areas, r_trunc=float(rt),
-                    radial_order=n_r, angular_order=n_t, potential=p)
+    return QuadGrid(nodes=nodes.ravel(),
+                    ring_areas=wr * r * (LD(2.0) * _PI / LD(n_t)),
+                    r_trunc=float(rt), radial_order=n_r, angular_order=n_t,
+                    potential=p)
 
 
 def inner_product(grid: QuadGrid, f, g) -> complex:
@@ -449,7 +450,7 @@ def cauchy_transform(grid: QuadGrid, values, z) -> np.ndarray:
     if T % 2 == 0:
         F = np.concatenate([F, F[:, :1]], axis=1)
         F[:, [0, -1]] *= LD(0.5)
-    r, a = np.abs(grid.nodes[::T]), grid.areas[::T]
+    r, a = np.abs(grid.nodes[::T]), grid.ring_areas
 
     # panels are consecutive groups of n rings on Gauss-Legendre nodes
     xs, ws = _legendre_rule(n)

@@ -67,7 +67,6 @@ class SignFlip(Exception):
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    geom: ExteriorMap
     theta: np.ndarray
     points: np.ndarray
 
@@ -77,7 +76,7 @@ def boundary_curve(geom: ExteriorMap, n_samples: int = 720) -> BoundaryCurve:
         raise SelfIntersection("a critical point of the map lies on or "
                                "outside the unit circle")
     th = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    return BoundaryCurve(geom=geom, theta=th, points=geom.boundary(th))
+    return BoundaryCurve(theta=th, points=geom.boundary(th))
 
 
 def branch_points(geom: ExteriorMap) -> list:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import chargedgauss as cg
-from chargedgauss.dbar import (assemble_Y, asymptotic_normalization,
+from chargedgauss import dbar
+from chargedgauss.dbar import (FD_STEPS, assemble_Y, asymptotic_normalization,
                                dbar_residual, fd_order, uniqueness_crosscheck,
                                wirtinger_dbar)
 from chargedgauss.equilibrium import outer_radius
 from chargedgauss.orthopoly import build_orthopolys
-from chargedgauss.planarquad import build_grid
+from chargedgauss.planarquad import build_grid, cauchy_transform
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,26 @@ def test_fd_order_column_two(cavity_Y, cavity_potential):
     assert rep["order_12"] >= 1.8
     assert rep["order_22"] >= 1.8
     assert rep["monotone"]
+
+
+def test_fd_order_evaluates_each_entry_once(cavity_Y, cavity_potential,
+                                            monkeypatch):
+    # Y12 and Y22 each go through one Cauchy transform, on the stencils
+    # of all of FD_STEPS, with the residuals of one step at a time
+    calls = []
+
+    def counted(grid, values, z):
+        calls.append(np.shape(z))
+        return cauchy_transform(grid, values, z)
+
+    monkeypatch.setattr(dbar, "cauchy_transform", counted)
+    rep = fd_order(cavity_Y, cavity_potential, 0.5 + 0.5j)
+    assert calls == [(len(FD_STEPS), 4)] * 2
+    for i, h in enumerate(FD_STEPS):
+        r = dbar_residual(cavity_Y, cavity_potential, 0.5 + 0.5j, h)
+        assert r.shape == (2, 2)
+        assert rep["residuals_12"][i] == r[0, 1]
+        assert rep["residuals_22"][i] == r[1, 1]
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])

@@ -230,12 +230,15 @@ def test_rule_arnoldi_ignores_the_grids_degree():
     assert all(np.array_equal(H[0], h) for h in H[1:])
 
 
-def test_weight_outside_exact_class_needs_a_grid():
-    # N*beta/2 = 3.3: the Arnoldi runs on a grid's rings
+def test_weight_outside_exact_class_builds_its_grid():
+    # N*beta/2 = 3.3: the Arnoldi runs on the rings of build_grid's own
+    # grid for the degree-20 moments, given or not
     p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.3, 0.33),)),
                            N=20.0, gamma=2.0)
-    with pytest.raises(ValueError, match="needs a grid"):
-        build_orthopolys(p, None, 10)
+    assert p.angular_degree() is None
+    assert np.array_equal(
+        build_orthopolys(p, None, 10).hessenberg,
+        build_orthopolys(p, build_grid(p, max_degree=20), 10).hessenberg)
 
 
 def test_grid_of_another_potential_rejected(cavity_potential, radial_grid):
@@ -460,7 +463,8 @@ def test_one_point_function_normalized(cavity_potential, cavity_grid,
                                        cavity_ops):
     rho = one_point_function(cavity_ops, 5,
                              cavity_grid.nodes.astype(complex))
-    mass = float(np.sum(cavity_grid.areas.astype(float) * rho))
+    rho = rho.reshape(-1, cavity_grid.angular_order)
+    mass = float(np.sum(cavity_grid.ring_areas.astype(float)[:, None] * rho))
     assert np.isclose(mass, 1.0, atol=1e-10)
     assert np.all(rho >= 0)
 

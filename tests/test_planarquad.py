@@ -137,7 +137,7 @@ def test_polynomial_rule_outside_exact_class_is_the_grids(charges, folded):
     assert (phi is not None) == folded
     cols = T // 2 + 1 if folded else T
     nodes = grid.nodes.reshape(-1, T)[:, :cols]
-    areas = grid.areas.reshape(-1, T)[:, :cols].copy()
+    areas = np.repeat(grid.ring_areas[:, None], cols, axis=1)
     if folded:
         areas[:, 1:(T + 1) // 2] *= 2
     assert x.shape == nodes.shape
@@ -266,6 +266,16 @@ def test_build_grid_resolves_its_degree(cavity_potential):
     assert grid.nodes.size % 102 == 0
     assert build_grid(cavity_potential, orders=(24, 64),
                       max_degree=24).angular_order == 64
+
+
+def test_grid_keeps_one_area_per_ring(cavity_grid):
+    # the node weights are each ring's area times the weight at its nodes,
+    # the same long-double products as from a per-node area array
+    T = cavity_grid.angular_order
+    assert cavity_grid.ring_areas.shape == (cavity_grid.nodes.size // T,)
+    assert np.array_equal(cavity_grid.measure_weights,
+                          np.repeat(cavity_grid.ring_areas, T)
+                          * cavity_grid.weight_values)
 
 
 def test_build_grid_refuses_over_memory_budget(monkeypatch, cavity_potential):
