@@ -16,7 +16,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -33,6 +32,8 @@ EXIT_INVARIANT = 2
 EXIT_UNSUPPORTED = 3
 
 SWEEP_DEGREES = "10,20,30,40,50"
+# the angles of the boundary samples drawn and written to boundary.csv
+_ANGLES = 2 * np.pi * np.arange(720) / 720
 
 
 @dataclass(frozen=True)
@@ -182,12 +183,6 @@ class SvgCanvas:
         self.parts.append(f'<{tag} points="{pts}" stroke="{color}" '
                           f'stroke-width="1.5" fill="{fill}"/>')
 
-    def circle(self, center, radius, fill):
-        x, y = self._xy(center)
-        self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" '
-                          f'r="{radius * self.sc:.2f}" stroke="black" '
-                          f'stroke-width="1.5" fill="{fill}"/>')
-
     def dots(self, zs, color):
         for z in zs:
             x, y = self._xy(z)
@@ -199,17 +194,11 @@ class SvgCanvas:
 
 
 def _support_svg(geom, extras, path: Path):
-    if isinstance(geom, DiskWithCavities):
-        R = geom.outer_radius
-        cv = SvgCanvas(1.3 * R)
-        cv.circle(0j, R, fill="#cfe0f5")
-        for c, r in geom.cavities:
-            cv.circle(c, r, fill="white")
-    else:
-        th = 2 * np.pi * np.arange(720) / 720
-        b = geom.boundary(th)
-        cv = SvgCanvas(1.3 * float(np.max(np.abs(b))))
-        cv.polyline(b, close=True, fill="#cfe0f5")
+    """The support, its cavities white, under the layers of extras."""
+    parts = [b for _, b in geom.outline(_ANGLES)]
+    cv = SvgCanvas(1.3 * max(float(np.max(np.abs(b))) for b in parts))
+    for i, b in enumerate(parts):
+        cv.polyline(b, close=True, fill="white" if i else "#cfe0f5")
     for kind, data, color in extras:
         if kind == "dots":
             cv.dots(data, color=color)
@@ -252,17 +241,8 @@ def cmd_support(cfg: ExperimentConfig, out: Path, args) -> int:
     p = cfg.potential(n=args.degree)
     geom = equilibrium.classify_support(p)
     write_json(out / "geometry.json", _geometry_dict(geom))
-    if isinstance(geom, DiskWithCavities):
-        th = 2 * np.pi * np.arange(720) / 720
-        rows = [("outer", t, geom.outer_radius * math.cos(t),
-                 geom.outer_radius * math.sin(t)) for t in th]
-        for i, (c, r) in enumerate(geom.cavities):
-            rows += [(f"cavity{i}", t, c.real + r * math.cos(t),
-                      c.imag + r * math.sin(t)) for t in th]
-    else:
-        bc = schwarz.boundary_curve(geom)
-        rows = [("boundary", t, z.real, z.imag)
-                for t, z in zip(bc.theta, bc.points)]
+    rows = [(name, t, z.real, z.imag) for name, zs in geom.outline(_ANGLES)
+            for t, z in zip(_ANGLES, zs)]
     write_csv(out / "boundary.csv", ["component", "theta", "x", "y"], rows)
     _support_svg(geom, [], out / "support.svg")
     print(f"support: {_geometry_dict(geom)['kind']} area={geom.area():.6f}")
@@ -455,9 +435,10 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     uniq = dbar.uniqueness_crosscheck(ops, p2, grid, min(3, n))
     check("moment identities", _moments_hold(uniq))
     record = {"failures": failures, "equilibrium": _equilibrium_dict(rep)}
-    if isinstance(geom, ExteriorMap):   # criterion 02
-        (a, beta), = p.nu.charges
-        res = max(equilibrium.system_residuals(geom, p.alpha, beta, a))
+    if isinstance(geom, ExteriorMap):   # criterion 02, on Q's parameters
+        q = equilibrium.scaled_potential(p)
+        (a, beta), = q.nu.charges
+        res = max(equilibrium.system_residuals(geom, q.alpha, beta, a))
         check(f"map-system residual ({res:.2e})", res < equilibrium.SYSTEM_TOL)
         record["map_system_residual"] = res
     trajs = _covered_trajectories(geom)

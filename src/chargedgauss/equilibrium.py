@@ -1,14 +1,14 @@
 """Support geometry of the equilibrium measure for a perturbed Gaussian
-potential: disk-with-cavities classification, the rational exterior
-conformal map in the non-contained case, the equilibrium constant of
-either support (for a map, at a critical value), and verification of the
-equilibrium conditions, with the exact log potential of either support,
-at every node of a mesh, folded across the real axis when every charge
-and the geometry are exactly real (conjugate pairs are not: the mirror
-reorders their charge sum), with the full mesh's report bit for bit.
-Constants: the cavity gap _GAP, the map equations' residual bound
-SYSTEM_TOL (criterion 02), and verify_equilibrium's mesh margin
-_MESH_MARGIN and off-support tolerance TOL_OFF.
+potential, and the check of its equilibrium conditions.  The problem is
+Q = (gamma/2) V's (N = gamma*n): scaled_potential, the one place gamma
+enters, is the identity at gamma = 2, and classify_support, outer_radius,
+effective_potential and verify_equilibrium work on p's Q.  The support,
+a disk with cavities or the image of a rational exterior conformal map,
+answers for its own kind (extent, outline, its log potential U^S,
+locate, robin_constant, is_real).  Constants: the cavity gap _GAP, the
+map equations' residual bound SYSTEM_TOL (criterion 02), and
+verify_equilibrium's mesh margin _MESH_MARGIN and off-support tolerance
+TOL_OFF.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import PerturbedPotential
+from .measures import PerturbedPotential, PointChargeMeasure
 
 
 _GAP = 1e-9
@@ -58,6 +58,41 @@ class DiskWithCavities:
         for c, r in self.cavities:
             inside = inside & (np.abs(z - c) >= r)
         return bool(inside) if inside.ndim == 0 else inside
+
+    def extent(self) -> float:
+        """The support's largest modulus, R."""
+        return self.outer_radius
+
+    def outline(self, theta) -> list:
+        """(name, points at theta) per circle: outer, cavity0, cavity1..."""
+        e = np.exp(1j * np.asarray(theta, dtype=float))
+        return [("outer", self.outer_radius * e)] + [
+            (f"cavity{i}", c + r * e) for i, (c, r)
+            in enumerate(self.cavities)]
+
+    def potential(self, z) -> np.ndarray:
+        """U^S(z) = -int_S log|z-w| dm(w) for the Lebesgue measure on the
+        support S: the disk's closed-form potential less each cavity's."""
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        u = _disk_potential(0.0, self.outer_radius, z)
+        for c, r in self.cavities:
+            u = u - _disk_potential(c, r, z)
+        return u
+
+    def locate(self, z) -> tuple:
+        """(contains(z), potential(z)) over an array z."""
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        return self.contains(z), self.potential(z)
+
+    def robin_constant(self, p: PerturbedPotential) -> float:
+        """F = U^sigma + V on the support, for the p (gamma 2) whose
+        support this is: alpha R^2 (log(1/R^2) + 1)."""
+        R = self.outer_radius
+        return p.alpha * R**2 * (math.log(1.0 / R**2) + 1.0)
+
+    def is_real(self) -> bool:
+        """Every cavity centre is exactly real."""
+        return all(complex(c).imag == 0.0 for c, _ in self.cavities)
 
 
 @dataclass(frozen=True)
@@ -146,9 +181,96 @@ class ExteriorMap:
         inside = (np.abs(z1) < 1.0) & (np.abs(z2) < 1.0)
         return bool(inside) if inside.ndim == 0 else inside
 
+    def extent(self) -> float:
+        """The largest modulus of 720 boundary samples (np.linspace's)."""
+        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        return float(np.max(np.abs(self.boundary(th))))
+
+    def outline(self, theta) -> list:
+        """[('boundary', f(e^{i theta}))]."""
+        return [("boundary", self.boundary(theta))]
+
+    def potential(self, z) -> np.ndarray:
+        """U^S(z), exact by residues inside and outside S: see locate."""
+        return self.locate(z)[1]
+
+    def locate(self, z) -> tuple:
+        """(contains(z), U^S(z)) over an array z, from one preimage solve.
+
+        By Stokes, I = int_S log|z-w|^2 dm(w) = (1/2i) oint h (log|z - f|^2
+        - 1) dzeta over |zeta| = 1, with h = (g - conj(z)) f' and g(zeta) =
+        rho/zeta + conj(u) + conj(v) zeta/(1 - conj(A) zeta) = conj(f) on the
+        circle; (1/2i) oint h = |S|.  As z - f = -rho (zeta - z1)(zeta -
+        z2)/(zeta - A), z1, z2 the preimages of z, I = (log rho^2 - 1)|S| +
+        T(z1) + T(z2) - T(A) with T(c) = (1/2i) oint h log|zeta - c|^2.
+        Reflect c into the disk, d = c/m with m = max(1, |c|^2): log|zeta -
+        c|^2 = log m + log(1 - conj(d) zeta) + log(1 - d/zeta) on the
+        circle.  Residues of the first log times h inside (only A's double
+        pole, h2 = -v (g(A) - conj(z)), h1 = -v g'(A)) and of the second
+        outside (at 1/conj(A), where h has residue r = -conj(v)
+        f'(1/conj(A))/conj(A)^2, and at infinity, where h -> hinf = rho
+        (conj(u - v/A) - conj(z))) give, w = 1 - conj(d) A, T(c) = |S| log m
+        + pi [h1 log w - h2 conj(d)/w - r log(1 - d conj(A)) - d hinf].  Only
+        Re I is used, and four identities make it cheap.  (1) One logarithm
+        per preimage: Re w > 0 as |d| <= 1 and |A| < 1, so log(1 - d
+        conj(A)) = conj(log w), and the log terms are Re(g log w), g = h1 -
+        conj(r).  (2) Real parts only: Re(g log w) = Re(g) log|w|^2/2 - Im(g)
+        arg w.  (3) T(A), with d = A and w_A = 1 - |A|^2 real, is a constant
+        and the first terms of the sums of conj(d)/w and conj(d).  (4)
+        |c|^2, once per preimage, gives d by a real division, and log m.
+        Nothing is singular (z1, z2 != A), and the map equations are not
+        used.
+        """
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        rho = self.rho
+        u, v, A = complex(self.u), complex(self.v), complex(self.A)
+        ub, vb, Ab = u.conjugate(), v.conjugate(), A.conjugate()
+        area, zc, wA = self.area(), np.conj(z), 1.0 - abs(A) ** 2
+        h2 = -v * (rho / A + ub + vb * A / wA - zc)
+        h1 = -v * (vb / wA**2 - rho / A**2)
+        r = -vb * complex(self.map_derivative(1.0 / Ab)) / Ab**2
+        g = h1 - r.conjugate()
+        hinf_c = rho * (u - v / A - z)   # conj(hinf)
+        z1, z2 = self._preimages(z)
+        I = (math.log(rho**2) - 1.0) * area - math.pi * g.real * math.log(wA)
+        Q, Dc = -Ab / wA, -Ab   # sums of conj(d)/w and of conj(d), less T(A)'s
+        for c in (z1, z2):
+            m = np.maximum(c.real**2 + c.imag**2, 1.0)
+            dc = np.conj(c) / m
+            w = 1.0 - dc * A
+            I = I + area * np.log(m) + math.pi * (
+                0.5 * g.real * np.log(w.real**2 + w.imag**2)
+                - g.imag * np.arctan2(w.imag, w.real))
+            Q = Q + dc / w
+            Dc = Dc + dc
+        return ((np.abs(z1) < 1.0) & (np.abs(z2) < 1.0),
+                -0.5 * (I - math.pi * ((h2 * Q).real + (hinf_c * Dc).real)))
+
+    def robin_constant(self, p: PerturbedPotential) -> float:
+        """F = U^sigma + V on the support, for the p (gamma 2) whose
+        support this is: effective_potential at f(zeta_+), zeta_+ the first
+        critical point, in the support as both its preimages are zeta_+."""
+        z = self.critical_value(self.critical_points()[0])
+        return float(effective_potential(self, p, z)[0])
+
+    def is_real(self) -> bool:
+        """u, v and A are exactly real."""
+        return all(complex(c).imag == 0.0 for c in (self.u, self.v, self.A))
+
+
+def scaled_potential(p: PerturbedPotential) -> PerturbedPotential:
+    """Q = (gamma/2) V as a potential of its own, gamma 2: alpha and every
+    charge mass times gamma/2, and N times 2/gamma, so the weight
+    exp(-N V) is the same.  p itself at gamma = 2."""
+    g = p.gamma / 2.0
+    return p if g == 1.0 else PerturbedPotential(
+        alpha=g * p.alpha, N=p.N / g, gamma=2.0, nu=PointChargeMeasure(
+            tuple((a, g * b) for a, b in p.nu.charges)))
+
 
 def outer_radius(p: PerturbedPotential) -> float:
-    """R = sqrt((1 + nu(C)) / (2*alpha))."""
+    """R = sqrt((1 + nu(C)) / (2*alpha)) of Q = (gamma/2) V."""
+    p = scaled_potential(p)
     return math.sqrt((1.0 + p.nu.total_mass) / (2.0 * p.alpha))
 
 
@@ -157,13 +279,14 @@ def cavity_radius(p: PerturbedPotential, beta: float) -> float:
 
 
 def classify_support(p: PerturbedPotential):
-    """Return the support geometry, or raise UnsupportedGeometry.
+    """Return the support of Q = (gamma/2) V, or raise UnsupportedGeometry.
 
     Cavities must be pairwise disjoint and strictly inside B(0, R) with
     margin _GAP; the single-charge non-contained case is handed to the
     conformal-map solver.  Everything else is out of reach of the
     closed-form constructions.
     """
+    p = scaled_potential(p)
     R = outer_radius(p)
     cavities = [(a, cavity_radius(p, b)) for a, b in p.nu.charges]
 
@@ -269,69 +392,6 @@ def support_area(geom) -> float:
     return geom.area()
 
 
-def robin_constant(geom, p: PerturbedPotential) -> float:
-    """F = U^sigma + V on the support: alpha R^2 (log(1/R^2) + 1) for a
-    disk with cavities; for an exterior map the effective potential at
-    f(zeta_+), zeta_+ the first of ExteriorMap.critical_points, a point of
-    the support, as both of its preimages are zeta_+."""
-    if isinstance(geom, DiskWithCavities):
-        R = geom.outer_radius
-        return p.alpha * R**2 * (math.log(1.0 / R**2) + 1.0)
-    z = geom.critical_value(geom.critical_points()[0])
-    return float(effective_potential(geom, p, z)[0])
-
-
-def _exterior_map_potential(geom: ExteriorMap, z: np.ndarray,
-                            preimages=None) -> np.ndarray:
-    """U^S(z) = -int_S log|z-w| dm(w) for the support S of the map f,
-    exact by residues for z inside and outside S.
-
-    By Stokes, I = int_S log|z-w|^2 dm(w) = (1/2i) oint h (log|z - f|^2 - 1)
-    dzeta over |zeta| = 1, with h = (g - conj(z)) f' and g(zeta) = rho/zeta
-    + conj(u) + conj(v) zeta/(1 - conj(A) zeta) = conj(f) on the circle;
-    (1/2i) oint h = |S|.  As z - f = -rho (zeta - z1)(zeta - z2)/(zeta - A),
-    z1, z2 the preimages of z, I = (log rho^2 - 1)|S| + T(z1) + T(z2) - T(A)
-    with T(c) = (1/2i) oint h log|zeta - c|^2.  Reflect c into the disk,
-    d = c/m with m = max(1, |c|^2): log|zeta - c|^2 = log m +
-    log(1 - conj(d) zeta) + log(1 - d/zeta) on the circle.  Residues of the
-    first log times h inside (only A's double pole, h2 = -v (g(A) -
-    conj(z)), h1 = -v g'(A)) and of the second outside (at 1/conj(A), where
-    h has residue r = -conj(v) f'(1/conj(A))/conj(A)^2, and at infinity,
-    where h -> hinf = rho (conj(u - v/A) - conj(z))) give, w = 1 - conj(d) A,
-    T(c) = |S| log m + pi [h1 log w - h2 conj(d)/w - r log(1 - d conj(A))
-    - d hinf].  Only Re I is used, and four identities make it cheap.
-    (1) One logarithm per preimage: Re w > 0 as |d| <= 1 and |A| < 1, so
-    log(1 - d conj(A)) = conj(log w), and the log terms are Re(g log w),
-    g = h1 - conj(r).  (2) Real parts only: Re(g log w) = Re(g) log|w|^2/2
-    - Im(g) arg w.  (3) T(A), with d = A and w_A = 1 - |A|^2 real, is a
-    constant and the first terms of the sums of conj(d)/w and conj(d).
-    (4) |c|^2, once per preimage, gives d by a real division, and log m.
-    Nothing is singular (z1, z2 != A), and the map equations are not used.
-    preimages, if given, are geom._preimages(z).
-    """
-    rho, u, v, A = geom.rho, complex(geom.u), complex(geom.v), complex(geom.A)
-    ub, vb, Ab = u.conjugate(), v.conjugate(), A.conjugate()
-    area, zc, wA = geom.area(), np.conj(z), 1.0 - abs(A) ** 2
-    h2 = -v * (rho / A + ub + vb * A / wA - zc)
-    h1 = -v * (vb / wA**2 - rho / A**2)
-    r = -vb * complex(geom.map_derivative(1.0 / Ab)) / Ab**2
-    g = h1 - r.conjugate()
-    hinf_c = rho * (u - v / A - z)   # conj(hinf)
-    z1, z2 = geom._preimages(z) if preimages is None else preimages
-    I = (math.log(rho**2) - 1.0) * area - math.pi * g.real * math.log(wA)
-    Q, Dc = -Ab / wA, -Ab   # sums of conj(d)/w and of conj(d), less T(A)'s
-    for c in (z1, z2):
-        m = np.maximum(c.real**2 + c.imag**2, 1.0)
-        dc = np.conj(c) / m
-        w = 1.0 - dc * A
-        I = I + area * np.log(m) + math.pi * (
-            0.5 * g.real * np.log(w.real**2 + w.imag**2)
-            - g.imag * np.arctan2(w.imag, w.real))
-        Q = Q + dc / w
-        Dc = Dc + dc
-    return -0.5 * (I - math.pi * ((h2 * Q).real + (hinf_c * Dc).real))
-
-
 def _disk_potential(center: complex, R: float, z: np.ndarray) -> np.ndarray:
     """-int log|z-w| dm(w) over the disk B(center, R), d = |z - center|:
     (pi R^2/2)(log(1/R^2) + 1 - d^2/R^2) inside and pi R^2 log(1/d)
@@ -342,25 +402,12 @@ def _disk_potential(center: complex, R: float, z: np.ndarray) -> np.ndarray:
     return np.where(d <= R, inner, outer)
 
 
-def support_potential(geom, z) -> np.ndarray:
-    """U^S(z) = -int_S log|z-w| dm(w) for the Lebesgue measure on the
-    support S: closed-form disk potentials in the cavity case, the exact
-    residue formula of _exterior_map_potential in the exterior-map case."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if isinstance(geom, ExteriorMap):
-        return _exterior_map_potential(geom, z)
-    u = _disk_potential(0.0, geom.outer_radius, z)
-    for c, r in geom.cavities:
-        u = u - _disk_potential(c, r, z)
-    return u
-
-
 def effective_potential(geom, p: PerturbedPotential, z) -> np.ndarray:
-    """U^sigma(z) + V(z) for sigma uniform with density 2*alpha/pi on the
-    support."""
+    """U^sigma(z) + Q(z), Q = (gamma/2) V with its own alpha, for sigma
+    uniform with density 2*alpha/pi on the support geom."""
+    p = scaled_potential(p)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return 2.0 * p.alpha / math.pi * support_potential(geom, z) \
-        + p.value_grid(z)
+    return 2.0 * p.alpha / math.pi * geom.potential(z) + p.value_grid(z)
 
 
 @dataclass(frozen=True)
@@ -381,16 +428,11 @@ class EquilibriumReport:
 
 def mesh_axis(geom, n: int) -> np.ndarray:
     """The n coordinates, on either axis, of verify_equilibrium's mesh,
-    from -extent to extent: the support's largest modulus (outer radius,
-    or largest of 720 boundary samples) plus _MESH_MARGIN.  The upper half
-    is np.linspace's, the lower half its exact negative (xs[i] ==
+    from -extent to extent: geom.extent() plus _MESH_MARGIN.  The upper
+    half is np.linspace's, the lower half its exact negative (xs[i] ==
     -xs[n-1-i], an odd mesh's middle node 0.0), so each mesh row's mirror
     image is a mesh row."""
-    if isinstance(geom, DiskWithCavities):
-        extent = geom.outer_radius + _MESH_MARGIN
-    else:
-        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        extent = float(np.max(np.abs(geom.boundary(th)))) + _MESH_MARGIN
+    extent = geom.extent() + _MESH_MARGIN
     xs = np.linspace(-extent, extent, n)
     xs[:n // 2] = -xs[:(n - 1) // 2:-1]
     if n % 2:
@@ -398,30 +440,18 @@ def mesh_axis(geom, n: int) -> np.ndarray:
     return xs
 
 
-def _real_symmetric(geom, p: PerturbedPotential) -> bool:
-    """Whether every charge of p, and the geometry, are exactly real:
-    the cavity centres, or the map's u, v and A, have imaginary part 0."""
-    if isinstance(geom, DiskWithCavities):
-        centres = [c for c, _ in geom.cavities]
-    else:
-        centres = [geom.u, geom.v, geom.A]
-    return all(complex(c).imag == 0.0
-               for c in [a for a, _ in p.nu.charges] + centres)
-
-
 def verify_equilibrium(geom, p: PerturbedPotential,
                        grid_spec: dict | None = None) -> EquilibriumReport:
-    """Check U^sigma + V = F on the support and >= F off it at every node
-    of a cartesian n x n mesh (`mesh_axis` on both axes) covering the
-    support plus a margin annulus.  grid_spec may set n (200) and tol_on
-    (1e-8), and no other key.
+    """Check U^sigma + Q = F on the support and >= F off it, Q = (gamma/2)
+    V of p, at every node of a cartesian n x n mesh (`mesh_axis` on both
+    axes) covering the support plus a margin annulus.  grid_spec may set
+    n (200), an integer >= 1, and tol_on (1e-8), and no other key.
 
-    U^sigma is exact for both geometries, so no node is skipped: each is
-    on the support (geom.contains for a disk, the preimage test for an
-    exterior map) or off it, and n_on + n_off = n^2.  A node on a charge
-    has V = +inf and counts off the support with margin +inf.  F is
-    robin_constant's, which takes no mesh node: a mesh that misses the
-    support reports n_on = 0 and max_dev_on = 0.
+    U^sigma is exact for both geometries, so no node is skipped: geom.locate
+    puts each on the support or off it, and n_on + n_off = n^2.  A node
+    on a charge has V = +inf and counts off the support with margin +inf.
+    F is geom.robin_constant's, which takes no mesh node: a mesh that
+    misses the support reports n_on = 0 and max_dev_on = 0.
 
     The mesh is streamed in blocks of whole rows, about _BLOCK nodes each.
     Each block's potential is reduced to the minimum and maximum of
@@ -430,25 +460,28 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     As p -> fl(p - F) is monotone, max(pmax - F, F - pmin) is the largest
     |U^sigma + V - F| over the on-support nodes.
 
-    Mirror fold: when every charge and the geometry are exactly real
-    (_real_symmetric), only the first ceil(n/2) rows, y <= 0, are
-    evaluated, each but an odd mesh's middle row (y = 0.0) counting for
-    its mirror too.  The report is the full mesh's bit for bit: every
-    operation on this path (hypot moduli, complex products, numpy's
-    quotients, the complex square root, the odd arctan2, the charge sums
-    in their order) gives conjugate results for conjugate inputs.
-    Conjugate pairs of charges are not folded: the mirror swaps the order
-    of their charge sum, so a node and its mirror agree only to rounding.
+    Mirror fold: when every charge and the geometry (geom.is_real) are
+    exactly real, only the first ceil(n/2) rows, y <= 0, are evaluated,
+    each but an odd mesh's middle row (y = 0.0) counting for its mirror
+    too.  The report is the full mesh's bit for bit: every operation on
+    this path (hypot moduli, complex products, numpy's quotients, the
+    complex square root, the odd arctan2, the charge sums in their order)
+    gives conjugate results for conjugate inputs.  Conjugate pairs of
+    charges are not folded: the mirror swaps the order of their charge
+    sum, so a node and its mirror agree only to rounding.
     """
     spec = {"n": 200, "tol_on": 1e-8, **(grid_spec or {})}
     unknown = sorted(spec.keys() - {"n", "tol_on"})
     if unknown:
         raise ValueError(f"grid_spec keys {unknown}: only n and tol_on")
     n = spec["n"]
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"grid_spec n {n!r}: expected an integer >= 1")
 
+    n, p = int(n), scaled_potential(p)
     xs = mesh_axis(geom, n)
     # how many mesh rows each evaluated row counts for
-    if _real_symmetric(geom, p):
+    if geom.is_real() and all(a.imag == 0.0 for a, _ in p.nu.charges):
         mult = np.where(np.arange((n + 1) // 2) < n // 2, 2, 1)
     else:
         mult = np.ones(n, dtype=int)
@@ -460,22 +493,15 @@ def verify_equilibrium(geom, p: PerturbedPotential,
     for r0 in range(0, ys.size, rows):
         y = ys[r0:r0 + rows]
         z = (xs[None, :] + 1j * y[:, None]).ravel()
-        if isinstance(geom, DiskWithCavities):
-            on = geom.contains(z)
-            u = effective_potential(geom, p, z)
-        else:
-            # one preimage solve serves the support test and the potential
-            z1, z2 = geom._preimages(z)
-            on = (np.abs(z1) < 1.0) & (np.abs(z2) < 1.0)
-            u = (2.0 * p.alpha / math.pi * _exterior_map_potential(
-                geom, z, (z1, z2)) + p.value_grid(z))
+        on, u = geom.locate(z)
+        u = 2.0 * p.alpha / math.pi * u + p.value_grid(z)
         u_on = u[on]
         pmin = np.minimum(pmin, np.min(u_on, initial=np.inf))
         pmax = np.maximum(pmax, np.max(u_on, initial=-np.inf))
         pmin_off = np.minimum(pmin_off, np.min(u[~on], initial=np.inf))
         n_on += int(mult[r0:r0 + rows] @ on.reshape(y.size, n).sum(1))
 
-    F = robin_constant(geom, p)
+    F = geom.robin_constant(p)
     dev_on = float(np.maximum(pmax - F, F - pmin)) if n_on else 0.0
     return EquilibriumReport(robin_constant=F, max_dev_on=dev_on,
                              min_margin_off=float(pmin_off - F),

@@ -58,8 +58,8 @@ EMPTY_MEASURE = PointChargeMeasure(charges=())
 class PerturbedPotential:
     """Gaussian background alpha*|z|^2 perturbed by a point-charge measure.
 
-    N is the weight scale (weight exp(-N*V)); gamma the scaling ratio used
-    for the rescaled potential Q = (gamma/2)*V in zero-attractor experiments.
+    N is the weight scale (weight exp(-N*V)); gamma = N/n scales the
+    equilibrium problem to Q = (gamma/2)*V's (equilibrium.scaled_potential).
     The conductor is the whole plane.
     """
 

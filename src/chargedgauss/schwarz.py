@@ -36,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (DiskWithCavities, ExteriorMap,
-                          UnsupportedGeometry, classify_support,
-                          support_potential)
-from .measures import PerturbedPotential, PointChargeMeasure
+                          UnsupportedGeometry, classify_support)
+from .measures import PerturbedPotential
 from .orthopoly import ZeroSet, zero_potential_grid
 
 _STEP = 2e-3
@@ -451,17 +450,10 @@ def effective_zero_density(traj: Trajectory, ds_field):
 
 
 def equilibrium_measure_potential(p: PerturbedPotential, z) -> np.ndarray:
-    """U^{mu_Q}(z) for the rescaled potential Q = (gamma/2) V.
-
-    mu_Q is uniform with density gamma*alpha/pi on the support of the
-    potential with parameters scaled by gamma/2; either geometry.
-    """
-    g = p.gamma / 2.0
-    pq = PerturbedPotential(alpha=g * p.alpha,
-                            nu=PointChargeMeasure(tuple(
-                                (a, g * b) for a, b in p.nu.charges)),
-                            N=p.N, gamma=2.0)
-    return 2.0 * pq.alpha / math.pi * support_potential(classify_support(pq), z)
+    """U^{mu_Q}(z) for the rescaled potential Q = (gamma/2) V: mu_Q is
+    uniform with density gamma*alpha/pi on Q's support, classify_support's,
+    of either kind."""
+    return p.gamma * p.alpha / math.pi * classify_support(p).potential(z)
 
 
 def external_potential_compare(zs: ZeroSet, p: PerturbedPotential,

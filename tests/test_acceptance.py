@@ -18,9 +18,9 @@ from chargedgauss.dbar import (assemble_Y, asymptotic_normalization, fd_order,
                                uniqueness_crosscheck)
 from chargedgauss.equilibrium import (DiskWithCavities, _cubic,
                                       classify_support, effective_potential,
-                                      outer_radius, robin_constant,
-                                      solve_exterior_map, support_area,
-                                      system_residuals, verify_equilibrium)
+                                      outer_radius, solve_exterior_map,
+                                      support_area, system_residuals,
+                                      verify_equilibrium)
 from chargedgauss.fekete import discrepancy, gradient_fd_check, minimize
 from chargedgauss.measures import PerturbedPotential, PointChargeMeasure
 from chargedgauss.orthopoly import build_orthopolys, compute_zeros
@@ -79,7 +79,7 @@ def test_criterion_01_closed_form_geometry():
     for _ in range(100):
         p, geom = _random_cavity_potential(rng)
         R = geom.outer_radius
-        F = robin_constant(geom, p)
+        F = geom.robin_constant(p)
 
         inside = []
         while len(inside) < 20:

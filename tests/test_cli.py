@@ -199,6 +199,47 @@ def test_verify_checks_the_map_system(tmp_path, capsys):
     assert "map-system" not in capsys.readouterr().out
 
 
+def test_gamma_one_measures_against_the_support_of_q(tmp_path, capsys):
+    # N = gamma*n with gamma = 1: the support is that of Q = V/2, with
+    # R = sqrt(2.5) for the default charge, and the Fekete points and the
+    # zeros are measured against it (against V's support, R = sqrt(1.5),
+    # 0.53 of the points were inside and the zeros at n = 40 lay 0.186
+    # from the trajectories on average)
+    cfg = tmp_path / "g1.json"
+    cfg.write_text(json.dumps({"gamma": 1.0}))
+    base = ["--config", str(cfg), "--out", str(tmp_path)]
+    assert main(base + ["--degree", "100", "--quick", "fekete"]) == EXIT_OK
+    rep = json.loads((tmp_path / "fekete_n100.json").read_text())
+    assert rep["discrepancy"]["fraction_inside"] >= 0.97
+    assert main(base + ["--degree", "20,40", "sweep"]) == EXIT_OK
+    geom = json.loads((tmp_path / "geometry.json").read_text())
+    assert math.isclose(geom["outer_radius"], math.sqrt(2.5), rel_tol=1e-15)
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    mean = [float(r.split(",")[2]) for r in rows]
+    assert mean[1] < mean[0] and mean[1] < 0.06
+    # the equilibrium check and the map system are Q's too
+    cfg.write_text(json.dumps({"gamma": 1.0,
+                               "charges": [{"re": 2.0, "beta": 0.5}]}))
+    assert main(base + ["--quick", "verify"]) == EXIT_OK
+    assert json.loads((tmp_path / "verify.json").read_text())[
+        "map_system_residual"] < 1e-10
+
+
+def test_disks_are_drawn_as_polygons(tmp_path):
+    # each boundary circle is a 720-point polygon, the cavities white, as
+    # a map's boundary is
+    base = _config(tmp_path, [(0.5, 0.1), (-0.3 + 0.4j, 0.15)])
+    assert main(base + ["support"]) == EXIT_OK
+    svg = (tmp_path / "support.svg").read_text()
+    polygons = re.findall(r'<polygon points="([^"]*)" .*fill="([^"]*)"', svg)
+    assert [(len(pts.split()), fill) for pts, fill in polygons] == [
+        (720, "#cfe0f5"), (720, "white"), (720, "white")]
+    assert "<circle" not in svg
+    rows = (tmp_path / "boundary.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows[::720]] == ["outer", "cavity0",
+                                                      "cavity1"]
+
+
 @pytest.mark.parametrize("n", [20, 30])
 def test_compare_prints_small_errors(tmp_path, capsys, n):
     # the errors at n = 20 and 30 are below 1e-4 and print in .2e, not as

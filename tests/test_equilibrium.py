@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -9,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chargedgauss as cg
-from chargedgauss import equilibrium, orthopoly
+from chargedgauss import orthopoly
 from chargedgauss.equilibrium import (DiskWithCavities, ExteriorMap,
                                       NoRootError, UnsupportedGeometry,
-                                      _exterior_map_potential,
                                       classify_support, effective_potential,
-                                      mesh_axis, outer_radius, robin_constant,
-                                      solve_exterior_map, support_area,
-                                      system_residuals, verify_equilibrium)
+                                      mesh_axis, outer_radius,
+                                      scaled_potential, solve_exterior_map,
+                                      support_area, system_residuals,
+                                      verify_equilibrium)
 from chargedgauss.measures import PerturbedPotential, PointChargeMeasure
 
 
@@ -107,8 +108,7 @@ def test_exterior_map_on_the_negative_real_axis_is_real():
     em, neg = (solve_exterior_map(0.5, 0.5, a) for a in (2.0, -2.0))
     assert neg.A.imag == neg.u.imag == neg.v.imag == 0.0
     assert (neg.rho, neg.A, neg.u, neg.v) == (em.rho, -em.A, -em.u, em.v)
-    assert equilibrium._real_symmetric(neg, PerturbedPotential(
-        alpha=0.5, nu=PointChargeMeasure(((-2.0, 0.5),))))
+    assert neg.is_real()
 
 
 def test_exterior_map_rejects_contained_cavity():
@@ -131,7 +131,7 @@ def test_exterior_map_rotation_equivariance(phi):
 
 def test_robin_constant_cavity(cavity_potential):
     geom = classify_support(cavity_potential)
-    F = robin_constant(geom, cavity_potential)
+    F = geom.robin_constant(cavity_potential)
     assert np.isclose(F, 0.5 * 1.5 * (math.log(1 / 1.5) + 1))
     # equals the effective potential at interior points
     assert np.isclose(float(effective_potential(geom, cavity_potential,
@@ -158,7 +158,7 @@ def test_robin_constant_exterior_at_a_critical_value(alpha, beta, a, n):
     geom = classify_support(p)
     zeta = geom.critical_points()[0]
     assert geom.contains(geom.map(zeta))
-    F = robin_constant(geom, p)
+    F = geom.robin_constant(p)
     *_, F_deep, F_far = _full_mesh_report(geom, p, n)
     assert abs(F - F_deep) <= 1e-15
     assert abs(F - F_far) <= 1e-15
@@ -173,7 +173,7 @@ def test_robin_constant_just_past_the_transition():
         ((R - r + 1e-6, 0.5),)), N=2.0, gamma=2.0)
     geom = classify_support(p)
     assert isinstance(geom, ExteriorMap)
-    F = robin_constant(geom, p)
+    F = geom.robin_constant(p)
     *_, F_deep, F_far = _full_mesh_report(geom, p, 200)
     assert abs(F - F_deep) <= 2e-10 and abs(F - F_far) <= 2e-10
     rep = verify_equilibrium(geom, p, {"n": 200})
@@ -184,7 +184,7 @@ def test_robin_constant_just_past_the_transition():
 
 def test_effective_potential_off_support(cavity_potential):
     geom = classify_support(cavity_potential)
-    F = robin_constant(geom, cavity_potential)
+    F = geom.robin_constant(cavity_potential)
     for z in [2.0 + 0j, 0.3 + 0.01j, 3j]:
         assert float(effective_potential(geom, cavity_potential, z)[0]) > F
 
@@ -209,6 +209,16 @@ def test_verify_equilibrium_rejects_unknown_keys(exterior_map, spec):
     unknown = sorted(set(spec) - {"n"})
     with pytest.raises(ValueError, match=re.escape(str(unknown))):
         verify_equilibrium(exterior_map, p, spec)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, 200.0, True, "200", None])
+def test_verify_equilibrium_refuses_a_bad_mesh_size(exterior_map, n):
+    # n = 0 once divided by zero, 2.5 raised TypeError and -3 numpy's error
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((2.0, 0.5),)))
+    with pytest.raises(ValueError, match="grid_spec n .*integer >= 1"):
+        verify_equilibrium(exterior_map, p, {"n": n})
+    rep = verify_equilibrium(exterior_map, p, {"n": np.int64(3)})
+    assert rep.n_on + rep.n_off == 9 and type(rep.n_off) is int
 
 
 @pytest.mark.parametrize("alpha, beta, a", [
@@ -273,13 +283,13 @@ def test_verify_equilibrium_sees_the_boundary_band(monkeypatch,
     # nodes a boundary collar would skip, fails the check
     geom = classify_support(cavity_potential)
     R = geom.outer_radius
+    value_grid = PerturbedPotential.value_grid
 
-    def defect(geom, p, z):
-        u = effective_potential(geom, p, z)
-        return u + 1e-6 * (np.abs(np.abs(z) - R) < 0.015)
+    def defect(self, z):
+        return value_grid(self, z) + 1e-6 * (np.abs(np.abs(z) - R) < 0.015)
 
     assert verify_equilibrium(geom, cavity_potential).passed
-    monkeypatch.setattr(equilibrium, "effective_potential", defect)
+    monkeypatch.setattr(PerturbedPotential, "value_grid", defect)
     rep = verify_equilibrium(geom, cavity_potential)
     assert rep.max_dev_on > 5e-7
     assert not rep.passed
@@ -299,7 +309,7 @@ def _full_mesh_report(geom, p, n):
     z = (xs[None, :] + 1j * xs[:, None]).ravel()
     u = effective_potential(geom, p, z)
     on = geom.contains(z)
-    F, F_deep, F_far = robin_constant(geom, p), None, None
+    F, F_deep, F_far = geom.robin_constant(p), None, None
     if isinstance(geom, ExteriorMap):
         bpts = geom.boundary(np.linspace(0.0, 2.0 * np.pi, 720,
                                          endpoint=False))
@@ -317,22 +327,24 @@ def _full_mesh_report(geom, p, n):
 ])
 def test_verify_equilibrium_matches_full_mesh(monkeypatch, alpha, beta, a,
                                               n):
-    # the row-block stream gives the whole mesh's report, and evaluates
-    # effective_potential at one point, f(zeta_+) for an exterior map, where
-    # robin_constant takes F.  A real charge's mesh is folded across the
-    # real axis, and its report is the whole mesh's bit for bit
+    # the row-block stream gives the whole mesh's report: its blocks are
+    # located, and U^S is evaluated apart from them at one point, f(zeta_+)
+    # for an exterior map, where robin_constant takes F.  A real charge's
+    # mesh is folded across the real axis, and its report is the whole
+    # mesh's bit for bit
     tol = 0.0 if complex(a).imag == 0.0 else 1e-15
     p = PerturbedPotential(alpha=alpha, nu=PointChargeMeasure(((a, beta),)),
                            N=2.0, gamma=2.0)
     geom = classify_support(p)
     F, dev, margin, n_on, n_off, _, _ = _full_mesh_report(geom, p, n)
     points = []
+    potential = ExteriorMap.potential
 
-    def spy(geom, p, z):
+    def spy(self, z):
         points.append(z)
-        return effective_potential(geom, p, z)
+        return potential(self, z)
 
-    monkeypatch.setattr(equilibrium, "effective_potential", spy)
+    monkeypatch.setattr(ExteriorMap, "potential", spy)
     rep = verify_equilibrium(geom, p, {"n": n})
     if isinstance(geom, ExteriorMap):
         f_crit = geom.map(geom.critical_points()[0])
@@ -354,7 +366,7 @@ def test_verify_equilibrium_on_a_mesh_that_misses_the_support(
     rep = verify_equilibrium(exterior_map, p, {"n": 2})
     assert (rep.n_on, rep.n_off) == (0, 4)
     assert rep.max_dev_on == 0.0 and rep.min_margin_off > 0.0
-    assert rep.robin_constant == robin_constant(exterior_map, p)
+    assert rep.robin_constant == exterior_map.robin_constant(p)
     assert rep.passed
 
 
@@ -488,7 +500,7 @@ def test_exterior_potential_matches_contour_quadrature():
         ref = region_log_potential(
             em.boundary(th),
             em.map_derivative(zeta) * 1j * zeta * (2 * np.pi / n), z)
-        assert np.max(np.abs(_exterior_map_potential(em, z) - ref)) < 1e-12
+        assert np.max(np.abs(em.potential(z) - ref)) < 1e-12
     assert n_in == n_out == 100
 
 
@@ -510,8 +522,7 @@ def test_exterior_potential_is_continuous_across_the_boundary():
                 z_in = em.map((1.0 - delta) * circle)
                 assert not em.contains(z_out).any()
                 assert em.contains(z_in).all()
-                jump = np.abs(_exterior_map_potential(em, z_out)
-                              - _exterior_map_potential(em, z_in))
+                jump = np.abs(em.potential(z_out) - em.potential(z_in))
                 worst = max(worst, float(np.max(
                     jump / (lip * np.abs(z_out - z_in)))))
     assert worst <= 1.0
@@ -586,3 +597,66 @@ def test_radius_bound_check(cavity_potential, cavity_ops):
     for n in range(1, 13):
         zeros = orthopoly.compute_zeros(cavity_ops, n).zeros
         assert np.all(np.abs(zeros) <= R + 0.1)
+
+
+@pytest.mark.parametrize("charges", [
+    ((0.3, 0.5),),                                        # one cavity
+    ((0.5, 0.1), (-0.5 + 0.2j, 0.1)),                     # two, one tilted
+    ((2.0, 0.5),),                                        # an exterior map
+    ((1.2 + 1.5j, 0.5),),                                 # a tilted map
+])
+def test_support_answers_for_its_kind(charges):
+    # locate is (contains, potential) bit for bit, a node on a charge and
+    # on the boundary included; extent is the largest modulus the mesh
+    # takes, outline the boundary components, is_real the fold's test
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(charges))
+    geom = classify_support(p)
+    th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    parts = geom.outline(th)
+    xs = np.linspace(-3.0, 3.0, 41)
+    z = np.concatenate([(xs[None, :] + 1j * xs[:, None]).ravel(),
+                        p.nu.locations, parts[0][1][::45]])
+    on, u = geom.locate(z)
+    assert on.dtype == bool and on.any() and not on.all()
+    assert np.array_equal(on, geom.contains(z))
+    assert np.array_equal(u, geom.potential(z)) and np.isfinite(u).all()
+    extent = max(float(np.max(np.abs(b))) for _, b in parts)
+    assert math.isclose(geom.extent(), extent, rel_tol=1e-15)
+    assert geom.is_real() == all(complex(a).imag == 0 for a, _ in charges)
+    if isinstance(geom, DiskWithCavities):
+        assert [name for name, _ in parts] == ["outer"] + [
+            f"cavity{i}" for i in range(len(charges))]
+        for (_, b), (c, r) in zip(parts, [(0.0, geom.outer_radius),
+                                          *geom.cavities]):
+            assert np.allclose(np.abs(b - c), r, rtol=1e-15, atol=0.0)
+        assert geom.extent() == geom.outer_radius
+    else:
+        (name, b), = parts
+        assert name == "boundary" and np.array_equal(b, geom.boundary(th))
+        assert geom.extent() == extent
+
+
+@pytest.mark.parametrize("charges", [((0.3, 0.5),), ((2.0, 0.5),),
+                                     ((1.2 + 1.5j, 0.5),)])
+def test_gamma_scales_the_equilibrium_problem(charges):
+    # N = gamma*n makes the problem Q = (gamma/2) V's: at gamma = 1 the
+    # support is the gamma = 2 support of alpha/2 and beta/2, and Q's
+    # equilibrium conditions hold on it; at gamma = 2 Q is p itself
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(charges),
+                           N=30.0, gamma=1.0)
+    half = PerturbedPotential(alpha=0.25, nu=PointChargeMeasure(tuple(
+        (a, 0.5 * b) for a, b in charges)), N=60.0, gamma=2.0)
+    assert scaled_potential(p) == half
+    assert classify_support(p) == classify_support(half)
+    assert outer_radius(p) == outer_radius(half)
+    assert verify_equilibrium(classify_support(p), p, {"n": 60}).passed
+    assert float(effective_potential(classify_support(p), p, 0.1j)[0]) == \
+        float(effective_potential(classify_support(half), half, 0.1j)[0])
+    two = dataclasses.replace(p, gamma=2.0)
+    assert scaled_potential(two) is two
+
+
+def test_outer_radius_at_gamma_one():
+    p = PerturbedPotential(alpha=0.5, nu=PointChargeMeasure(((0.3, 0.5),)),
+                           gamma=1.0)
+    assert math.isclose(outer_radius(p), math.sqrt(2.5), rel_tol=1e-15)
