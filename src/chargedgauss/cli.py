@@ -40,21 +40,15 @@ _ANGLES = 2 * np.pi * np.arange(720) / 720
 class ExperimentConfig:
     alpha: float = 0.5
     gamma: float = 2.0
-    N: float | None = None
     charges: tuple = ((0.3 + 0.0j, 0.5),)
     seed: int = 0
 
-    def potential(self, n: int | None = None) -> PerturbedPotential:
-        """N from config if fixed, else tied to the degree by N = gamma*n."""
-        if self.N is not None:
-            N = self.N
-        elif n is not None:
-            N = self.gamma * n
-        else:
-            N = self.gamma
+    def potential(self, n: int = 1) -> PerturbedPotential:
+        """The potential at degree n, N = gamma*n; its support (Q's) does
+        not depend on n."""
         return PerturbedPotential(alpha=self.alpha,
                                   nu=PointChargeMeasure(self.charges),
-                                  N=N, gamma=self.gamma)
+                                  N=self.gamma * n, gamma=self.gamma)
 
 
 def _read_json(path) -> object:
@@ -95,9 +89,7 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return cfg
     doc = _read_json(path)
-    _check_keys(doc, "alpha gamma N charges seed")
-    if "N" in doc and "gamma" in doc:
-        raise ValueError("give either N or gamma, not both")
+    _check_keys(doc, "alpha gamma charges seed")
     if not isinstance(doc.get("charges", []), list):
         raise ValueError("charges: expected a list")
     for c in doc.get("charges", []):
@@ -108,7 +100,7 @@ def load_config(path: str | None) -> ExperimentConfig:
                          f"integer")
     return ExperimentConfig(
         alpha=_number(doc, "alpha", cfg.alpha),
-        gamma=_number(doc, "gamma", cfg.gamma), N=_number(doc, "N", None),
+        gamma=_number(doc, "gamma", cfg.gamma),
         # an explicit empty list is the pure Gaussian
         charges=tuple((complex(_number(c, "re", 0.0), _number(c, "im", 0.0)),
                        _number(c, "beta", 0.0)) for c in doc["charges"])
@@ -195,9 +187,8 @@ class SvgCanvas:
 
 def _support_svg(geom, extras, path: Path):
     """The support, its cavities white, under the layers of extras."""
-    parts = [b for _, b in geom.outline(_ANGLES)]
-    cv = SvgCanvas(1.3 * max(float(np.max(np.abs(b))) for b in parts))
-    for i, b in enumerate(parts):
+    cv = SvgCanvas(1.3 * geom.extent())
+    for i, (_, b) in enumerate(geom.outline(_ANGLES)):
         cv.polyline(b, close=True, fill="white" if i else "#cfe0f5")
     for kind, data, color in extras:
         if kind == "dots":
@@ -238,8 +229,7 @@ def _load_geometry(path: Path):
 
 
 def cmd_support(cfg: ExperimentConfig, out: Path, args) -> int:
-    p = cfg.potential(n=args.degree)
-    geom = equilibrium.classify_support(p)
+    geom = equilibrium.classify_support(cfg.potential())
     write_json(out / "geometry.json", _geometry_dict(geom))
     rows = [(name, t, z.real, z.imag) for name, zs in geom.outline(_ANGLES)
             for t, z in zip(_ANGLES, zs)]
@@ -333,7 +323,7 @@ def _trajectory_health(trajs):
 
 
 def cmd_trajectory(cfg: ExperimentConfig, out: Path, args) -> int:
-    geom = equilibrium.classify_support(cfg.potential(n=args.degree))
+    geom = equilibrium.classify_support(cfg.potential())
     _, trajs = schwarz.support_trajectories(geom)
     _write_trajectories(out / "trajectories.csv", trajs)
     _support_svg(geom, [("line", t.points, "red") for t in trajs],
@@ -356,8 +346,8 @@ def cmd_fekete(cfg: ExperimentConfig, out: Path, args) -> int:
               "converged": res.converged, "seed": res.seed}
     if isinstance(geom, DiskWithCavities):
         report["discrepancy"] = fekete.discrepancy(res, geom)
-        _support_svg(geom, [("dots", res.points, "blue")],
-                     out / f"fekete_n{n}.svg")
+    _support_svg(geom, [("dots", res.points, "blue")],
+                 out / f"fekete_n{n}.svg")
     write_json(out / f"fekete_n{n}.json", report)
     status = "" if res.converged else " not converged"
     print(f"fekete: n={n} energy={res.energy:.6f} grad={res.grad_norm:.2e} "
@@ -415,7 +405,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
         if not ok:
             failures.append(name)
 
-    p = cfg.potential(n=10)
+    p = cfg.potential()
     geom = equilibrium.classify_support(p)
     rep = equilibrium.verify_equilibrium(
         geom, p, {"n": 60 if args.quick else 150})
@@ -455,7 +445,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
     and their distances to the support's critical trajectories: nan
     without trajectories, exit 3 (through main) where they are not
     covered."""
-    geom = equilibrium.classify_support(cfg.potential(n=args.degree[0]))
+    geom = equilibrium.classify_support(cfg.potential())
     write_json(out / "geometry.json", _geometry_dict(geom))
     _, trajs = schwarz.support_trajectories(geom)
     _write_trajectories(out / "trajectories.csv", trajs)
@@ -550,7 +540,7 @@ def main(argv=None) -> int:
                                  + " ".join(unknown)) from None
             raise
         cfg = load_config(args.config)
-        cfg.potential()  # rejects nonpositive alpha, gamma, N or masses
+        cfg.potential()  # rejects nonpositive alpha, gamma or masses
         if args.command == "sweep":
             degrees = SWEEP_DEGREES if args.degree is None else args.degree
             args.degree = [_parse_degree(s) for s in degrees.split(",")]

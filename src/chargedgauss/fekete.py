@@ -2,15 +2,15 @@
 
     E = (1/2) sum_{i != j} log 1/|z_i - z_j| + n sum_i Q(z_i),
 
-with Q = (gamma/2) V, by L-BFGS (Liu & Nocedal 1989) and a Newton polish
-on the analytic Hessian (Nocedal & Wright, Numerical Optimization, ch. 3
-and 7), and compare the counting measure with the equilibrium measure.
-L-BFGS stalls where double precision no longer resolves decreases of E
-(grad about 5e-6 at n = 200, where E is about 2e4); Newton works on the
-gradient alone and takes it to roundoff in two steps.  A positive
-definite Hessian there certifies a strict local minimum, converged when
-max |g| < GRAD_TOL.  gradient_fd_check steps by _FD_STEP; discrepancy
-counts points on _ANNULI annuli.
+with Q = scaled_potential(p) = (gamma/2) V, by L-BFGS (Liu & Nocedal 1989)
+and a Newton polish on the analytic Hessian (Nocedal & Wright, Numerical
+Optimization, ch. 3 and 7), and compare the counting measure with the
+equilibrium measure.  L-BFGS stalls where double precision no longer
+resolves decreases of E (grad about 5e-6 at n = 200, where E is about
+2e4); Newton works on the gradient alone and takes it to roundoff in two
+steps.  A positive definite Hessian there certifies a strict local minimum,
+converged when max |g| < GRAD_TOL.  gradient_fd_check steps by _FD_STEP;
+discrepancy counts points on _ANNULI annuli.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import DiskWithCavities, outer_radius
+from .equilibrium import DiskWithCavities, outer_radius, scaled_potential
 from .measures import PerturbedPotential
 from .planarquad import check_memory
 
@@ -52,19 +52,20 @@ def energy(points: np.ndarray, p: PerturbedPotential) -> float:
     +inf if any pair coincides or a point sits on a charge.
 
     The external term carries the per-point weight n so both terms scale
-    as n^2, matching the weight exp(-N*V) with N = gamma*n; without it
-    the counting measure of the minimizers cannot converge to the
-    equilibrium measure.
+    as n^2, matching the weight exp(-N*V) = exp(-2n Q) with N = gamma*n;
+    without it the counting measure of the minimizers cannot converge to
+    the equilibrium measure.
     """
     z = np.asarray(points, dtype=complex)
-    return _energy(z, _conj_differences(z), p)
+    return _energy(z, _conj_differences(z), scaled_potential(p))
 
 
 def gradient(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
     """g_i = dE/d(conj z_i) = -(1/2) sum_{j != i} 1/(conj z_i - conj z_j)
-    + n * (gamma/2) (alpha z_i - (1/2) sum_k beta_k/(conj z_i - conj a_k))."""
+    + n dQ(z_i), dQ = dQ/d(conj z) = alpha z - (1/2) sum_k beta_k/(conj z
+    - conj a_k) with Q's alpha and beta_k."""
     z = np.asarray(points, dtype=complex)
-    return _gradient(z, _conj_differences(z), p)
+    return _gradient(z, _conj_differences(z), scaled_potential(p))
 
 
 def _conj_differences(z: np.ndarray) -> np.ndarray:
@@ -75,25 +76,24 @@ def _conj_differences(z: np.ndarray) -> np.ndarray:
     return diff
 
 
-def _energy(z: np.ndarray, diff: np.ndarray, p: PerturbedPotential) -> float:
+def _energy(z: np.ndarray, diff: np.ndarray, q: PerturbedPotential) -> float:
     d = np.abs(diff)  # |z_i - z_j|, exactly
-    v = p.value_grid(z)
+    v = q.value_grid(z)
     if np.any(d == 0.0) or np.any(np.isposinf(v)):
         return math.inf
-    return float(-0.5 * np.sum(np.log(d))
-                 + len(z) * (p.gamma / 2.0) * np.sum(v))
+    return float(-0.5 * np.sum(np.log(d)) + len(z) * np.sum(v))
 
 
 def _gradient(z: np.ndarray, diff: np.ndarray,
-              p: PerturbedPotential) -> np.ndarray:
+              q: PerturbedPotential) -> np.ndarray:
     inv = 1.0 / diff
     np.fill_diagonal(inv, 0.0)
     g = -0.5 * np.sum(inv, axis=1)
     zc = np.conj(z)
-    dq = p.alpha * z
-    for a, b in p.nu.charges:
+    dq = q.alpha * z
+    for a, b in q.nu.charges:
         dq = dq - 0.5 * b / (zc - np.conj(a))
-    return g + len(z) * (p.gamma / 2.0) * dq
+    return g + len(z) * dq
 
 
 def hessian(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
@@ -101,18 +101,20 @@ def hessian(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
     (Re z_1, Im z_1, Re z_2, ...).
 
     The log terms are harmonic, so d^2E/dz_i d(conj z_j) = c delta_ij with
-    c = n (gamma/2) alpha; B = d^2E/d(conj z) d(conj z) is complex symmetric,
+    c = n alpha; B = d^2E/d(conj z) d(conj z) is complex symmetric,
     B_ij = -(1/2)/(conj z_i - conj z_j)^2 off the diagonal and
-    B_ii = -sum_{j != i} B_ij + n (gamma/4) sum_k beta_k/(conj z_i - conj a_k)^2.
-    Then d^2E = 2c |dz|^2 + 2 Re(dz^H B conj(dz)).
+    B_ii = -sum_{j != i} B_ij + (n/2) sum_k beta_k/(conj z_i - conj a_k)^2,
+    with Q's alpha and beta_k.  Then d^2E = 2c |dz|^2 + 2 Re(dz^H B
+    conj(dz)).
     """
+    q = scaled_potential(p)
     z = np.asarray(points, dtype=complex)
     n, zc = len(z), np.conj(z)
     B = -0.5 / _conj_differences(z) ** 2
     np.fill_diagonal(B, 0.0)
-    dq = sum(b / (zc - np.conj(a)) ** 2 for a, b in p.nu.charges)
-    np.fill_diagonal(B, n * (p.gamma / 4.0) * dq - np.sum(B, axis=1))
-    c = n * (p.gamma / 2.0) * p.alpha
+    dq = sum(b / (zc - np.conj(a)) ** 2 for a, b in q.nu.charges)
+    np.fill_diagonal(B, n * 0.5 * dq - np.sum(B, axis=1))
+    c = n * q.alpha
     # block (i, j): 2 [[Re B_ij, Im B_ij], [Im B_ij, -Re B_ij]] + 2c I delta_ij
     H = np.empty((2 * n, 2 * n))
     H[0::2, 0::2] = B.real
@@ -125,28 +127,30 @@ def hessian(points: np.ndarray, p: PerturbedPotential) -> np.ndarray:
 
 def _solve(z0: np.ndarray, p: PerturbedPotential) -> tuple:
     """L-BFGS to its floor, then Newton steps while they shrink max |g|.
-    Both run on z.view(float), where the gradient of E is 2 g.view(float)."""
+    Both run on z.view(float), where the gradient of E is 2 g.view(float).
+    Q is built here once: the public calls on it build nothing more."""
     from scipy import optimize  # here, so the package loads numpy alone
+    q = scaled_potential(p)
 
     def fun(x):
         z = x.view(complex)
         diff = _conj_differences(z)  # shared by both terms
-        return _energy(z, diff, p), 2.0 * _gradient(z, diff, p).view(float)
+        return _energy(z, diff, q), 2.0 * _gradient(z, diff, q).view(float)
 
     z = optimize.minimize(fun, z0.view(float), jac=True, method="L-BFGS-B",
                           options={"ftol": 0.0, "gtol": 0.0}).x.view(complex)
-    g = gradient(z, p)
+    g = gradient(z, q)
     gnorm = float(np.max(np.abs(g)))
     for _ in range(_NEWTON_STEPS):
         if gnorm < GRAD_TOL:
             break
-        step = np.linalg.solve(hessian(z, p), 2.0 * g.view(float))
+        step = np.linalg.solve(hessian(z, q), 2.0 * g.view(float))
         z_new = z - step.view(complex)
-        g_new = gradient(z_new, p)
+        g_new = gradient(z_new, q)
         if not np.max(np.abs(g_new)) < gnorm:
             break
         z, g, gnorm = z_new, g_new, float(np.max(np.abs(g_new)))
-    return z, energy(z, p), gnorm
+    return z, energy(z, q), gnorm
 
 
 def _min_eigenvalue(z: np.ndarray, p: PerturbedPotential) -> float:

@@ -58,9 +58,9 @@ EMPTY_MEASURE = PointChargeMeasure(charges=())
 class PerturbedPotential:
     """Gaussian background alpha*|z|^2 perturbed by a point-charge measure.
 
-    N is the weight scale (weight exp(-N*V)); gamma = N/n scales the
-    equilibrium problem to Q = (gamma/2)*V's (equilibrium.scaled_potential).
-    The conductor is the whole plane.
+    N = gamma*n is the weight scale (weight exp(-N*V)) at degree n; the
+    equilibrium problem is Q = (gamma/2)*V's, which only
+    equilibrium.scaled_potential builds.  The conductor is the whole plane.
     """
 
     alpha: float

@@ -115,9 +115,10 @@ class QuadGrid:
         logw = self.potential.log_weight_grid(self.nodes)
         return np.where(np.isneginf(logw), LD(0.0), np.exp(logw))
 
-    @property
+    @cached_property
     def measure_weights(self) -> np.ndarray:
-        """Combined weights w_i * exp(-N*V(z_i)) for d(lambda) integrals."""
+        """Combined weights w_i * exp(-N*V(z_i)) for d(lambda) integrals,
+        formed on first use."""
         return (self.ring_areas[:, None] * self.weight_values.reshape(
             -1, self.angular_order)).ravel()
 
@@ -379,8 +380,8 @@ def build_grid(p: PerturbedPotential, orders: tuple = (24, 384),
         wr_list.append(half * ws)
     r = np.concatenate(r_list)
     wr = np.concatenate(wr_list)
-    # the nodes (complex) and the weight evaluated on first use (real)
-    check_memory(r.size * n_t * 3 * LD(0).itemsize,
+    # the nodes (complex), and the weight and measure weights (on first use)
+    check_memory(r.size * n_t * 4 * LD(0).itemsize,
                  f"the {r.size} x {n_t} quadrature grid")
 
     th = LD(2.0) * _PI * np.arange(n_t, dtype=LD) / LD(n_t)

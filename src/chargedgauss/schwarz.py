@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (DiskWithCavities, ExteriorMap,
-                          UnsupportedGeometry, classify_support)
+                          UnsupportedGeometry, classify_support,
+                          scaled_potential)
 from .measures import PerturbedPotential
 from .orthopoly import ZeroSet, zero_potential_grid
 
@@ -108,8 +109,8 @@ class ExteriorDeltaS:
     dS(e^{2i phi} conj z) = e^{-2i phi} conj(dS(z)), and its critical
     trajectories are symmetric across the line.  axis is None for a map
     without the symmetry (to a relative 1e-12).  Its trajectories launch
-    from the branch points (exponent 1/2) and exit at twice the largest
-    modulus of 256 boundary samples."""
+    from the branch points (exponent 1/2) and exit at twice the support's
+    extent."""
 
     exponent = 0.5
 
@@ -123,8 +124,7 @@ class ExteriorDeltaS:
         symmetric = (abs((self.u * e).imag) <= 1e-12 * abs(self.u)
                      and abs((self.v * e * e).imag) <= 1e-12 * abs(self.v))
         self.axis = cmath.phase(self.A) if symmetric else None
-        th = 2.0 * np.pi * np.arange(256) / 256
-        self.escape_radius = 2.0 * float(np.max(np.abs(geom.boundary(th))))
+        self.escape_radius = 2.0 * geom.extent()
 
     def launch_points(self) -> list:
         return branch_points(self.geom)
@@ -451,9 +451,10 @@ def effective_zero_density(traj: Trajectory, ds_field):
 
 def equilibrium_measure_potential(p: PerturbedPotential, z) -> np.ndarray:
     """U^{mu_Q}(z) for the rescaled potential Q = (gamma/2) V: mu_Q is
-    uniform with density gamma*alpha/pi on Q's support, classify_support's,
+    uniform with density 2 alpha_Q/pi on Q's support, classify_support's,
     of either kind."""
-    return p.gamma * p.alpha / math.pi * classify_support(p).potential(z)
+    q = scaled_potential(p)
+    return 2.0 * q.alpha / math.pi * classify_support(q).potential(z)
 
 
 def external_potential_compare(zs: ZeroSet, p: PerturbedPotential,

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chargedgauss import dbar, fekete, orthopoly, planarquad, schwarz
+from chargedgauss import (dbar, equilibrium, fekete, orthopoly, planarquad,
+                          schwarz)
 from chargedgauss.measures import EMPTY_MEASURE
 from chargedgauss.orthopoly import build_orthopolys
 from chargedgauss.planarquad import build_grid
@@ -58,11 +59,22 @@ def test_empty_charge_list_is_the_pure_gaussian(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("trajectory: 0 curves")
 
 
-def test_load_config_rejects_N_and_gamma(tmp_path):
+def test_load_config_refuses_N(tmp_path):
+    # gamma alone states the scale, N = gamma*n: a fixed N is an unknown key
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"N": 10, "gamma": 2.0}))
-    with pytest.raises(ValueError):
+    path.write_text(json.dumps({"N": 40}))
+    with pytest.raises(ValueError, match="unknown key 'N'"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("doc", [{}, {"charges": [{"re": 2.0, "beta": 0.5}]},
+                                 {"gamma": 1.0}])
+def test_support_does_not_depend_on_the_degree(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    cfg = load_config(str(path))
+    assert equilibrium.classify_support(cfg.potential(1)) == \
+        equilibrium.classify_support(cfg.potential(40))
 
 
 def test_potential_ties_N_to_degree():
@@ -197,6 +209,17 @@ def test_verify_checks_the_map_system(tmp_path, capsys):
     assert "map_system_residual" not in json.loads(
         (tmp_path / "verify.json").read_text())
     assert "map-system" not in capsys.readouterr().out
+
+
+def test_fekete_draws_an_exterior_support(tmp_path):
+    # the picture is drawn on either kind of support; the annulus
+    # discrepancy uses disk formulas and is left out on a map
+    rc = main(["--config", WORKED_EXAMPLE, "--out", str(tmp_path),
+               "--degree", "12", "--quick", "fekete"])
+    assert rc == EXIT_OK
+    assert (tmp_path / "fekete_n12.svg").exists()
+    assert "discrepancy" not in json.loads(
+        (tmp_path / "fekete_n12.json").read_text())
 
 
 def test_gamma_one_measures_against_the_support_of_q(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chargedgauss as cg
-from chargedgauss.equilibrium import classify_support
+from chargedgauss.equilibrium import classify_support, scaled_potential
 from chargedgauss import fekete
 from chargedgauss.fekete import (_circle_lens_area, _min_eigenvalue,
                                  discrepancy, energy, gradient,
@@ -31,6 +31,26 @@ def test_energy_pair_term(cavity_potential):
     z = np.array([-1.0 + 0j, 1.0 + 0j])
     qs = 2 * sum(_rescaled(cavity_potential, w) for w in z)
     assert np.isclose(energy(z, cavity_potential) - qs, -math.log(2))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.7])
+def test_energy_terms_are_those_of_q(gamma):
+    # E, its gradient and its Hessian are Q = (gamma/2) V's: p and
+    # scaled_potential(p) give the same, exactly where gamma/2 is a power
+    # of two, and E's external term is n (gamma/2) sum V(z_i)
+    n = 10
+    p = PerturbedPotential(alpha=0.5, nu=cg.PointChargeMeasure(
+        ((0.3, 0.5), (-0.2 + 0.4j, 0.25))), N=gamma * n, gamma=gamma)
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rtol = 0.0 if gamma in (0.5, 1.0) else 1e-14
+    for f in (energy, gradient, hessian):
+        got, want = f(z, p), f(z, scaled_potential(p))
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+    d = np.abs(z[:, None] - z[None, :])[~np.eye(n, dtype=bool)]
+    assert math.isclose(energy(z, p), -0.5 * np.sum(np.log(d))
+                        + n * gamma / 2 * np.sum(p.value_grid(z)),
+                        rel_tol=1e-14)
 
 
 def test_energy_coincident_points(cavity_potential):

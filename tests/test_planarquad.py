@@ -278,8 +278,19 @@ def test_grid_keeps_one_area_per_ring(cavity_grid):
                           * cavity_grid.weight_values)
 
 
+def test_measure_weights_formed_once(cavity_potential):
+    # inner_product and the moment sums share one array per grid
+    grid = build_grid(cavity_potential, orders=(4, 64))
+    assert "measure_weights" not in grid.__dict__
+    f = np.ones(grid.nodes.size)
+    inner_product(grid, f, f)
+    w = grid.__dict__["measure_weights"]
+    inner_product(grid, f, f)
+    assert grid.measure_weights is w
+
+
 def test_build_grid_refuses_over_memory_budget(monkeypatch, cavity_potential):
     monkeypatch.setattr(planarquad, "memory_budget", lambda: 1e6)
-    build_grid(cavity_potential, orders=(4, 64))   # 28 x 64 nodes: 86 kB
+    build_grid(cavity_potential, orders=(4, 64))   # 28 x 64 nodes: 115 kB
     with pytest.raises(planarquad.OverMemoryBudget):
-        build_grid(cavity_potential, orders=(24, 384))   # 3.1 MB
+        build_grid(cavity_potential, orders=(24, 384))   # 4.1 MB

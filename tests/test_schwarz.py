@@ -628,6 +628,13 @@ def test_twin_branch_point_curves_are_reflected(exterior_map, monkeypatch):
 
 @pytest.mark.parametrize("alpha,beta,a", [(0.5, 0.5, 2.0),
                                           (1.2, 0.4, 0.9 + 0.3j)])
+def test_exterior_field_escapes_at_twice_the_extent(alpha, beta, a):
+    em = solve_exterior_map(alpha, beta, complex(a))
+    assert ExteriorDeltaS(em).escape_radius == 2.0 * em.extent()
+
+
+@pytest.mark.parametrize("alpha,beta,a", [(0.5, 0.5, 2.0),
+                                          (1.2, 0.4, 0.9 + 0.3j)])
 def test_exterior_density_matches_scalar_continuity(alpha, beta, a,
                                                    schwarz_value):
     em = solve_exterior_map(alpha, beta, complex(a))
